@@ -7,7 +7,7 @@ process-parallel sweep:
   chain × seed) expanded into deterministic :class:`~repro.engine.grid.Cell`
   jobs;
 * :mod:`repro.engine.cache` — a content-addressed canonical-form cache
-  (in-memory LRU + optional on-disk store under ``$REPRO_CACHE_DIR``)
+  (process-wide memory tier + optional on-disk store under ``$REPRO_CACHE_DIR``)
   installed into :mod:`repro.graphs.isomorphism` for the duration of a run;
 * :mod:`repro.engine.store` — resumable JSONL result shards plus the merged
   ``summary.json``;

@@ -17,13 +17,22 @@ multiset, root), so a hit can only ever return the form the recursion would
 have computed; edge ids (which vary across copies) are deliberately
 excluded.
 
-Two tiers:
+Lookups fall through three tiers, process memory → tenant disk → shared
+disk:
 
-* an in-memory LRU (``maxsize`` entries, least-recently-used eviction);
+* one process-wide memory tier (:data:`FORM_TIER_LIMIT` entries,
+  least-recently-used eviction) keyed by *(read scope, digest)*.  The read
+  scope is the shared directory when a shared tier is configured, else the
+  cache's own directory, else the cache instance itself.  A memory hit is
+  an entry some cache with the same scope computed or loaded, so tenants
+  without a shared tier never read each other's forms.  A form is a pure
+  function of its digest, so an entry never goes stale and lives as long
+  as the process;
 * an optional on-disk JSON store (one tagged file per key) shared between
-  worker processes and across sweep invocations.  The directory defaults to
-  ``$REPRO_CACHE_DIR`` when set.  Corrupt or alien files are treated as
-  misses: the form is recomputed and the entry rewritten.
+  worker processes and across sweep invocations, optionally namespaced per
+  tenant and backed by a read-through shared directory.  The directory
+  defaults to ``$REPRO_CACHE_DIR`` when set.  Corrupt or alien files are
+  treated as misses: the form is recomputed and the entry rewritten.
 
 Hits and misses are counted both in :class:`CacheStats` and on the ambient
 :mod:`repro.obs` tracer (``engine.canonical_cache`` counter, ``outcome``
@@ -40,7 +49,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from ..graphs.kernel import GraphKernel
 from ..graphs.multigraph import ECGraph
@@ -54,16 +63,23 @@ Node = Hashable
 __all__ = [
     "CACHE_FORMAT",
     "ENV_CACHE_DIR",
+    "FORM_TIER_LIMIT",
     "CacheStats",
     "CanonicalFormCache",
     "graph_digest",
     "encode_form",
     "decode_form",
+    "form_tier_stats",
+    "reset_form_tier",
     "validate_tenant",
 ]
 
 CACHE_FORMAT = "repro-canonical-cache-v1"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+
+#: entries the process-wide memory tier holds before evicting the least
+#: recently used
+FORM_TIER_LIMIT = 4096
 
 #: tenant names become directory components; keep them boring on purpose
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -84,6 +100,87 @@ def validate_tenant(name: str) -> str:
 #: process-local id sequence making concurrent temp-file names unique even
 #: when a watchdog-abandoned thread and its retry write the same key
 _TMP_IDS = itertools.count()
+
+#: read scopes of memory-only caches: each instance sees only its own entries
+_SCOPE_IDS = itertools.count()
+
+
+class _FormTier:
+    """The process-wide memory tier: a bounded LRU of canonical forms.
+
+    Keyed by ``(read scope, digest)``; the scope decides which caches may
+    read an entry (see :class:`CanonicalFormCache`).  All mutation happens
+    through methods on this instance, mirroring the SoA plan cache's
+    containment pattern.  The tier takes no lock (this module may not
+    import ``threading``; see ``LintConfig.worker_modules``): instead every
+    change to the table is a single ``OrderedDict`` call, which runs
+    atomically under the interpreter lock, and the tier keeps no shared
+    counters.  Callers that race (a watchdog-abandoned cell thread and a
+    live shard) can therefore at worst refresh an entry late or evict one
+    extra, never tear the table or lose a count; evictions are counted by
+    the cache whose write caused them.
+    """
+
+    __slots__ = ("limit", "_entries")
+
+    def __init__(self, limit: int = FORM_TIER_LIMIT) -> None:
+        self.limit = limit
+        self._entries: "OrderedDict[Tuple[Hashable, str], Any]" = OrderedDict()
+
+    def get(self, scope: Hashable, key: str) -> Optional[Any]:
+        entry = (scope, key)
+        form = self._entries.get(entry)
+        if form is not None:
+            try:
+                self._entries.move_to_end(entry)
+            except KeyError:  # evicted meanwhile: the form is still right
+                pass
+        return form
+
+    def put(self, scope: Hashable, key: str, form: Any) -> int:
+        """Store ``form``; returns how many older entries made room for it."""
+        entries = self._entries
+        entry = (scope, key)
+        entries[entry] = form
+        try:
+            entries.move_to_end(entry)
+        except KeyError:  # evicted meanwhile by a racing put
+            pass
+        evicted = 0
+        while len(entries) > self.limit:
+            try:
+                entries.popitem(last=False)
+            except KeyError:  # a racing put emptied it first
+                break
+            evicted += 1
+        return evicted
+
+    def count(self, scope: Hashable) -> int:
+        return sum(1 for entry_scope, _ in list(self._entries) if entry_scope == scope)
+
+    def stats(self) -> Dict[str, int]:
+        return {"entries": len(self._entries), "limit": self.limit}
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+#: the singleton every :class:`CanonicalFormCache` reads through
+_FORMS = _FormTier()
+
+
+def form_tier_stats() -> Dict[str, int]:
+    """Entry count and bound of the process-wide memory tier."""
+    return _FORMS.stats()
+
+
+def reset_form_tier() -> None:
+    """Drop every entry of the process-wide memory tier.
+
+    The test isolation hook: after a reset, caches on the same directories
+    answer from disk as a fresh process would.
+    """
+    _FORMS.clear()
 
 
 def graph_digest(g: ECGraph, root: Optional[Node] = None) -> str:
@@ -183,13 +280,18 @@ class CacheStats:
 
 @dataclass
 class CanonicalFormCache:
-    """Two-tier (LRU + optional disk) memo table for canonical rooted forms.
+    """Memo table for canonical rooted forms: process memory, then disk.
+
+    The memory tier is process-wide (:data:`FORM_TIER_LIMIT` entries);
+    this cache reads and writes it under its *read scope* — the shared
+    directory when one is configured, else its own (tenant) directory,
+    else the instance itself.  A memory hit is an entry some cache with
+    the same scope computed or loaded: tenants without a shared tier stay
+    isolated, and a memory-only cache sees nothing but its own entries.  ``stats.evictions`` counts the entries the tier
+    evicted to make room for this cache's writes.
 
     Parameters
     ----------
-    maxsize:
-        In-memory LRU capacity; the least-recently-used entry is evicted
-        on overflow.
     directory:
         On-disk store location; ``None`` consults ``$REPRO_CACHE_DIR`` and
         disables the disk tier when that is unset too.
@@ -214,7 +316,6 @@ class CanonicalFormCache:
         keeps the historical never-evict behaviour.
     """
 
-    maxsize: int = 4096
     directory: Optional[Path] = None
     use_disk: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
@@ -242,7 +343,13 @@ class CanonicalFormCache:
             self.directory.mkdir(parents=True, exist_ok=True)
         if self.shared_dir:
             self.shared_dir.mkdir(parents=True, exist_ok=True)
-        self._lru: "OrderedDict[str, Any]" = OrderedDict()
+        # the memory tier's read scope: the widest disk tier this cache reads
+        if self.shared_dir:
+            self._scope: Hashable = str(self.shared_dir)
+        elif self.directory:
+            self._scope = str(self.directory)
+        else:
+            self._scope = next(_SCOPE_IDS)
 
     # ------------------------------------------------------------------
     # the public entry point installed into repro.graphs.isomorphism
@@ -281,40 +388,36 @@ class CanonicalFormCache:
     # tiers
     # ------------------------------------------------------------------
     def _get(self, key: str) -> Tuple[bool, Any]:
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            return True, self._lru[key]
+        form = _FORMS.get(self._scope, key)
+        if form is not None:
+            return True, form
         form = self._disk_get(self.directory, key)
         if form is not None:
             self.stats.disk_hits += 1
-            self._lru_store(key, form)
+            self._remember(key, form)
             return True, form
         if self.shared_dir is not None:
             form = self._disk_get(self.shared_dir, key)
             if form is not None:
                 # read-through: a hit on the shared tier is promoted into
-                # the tenant tier (and the LRU) so this tenant's next
+                # the tenant tier (and memory) so this tenant's next
                 # process answers locally
                 self.stats.shared_hits += 1
                 current_tracer().metrics.counter(
                     "engine.canonical_cache", outcome="shared_hit"
                 ).inc()
-                self._lru_store(key, form)
+                self._remember(key, form)
                 self._disk_put(self.directory, key, form)
                 return True, form
         return False, None
 
     def _put(self, key: str, form: Any) -> None:
-        self._lru_store(key, form)
+        self._remember(key, form)
         self._disk_put(self.directory, key, form)
         self._disk_put(self.shared_dir, key, form)
 
-    def _lru_store(self, key: str, form: Any) -> None:
-        self._lru[key] = form
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.maxsize:
-            self._lru.popitem(last=False)
-            self.stats.evictions += 1
+    def _remember(self, key: str, form: Any) -> None:
+        self.stats.evictions += _FORMS.put(self._scope, key, form)
 
     def _disk_get(self, directory: Optional[Path], key: str) -> Optional[Any]:
         if not directory:
@@ -421,4 +524,5 @@ class CanonicalFormCache:
             ).inc()
 
     def __len__(self) -> int:
-        return len(self._lru)
+        """Memory-tier entries under this cache's read scope."""
+        return _FORMS.count(self._scope)

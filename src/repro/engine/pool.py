@@ -168,7 +168,8 @@ def run_sweep(
         read back.
     cache_dir:
         On-disk canonical-form store shared by all workers; defaults to
-        ``$REPRO_CACHE_DIR`` when set (workers always get an in-memory LRU).
+        ``$REPRO_CACHE_DIR`` when set (every worker also reads through its
+        process's memory tier).
     cache_tenant:
         Namespace the disk cache under ``cache_dir/tenants/<tenant>/`` —
         the multi-tenant discipline the sweep service uses so co-hosted

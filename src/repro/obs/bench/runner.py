@@ -10,8 +10,9 @@ self-time profile extracted from the sweep's merged trace document
 
 Isolation: ``$REPRO_CACHE_DIR`` is stripped for the duration of a suite run
 so an ambient shared cache cannot warm the timed sweeps, and every sweep
-here runs with a fresh in-memory LRU (plus, for cache-scaling only, an
-experiment-private temporary disk tier).
+here runs with a memory-only canonical-form cache that sees only its own
+entries (plus, for cache-scaling only, an experiment-private temporary
+disk tier, whose entries the warm sweep finds in the process memory tier).
 
 This module is a sanctioned wall-clock reader (``LintConfig.clock_modules``):
 the timing clock is injected and defaults to :func:`time.perf_counter`, so

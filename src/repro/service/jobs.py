@@ -29,8 +29,9 @@ a ``retry_after`` hint, which the HTTP layer maps to ``429`` +
 This module is a sanctioned worker module (``LintConfig.worker_modules``)
 for its drain-loop threads, and a sanctioned clock reader
 (``LintConfig.clock_modules``): the token bucket's clock is injected and
-defaults to :func:`time.monotonic`, feeding only admission control —
-never any model output.
+defaults to :func:`time.monotonic`, feeding only admission control, and
+the queue-wait and run-time histograms of :meth:`SweepService.stats` read
+:func:`time.monotonic` — never any model output.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 
 from .. import api
-from ..engine.cache import validate_tenant
+from ..engine.cache import form_tier_stats, validate_tenant
 from ..engine.faults import as_plan
 from ..engine.grid import GridSpec, expand
 from ..engine.store import ResultStore
+from ..obs.metrics import Histogram
 from ..obs.progress import ProgressEmitter, read_progress_events
 
 __all__ = [
@@ -145,6 +147,7 @@ class Job:
     rows: int = 0
     faults: Optional[dict] = None
     cancel: threading.Event = field(default_factory=threading.Event)
+    submitted: float = field(default_factory=time.monotonic)
 
     def as_dict(self) -> dict:
         """The JSON-ready account the API serves for this job."""
@@ -203,6 +206,16 @@ class _CancellableProgress:
             raise JobCancelled("job cancelled")
 
 
+def _summary(histogram: Histogram) -> dict:
+    """The JSON account of one latency histogram, in seconds."""
+    return {
+        "count": histogram.count,
+        "p50": histogram.p50,
+        "p95": histogram.p95,
+        "max": histogram.max,
+    }
+
+
 class SweepService:
     """Bounded job queue + worker threads driving :func:`repro.api.sweep`.
 
@@ -225,7 +238,16 @@ class SweepService:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._buckets: Dict[str, TokenBucket] = {}
-        self._sequence = 0
+        # a restarted service continues the numbering, so a new job never
+        # writes into an earlier run's job directory
+        self._sequence = max(
+            (int(path.name[4:]) for path in self.jobs_dir.glob("job-*") if path.name[4:].isdigit()),
+            default=0,
+        )
+        self._queue_wait = Histogram()
+        self._run_time = Histogram()
+        self._rejected: Dict[str, int] = {"queue_full": 0, "rate_limited": 0}
+        self._tier_evictions = 0
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
 
@@ -274,8 +296,10 @@ class SweepService:
                     )
                 wait = bucket.acquire()
                 if wait > 0:
+                    self._rejected["rate_limited"] += 1
                     raise Backpressure(f"tenant {tenant!r} rate limited", wait)
             if len(self._queue) >= self.config.queue_size:
+                self._rejected["queue_full"] += 1
                 # the engine's bounded-retry idiom: don't block, name the
                 # backoff — one queue drain period is the honest hint
                 raise Backpressure(
@@ -345,7 +369,7 @@ class SweepService:
         return {"id": job_id, "offset": len(events), "events": events[offset:]}
 
     def stats(self) -> dict:
-        """A JSON-ready account of queue, jobs and tenancy."""
+        """A JSON-ready account of queue, jobs, tenancy and latencies."""
         with self._lock:
             states: Dict[str, int] = {state: 0 for state in JOB_STATES}
             for job in self._jobs.values():
@@ -358,6 +382,10 @@ class SweepService:
                 "cache_dir": str(self.cache_dir),
                 "shared_cache": self.shared_dir is not None,
                 "disk_budget": self.config.disk_budget,
+                "queue_wait_s": _summary(self._queue_wait),
+                "run_s": _summary(self._run_time),
+                "rejected": dict(self._rejected),
+                "memory_tier": {**form_tier_stats(), "evictions": self._tier_evictions},
             }
 
     # -- the worker loop ---------------------------------------------------
@@ -371,7 +399,11 @@ class SweepService:
                     return
                 job = self._queue.popleft()
                 job.state = "running"
+                started = time.monotonic()
+                self._queue_wait.observe(started - job.submitted)
             self._run_job(job)
+            with self._lock:
+                self._run_time.observe(time.monotonic() - started)
 
     def _run_job(self, job: Job) -> None:
         emitter = ProgressEmitter(
@@ -411,3 +443,4 @@ class SweepService:
             job.summary = report.summary
             job.cache = report.cache.as_dict()
             job.rows = len(report.rows)
+            self._tier_evictions += report.cache.evictions

@@ -8,7 +8,9 @@ one JSON document, every route lives under ``/v1/``.
 Route                                 Meaning
 ====================================  =========================================
 ``GET /v1/healthz``                   liveness + service stats
-``GET /v1/stats``                     queue/job/tenant/cache accounting
+``GET /v1/stats``                     queue/job/tenant/cache accounting,
+                                      queue-wait and run-time percentiles,
+                                      ``429`` counts, memory-tier size
 ``POST /v1/jobs``                     submit ``{"grid": {...}}``; tenant from
                                       the body's ``tenant`` or the
                                       ``X-Repro-Tenant`` header; ``202`` with
@@ -17,7 +19,8 @@ Route                                 Meaning
 ``GET /v1/jobs``                      list jobs (``?tenant=`` filters)
 ``GET /v1/jobs/<id>``                 one job document
 ``GET /v1/jobs/<id>/progress``        schema-v1 progress events
-                                      (``?offset=N`` tails incrementally)
+                                      (``?offset=N``, ``N >= 0``, tails
+                                      incrementally)
 ``GET /v1/jobs/<id>/rows``            finished rows (``409`` until ``done``)
 ``DELETE /v1/jobs/<id>``              cancel a queued or running job
 ====================================  =========================================
@@ -48,6 +51,10 @@ class _Handler(BaseHTTPRequestHandler):
     service: SweepService  # injected by ServiceServer via a subclass attribute
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response goes out as two writes (headers, body), and
+    # with Nagle on the body waits for the client's delayed ACK (~40 ms)
+    # on every keep-alive request
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -68,15 +75,31 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(code, {"error": message, **extra}, headers=headers)
 
     def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request's JSON object body, or ``None`` once a 400 is sent."""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's framing is unknown, so nothing after it on this
+            # connection can be parsed either: answer and hang up (the
+            # Connection header sets close_connection)
+            self._error(
+                400, f"invalid Content-Length {declared!r}", headers={"Connection": "close"}
+            )
+            return None
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = None
+        if not isinstance(payload, dict):
+            self._error(400, "request body must be a JSON object")
             return None
-        return payload if isinstance(payload, dict) else None
+        return payload
 
     def _route(self) -> Tuple[str, dict]:
         parsed = urlparse(self.path)
@@ -111,7 +134,9 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 offset = int(query.get("offset", 0))
             except ValueError:
-                self._error(400, "offset must be an integer")
+                offset = -1
+            if offset < 0:
+                self._error(400, "offset must be a non-negative integer")
                 return
             self._send(200, self.service.progress(job.id, offset=offset))
         elif parts[1] == "rows":
@@ -130,7 +155,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         body = self._read_body()
         if body is None:
-            self._error(400, "request body must be a JSON object")
             return
         tenant = body.get("tenant") or self.headers.get("X-Repro-Tenant")
         try:

@@ -19,7 +19,14 @@ from repro.engine import (
     run_sweep,
     smoke_grid,
 )
-from repro.engine.cache import CACHE_FORMAT, decode_form, encode_form, validate_tenant
+from repro.engine import cache as cache_mod
+from repro.engine.cache import (
+    CACHE_FORMAT,
+    decode_form,
+    encode_form,
+    reset_form_tier,
+    validate_tenant,
+)
 from repro.graphs.families import path_graph
 from repro.graphs.isomorphism import canonical_rooted_form, use_canonical_cache
 from repro.graphs.multigraph import ECGraph
@@ -69,8 +76,9 @@ class TestCanonicalFormCache:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
-    def test_lru_eviction(self):
-        cache = CanonicalFormCache(maxsize=2, use_disk=False)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_FORMS", cache_mod._FormTier(limit=2))
+        cache = CanonicalFormCache(use_disk=False)
         for n in (2, 3, 4):
             cache.canonical_form(path_graph(n), 0, canonical_rooted_form)
         assert len(cache) == 2
@@ -84,6 +92,7 @@ class TestCanonicalFormCache:
         g1, _ = loopy_pair()
         first = CanonicalFormCache(directory=tmp_path)
         first.canonical_form(g1, "a", canonical_rooted_form)
+        reset_form_tier()  # the second instance stands for a new process
         second = CanonicalFormCache(directory=tmp_path)
         second.canonical_form(g1, "a", canonical_rooted_form)
         assert second.stats.hits == 1
@@ -131,6 +140,52 @@ class TestCanonicalFormCache:
         assert cache.stats.hits == 1
 
 
+class TestFormTier:
+    """The process-wide memory tier under concurrent callers."""
+
+    def test_racing_threads_lose_no_entry_or_eviction(self):
+        import sys
+        import threading
+
+        tier = cache_mod._FormTier(limit=64)
+        threads, per_thread = 8, 3000
+        evicted = [0] * threads
+        wrong = []
+
+        def hammer(index):
+            for i in range(per_thread):
+                key = f"{index}:{i}"
+                evicted[index] += tier.put("scope", key, (index, i))
+                probe = f"{index}:{i // 2}"
+                form = tier.get("scope", probe)
+                if form is not None and form != (index, i // 2):
+                    wrong.append((probe, form))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer, args=(n,)) for n in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+        # every entry written is either still held or was evicted exactly once
+        assert sum(evicted) + tier.stats()["entries"] == threads * per_thread
+        assert tier.stats()["entries"] <= tier.limit
+
+    def test_scopes_isolate_readers(self, tmp_path):
+        g1, _ = loopy_pair()
+        alice = CanonicalFormCache(directory=tmp_path / "alice")
+        alice.canonical_form(g1, "a", canonical_rooted_form)
+        bob = CanonicalFormCache(directory=tmp_path / "bob")
+        assert len(alice) == 1 and len(bob) == 0
+        assert len(CanonicalFormCache(directory=tmp_path / "alice")) == 1
+
+
 class TestMultiTenantCache:
     """Tenant namespacing, the read-through shared tier, disk budgets."""
 
@@ -166,11 +221,13 @@ class TestMultiTenantCache:
         key = graph_digest(g1, "a")
         # alice's miss populated both her tier and the shared tier
         assert (shared / f"{key}.json").exists()
+        reset_form_tier()  # bob's cache stands for another process
         bob = CanonicalFormCache(directory=tmp_path, tenant="bob", shared_dir=shared)
         bob.canonical_form(g1, "a", canonical_rooted_form)
         assert bob.stats.hits == 1 and bob.stats.shared_hits == 1
         # read-through: the shared hit was promoted into bob's tenant tier
         assert (tmp_path / "tenants" / "bob" / f"{key}.json").exists()
+        reset_form_tier()  # and bob's next process
         third = CanonicalFormCache(directory=tmp_path, tenant="bob", shared_dir=shared)
         third.canonical_form(g1, "a", canonical_rooted_form)
         assert third.stats.disk_hits == 1 and third.stats.shared_hits == 0
@@ -210,6 +267,7 @@ class TestMultiTenantCache:
         first = run_sweep(
             grid, cache_dir=base, cache_tenant="alice", cache_shared_dir=shared
         )
+        reset_form_tier()  # the second tenant sweeps in another process
         second = run_sweep(
             grid, cache_dir=base, cache_tenant="bob", cache_shared_dir=shared
         )
@@ -396,6 +454,7 @@ class TestRunSweep:
     def test_shared_disk_cache_feeds_second_sweep(self, tmp_path):
         grid = GridSpec(algorithms=("greedy",), deltas=(3, 4))
         run_sweep(grid, workers=0, cache_dir=tmp_path)
+        reset_form_tier()  # the second sweep runs in another process
         again = run_sweep(grid, workers=0, cache_dir=tmp_path)
         assert again.cache.disk_hits > 0
 

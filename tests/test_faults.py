@@ -25,6 +25,7 @@ from repro.engine import (
     smoke_grid,
     verify_store,
 )
+from repro.engine.cache import reset_form_tier
 from repro.engine.faults import InjectedWorkerError, active_injector, as_plan, use_faults
 from repro.obs import Tracer, use_tracer
 
@@ -182,6 +183,7 @@ class TestChaosInvariant:
         plan = FaultPlan(faults=(Fault(kind="corrupt-cache", offset=0, length=6),))
         first = run_sweep(smoke_grid(), workers=0, cache_dir=cache_dir, faults=plan)
         assert rows_bytes(first.rows) == base
+        reset_form_tier()  # the next sweep runs in another process
         second = run_sweep(smoke_grid(), workers=0, cache_dir=cache_dir)
         assert rows_bytes(second.rows) == base
         assert second.cache.disk_corrupt >= 1

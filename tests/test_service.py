@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -11,6 +12,7 @@ import pytest
 
 from repro import api
 from repro.engine import GridSpec, smoke_grid
+from repro.engine.cache import FORM_TIER_LIMIT, reset_form_tier
 from repro.obs.progress import read_progress_events
 from repro.service import (
     Backpressure,
@@ -186,6 +188,39 @@ class TestJobLifecycle:
         assert "final" not in kinds
 
 
+class TestStats:
+    def test_latency_histograms_count_finished_jobs(self, tmp_path):
+        service = make_service(tmp_path)
+        jobs = [service.submit(tiny_grid(), tenant="alice") for _ in range(3)]
+        service.start()
+        try:
+            wait_for(lambda: all(job.state in ("done", "failed") for job in jobs))
+        finally:
+            service.stop()
+        assert [job.state for job in jobs] == ["done"] * 3
+        stats = service.stats()
+        for name in ("queue_wait_s", "run_s"):
+            summary = stats[name]
+            assert summary["count"] == len(jobs)
+            assert 0 <= summary["p50"] <= summary["p95"] <= summary["max"]
+        tier = stats["memory_tier"]
+        assert tier["limit"] == FORM_TIER_LIMIT
+        assert 0 < tier["entries"] <= FORM_TIER_LIMIT
+
+    def test_rejections_counted_by_reason(self, tmp_path):
+        service = make_service(tmp_path, queue_size=1, rate=0.001, burst=1)
+        service.submit(tiny_grid(), tenant="alice")
+        with pytest.raises(Backpressure):
+            service.submit(tiny_grid(), tenant="alice")  # alice's bucket is empty
+        with pytest.raises(Backpressure):
+            service.submit(tiny_grid(), tenant="bob")  # the queue is full
+        assert service.stats()["rejected"] == {"queue_full": 1, "rate_limited": 1}
+
+    def test_empty_histograms_report_no_percentiles(self, tmp_path):
+        stats = make_service(tmp_path).stats()
+        assert stats["run_s"] == {"count": 0, "p50": None, "p95": None, "max": None}
+
+
 class TestHTTPService:
     @pytest.fixture()
     def server(self, tmp_path):
@@ -211,6 +246,40 @@ class TestHTTPService:
             return response.status, dict(response.getheaders()), payload
         finally:
             conn.close()
+
+    @classmethod
+    def run_job(cls, server, grid, tenant):
+        """Submit ``grid`` as ``tenant``; returns the done job and its rows."""
+        status, _, job = cls.request(
+            server, "POST", "/v1/jobs", {"grid": grid, "tenant": tenant}
+        )
+        assert status == 202, job
+
+        def settled():
+            job.update(cls.request(server, "GET", f"/v1/jobs/{job['id']}")[2])
+            return job["state"] in ("done", "failed", "cancelled")
+
+        wait_for(settled)
+        assert job["state"] == "done", job["error"]
+        status, _, rows = cls.request(server, "GET", f"/v1/jobs/{job['id']}/rows")
+        assert status == 200
+        return job, json.dumps(rows["rows"], sort_keys=True)
+
+    @staticmethod
+    def raw_exchange(server, request: bytes, timeout: float = 2.0) -> bytes:
+        """Send raw bytes and read until the server hangs up.
+
+        A server that never answers or never closes fails the test with a
+        socket timeout instead of hanging it.
+        """
+        with socket.create_connection(server.address, timeout=timeout) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
 
     def test_two_concurrent_tenants_byte_identical_with_shared_hits(self, server):
         # the acceptance scenario: the same smoke grid submitted by two
@@ -263,10 +332,11 @@ class TestHTTPService:
             jobs[tenant] = self.request(server, "GET", f"/v1/jobs/{job_id}")[2]
 
         # one worker thread drains the queue in order, so whichever job ran
-        # second was fully served by the first job's shared-tier writes
+        # second was served from the memory tier the first job filled under
+        # the shared read scope: it computed nothing
         second = jobs[max(submitted, key=lambda t: submitted[t])]
-        assert second["cache"]["shared_hits"] > 0
-        assert second["cache"]["hits"] >= second["cache"]["shared_hits"]
+        assert second["cache"]["misses"] == 0
+        assert second["cache"]["hits"] > 0
 
         # progress is streamable per job
         for job_id in submitted.values():
@@ -300,6 +370,79 @@ class TestHTTPService:
             server, "POST", "/v1/jobs", {"grid": tiny_grid(), "tenant": "../escape"}
         )
         assert status == 400
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_bad_content_length_is_400_and_closes(self, server, length):
+        response = self.raw_exchange(
+            server,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: " + length + b"\r\n\r\n{}",
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_negative_progress_offset_is_400(self, server):
+        status, _, job = self.request(server, "POST", "/v1/jobs", {"grid": tiny_grid()})
+        assert status == 202
+        for offset in ("-1", "abc"):
+            status, _, payload = self.request(
+                server, "GET", f"/v1/jobs/{job['id']}/progress?offset={offset}"
+            )
+            assert status == 400 and "offset" in payload["error"]
+
+    def test_keep_alive_requests_are_not_delayed(self, server):
+        # Nagle's algorithm would hold each response body for the client's
+        # delayed ACK, about 40 ms a request on one keep-alive connection
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/v1/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
+    def test_restart_serves_a_new_tenant_from_the_shared_disk_tier(self, tmp_path):
+        grid = smoke_grid().as_dict()
+        first = ServiceServer(make_service(tmp_path))
+        first.start()
+        try:
+            alice, alice_rows = self.run_job(first, grid, "alice")
+            bob, bob_rows = self.run_job(first, grid, "bob")
+        finally:
+            first.stop()
+        reset_form_tier()  # the restarted server is a new process
+        second = ServiceServer(make_service(tmp_path))
+        second.start()
+        try:
+            carol, carol_rows = self.run_job(second, grid, "carol")
+        finally:
+            second.stop()
+        assert carol["id"] not in (alice["id"], bob["id"])
+        assert carol["cache"]["shared_hits"] > 0
+        assert carol_rows == alice_rows == bob_rows
+
+    def test_no_shared_cache_keeps_tenant_reads_isolated(self, tmp_path):
+        server = ServiceServer(make_service(tmp_path, shared_cache=False))
+        server.start()
+        try:
+            alice, alice_rows = self.run_job(server, smoke_grid().as_dict(), "alice")
+            bob, bob_rows = self.run_job(server, smoke_grid().as_dict(), "bob")
+        finally:
+            server.stop()
+        # without a shared tier each tenant's memory scope is its own
+        # directory: alice's entries, still in the process tier, stay
+        # invisible to bob
+        assert alice["cache"]["misses"] > 0
+        assert bob["cache"]["misses"] == alice["cache"]["misses"]
+        assert bob_rows == alice_rows
 
     def test_rows_conflict_until_done(self, tmp_path):
         service = make_service(tmp_path)  # workers never started: job stays queued
