@@ -36,6 +36,7 @@ from ..graphs.families import single_node_with_loops
 from ..graphs.isomorphism import balls_isomorphic
 from ..graphs.lifts import mix, unfold_loop
 from ..graphs.loopy import min_direct_loops
+from ..graphs.memo import RUNS
 from ..graphs.multigraph import ECGraph
 from ..graphs.neighborhoods import ball
 from ..local.algorithm import ECWeightAlgorithm
@@ -52,53 +53,6 @@ NodeOutputs = Dict[Node, Dict[Color, Fraction]]
 __all__ = ["run_adversary", "checked_run", "hard_instance_pair"]
 
 ONE = Fraction(1)
-
-
-class _RunMemo:
-    """Process-global memo of *verified* algorithm runs.
-
-    Keyed by ``(algorithm fingerprint, graph digest, require_saturation)``
-    — sound because a fingerprinted :class:`ECWeightAlgorithm` is a
-    deterministic function of the labelled graph and the digest identifies
-    exactly that (see :attr:`ECWeightAlgorithm.fingerprint`).  Only runs
-    whose full Lemma-2 verification passed are stored, so a hit can skip
-    both the simulation and the re-verification; failures always re-run
-    and re-raise with a fresh certificate.
-
-    All mutation happens through methods on this instance (never at module
-    level), mirroring the SoA plan cache's containment pattern.
-    """
-
-    __slots__ = ("limit", "_runs", "_hits", "_misses")
-
-    def __init__(self, limit: int = 4096) -> None:
-        self.limit = limit
-        self._runs: Dict[tuple, NodeOutputs] = {}
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, key: tuple) -> Optional[NodeOutputs]:
-        cached = self._runs.get(key)
-        if cached is None:
-            self._misses += 1
-            return None
-        self._hits += 1
-        return {v: dict(out) for v, out in cached.items()}
-
-    def put(self, key: tuple, outputs: NodeOutputs) -> None:
-        if len(self._runs) >= self.limit:
-            self._runs.clear()
-        self._runs[key] = {v: dict(out) for v, out in outputs.items()}
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self._hits, "misses": self._misses, "size": len(self._runs)}
-
-    def clear(self) -> None:
-        self._runs.clear()
-
-
-#: the singleton behind :func:`checked_run`'s content-addressed fast path
-_VERIFIED_RUNS = _RunMemo()
 
 
 def checked_run(
@@ -139,7 +93,7 @@ def checked_run(
     memo_key = None
     if fingerprint is not None:
         memo_key = (fingerprint, g.digest, require_saturation)
-        cached = _VERIFIED_RUNS.get(memo_key)
+        cached = RUNS.get(memo_key)
         if cached is not None:
             with tracer.span(
                 "adversary.checked_run",
@@ -155,7 +109,7 @@ def checked_run(
                     "adversary.checked_runs", algorithm=algorithm.name
                 ).inc()
                 tracer.metrics.counter("adversary.run_memo", outcome="hit").inc()
-            return cached
+            return {v: dict(out) for v, out in cached.items()}
     with tracer.span(
         "adversary.checked_run",
         algorithm=algorithm.name,
@@ -205,7 +159,7 @@ def checked_run(
         span.set(verdict="ok")
         tracer.metrics.counter("adversary.checked_runs", algorithm=algorithm.name).inc()
         if memo_key is not None:
-            _VERIFIED_RUNS.put(memo_key, outputs)
+            RUNS.put(memo_key, {v: dict(out) for v, out in outputs.items()})
             tracer.metrics.counter("adversary.run_memo", outcome="miss").inc()
     return {v: dict(out) for v, out in outputs.items()}
 

@@ -30,7 +30,8 @@ check the generation and rebuild when it moved.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+import itertools
+from typing import Any, Dict, Hashable, Tuple
 
 Node = Hashable
 
@@ -49,13 +50,20 @@ class LabelTable:
     :attr:`generation`.  Interning is keyed by equality, so two equal
     labels — however they were constructed — share one id, one ``repr``
     serialisation, and one set of digest tokens.
+
+    Racing threads share the table without a lock: a new id comes from
+    a counter, and its ``repr`` bytes are stored before the id is
+    published with one ``dict.setdefault``, so no two labels share an id
+    and whoever finds an id finds its bytes.  (Racing interns of one label
+    can leave an id unused.  A :meth:`clear` racing an intern is not
+    covered; it only happens at the limit, which no sweep reaches.)
     """
 
     __slots__ = (
         "limit",
         "generation",
         "_ids",
-        "_labels",
+        "_fresh",
         "_repr_bytes",
         "_node_tokens",
         "_edge_tokens",
@@ -65,9 +73,9 @@ class LabelTable:
         self.limit = limit
         self.generation = 0
         self._ids: Dict[Node, int] = {}
-        self._labels: List[Node] = []
-        self._repr_bytes: List[bytes] = []
-        self._node_tokens: List[Optional[int]] = []
+        self._fresh = itertools.count()
+        self._repr_bytes: Dict[int, bytes] = {}
+        self._node_tokens: Dict[int, int] = {}
         #: (lid_a, lid_b, lid_colour, directed) -> SHA-256 token int
         self._edge_tokens: Dict[Tuple[int, int, int, bool], int] = {}
 
@@ -80,16 +88,10 @@ class LabelTable:
         if lid is None:
             if len(self._ids) >= self.limit:
                 self.clear()
-            lid = len(self._labels)
-            self._ids[label] = lid
-            self._labels.append(label)
-            self._repr_bytes.append(repr(label).encode("utf-8"))
-            self._node_tokens.append(None)
+            fresh = next(self._fresh)
+            self._repr_bytes[fresh] = repr(label).encode("utf-8")
+            lid = self._ids.setdefault(label, fresh)
         return lid
-
-    def label_for(self, lid: int) -> Node:
-        """The representative label object interned under ``lid``."""
-        return self._labels[lid]
 
     def repr_bytes(self, label: Node) -> bytes:
         """Memoized ``repr(label).encode("utf-8")`` (the digest serialisation)."""
@@ -100,13 +102,13 @@ class LabelTable:
         return self._repr_bytes[lid]
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._ids)
 
     def clear(self) -> None:
         """Drop every interned label and memo; invalidates all ids."""
         self.generation += 1
         self._ids.clear()
-        self._labels.clear()
+        self._fresh = itertools.count()
         self._repr_bytes.clear()
         self._node_tokens.clear()
         self._edge_tokens.clear()
@@ -121,7 +123,7 @@ class LabelTable:
     def node_token_of(self, lid: int) -> int:
         """The node token of an already-interned id (skips re-hashing the
         label object — the SoA hot paths hold lid columns, not labels)."""
-        token = self._node_tokens[lid]
+        token = self._node_tokens.get(lid)
         if token is None:
             payload = b"node\x00" + self._repr_bytes[lid]
             token = int.from_bytes(hashlib.sha256(payload).digest(), "big")

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Hashable, Tuple
 
 from .digraph import POGraph
 from .kernel import GraphBuilder
+from .memo import MIXES, UNFOLDS
 from .multigraph import ECGraph
 
 Node = Hashable
@@ -38,42 +39,6 @@ __all__ = [
     "random_two_lift",
     "bipartite_double_cover",
 ]
-
-
-class _LiftMemo:
-    """Process-global memo of unfold/mix results, keyed by content digest.
-
-    ``unfold_loop`` and ``mix`` are pure functions of their input graphs'
-    labelled structure plus the chosen loop ids, and loop ids are stable
-    across rebuilds of the same graph — so ``(digest, eid)`` keys are sound.
-    Values hold the *frozen kernel* of the result; every lookup wraps it in
-    a fresh copy-on-write :class:`ECGraph` view, so callers may mutate their
-    copy without ever reaching the shared snapshot.  This is what makes the
-    adversary's ladder construction O(lookup) on repeated inputs (sweep
-    repeats, the G/H symmetry) instead of O(re-merge).
-
-    All mutation happens through methods on this instance, mirroring the
-    SoA plan cache's containment pattern.
-    """
-
-    __slots__ = ("limit", "_entries")
-
-    def __init__(self, limit: int = 4096) -> None:
-        self.limit = limit
-        self._entries: Dict[tuple, tuple] = {}
-
-    def get(self, key: tuple):
-        return self._entries.get(key)
-
-    def put(self, key: tuple, value: tuple) -> None:
-        if len(self._entries) >= self.limit:
-            self._entries.clear()
-        self._entries[key] = value
-
-
-#: the singletons behind the unfold/mix fast paths
-_UNFOLDS = _LiftMemo()
-_MIXES = _LiftMemo()
 
 
 def is_covering_map_ec(h: ECGraph, g: ECGraph, alpha: Dict[Node, Node]) -> bool:
@@ -144,7 +109,7 @@ def unfold_loop(g: ECGraph, loop_eid: int) -> Tuple[ECGraph, Dict[Node, Node], i
     if not e.is_loop:
         raise ValueError(f"edge {loop_eid} is not a loop")
     key = (g.kernel.digest, loop_eid)
-    hit = _UNFOLDS.get(key)
+    hit = UNFOLDS.get(key)
     if hit is not None:
         kernel, alpha, new_eid = hit
         return ECGraph.from_kernel(kernel), dict(alpha), new_eid
@@ -156,7 +121,7 @@ def unfold_loop(g: ECGraph, loop_eid: int) -> Tuple[ECGraph, Dict[Node, Node], i
     }
     new_eid = builder.add_edge((0, anchor), (1, anchor), e.color)
     lifted = ECGraph._wrap(builder)
-    _UNFOLDS.put(key, (lifted.kernel, dict(alpha), new_eid))
+    UNFOLDS.put(key, (lifted.kernel, dict(alpha), new_eid))
     return lifted, alpha, new_eid
 
 
@@ -181,7 +146,7 @@ def mix(
     if e.color != f.color:
         raise ValueError(f"loop colours differ: {e.color!r} vs {f.color!r}")
     key = (g.kernel.digest, g_loop_eid, h.kernel.digest, h_loop_eid)
-    hit = _MIXES.get(key)
+    hit = MIXES.get(key)
     if hit is not None:
         kernel, new_eid = hit
         return ECGraph.from_kernel(kernel), new_eid
@@ -190,7 +155,7 @@ def mix(
     builder.merge(h, tag=1, skip_eids=(h_loop_eid,))
     new_eid = builder.add_edge((0, e.u), (1, f.u), e.color)
     mixed = ECGraph._wrap(builder)
-    _MIXES.put(key, (mixed.kernel, new_eid))
+    MIXES.put(key, (mixed.kernel, new_eid))
     return mixed, new_eid
 
 

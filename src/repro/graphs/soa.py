@@ -44,6 +44,7 @@ cache wholesale.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -51,6 +52,7 @@ import numpy as np
 
 from .kernel import _MASK, GraphKernel
 from .labels import LABELS
+from .memo import BALLS
 
 Node = Hashable
 
@@ -60,8 +62,6 @@ __all__ = [
     "canonical_form_fast",
     "extract_ball",
     "plan_hit_count",
-    "plan_stats",
-    "reset_plan_cache",
 ]
 
 #: payload markers, byte-identical to the canonicaliser's encoding
@@ -238,60 +238,48 @@ class _PlanCache:
     """Hash-consed canonical forms keyed by integer shape rows.
 
     ``cons`` maps a node's shape — the tuple of ``(colour lid, child form
-    id)`` rows in canonical order — to a dense form id; ``forms[fid]`` is
+    id)`` rows in canonical order — to ``(form id, form)``, the form being
     the canonical tuple itself.  Because equal shapes produce *identical*
     (not merely equal) tuples, consing both deduplicates the O(subtree)
     tuple construction and makes repeat equality checks pointer-fast.
+
+    Racing threads share the table without a lock: a form id is drawn
+    from :data:`_FORM_IDS`, which never restarts, so an id can never name
+    two shapes, and each entry is published by one ``cons.setdefault``,
+    so every thread that conses a shape uses the entry that won.  (A
+    label-table clear racing a canonicalisation is not covered; it only
+    happens past the table's limit, which no sweep reaches.)
     """
 
-    __slots__ = ("generation", "cons", "forms", "hits", "misses")
+    __slots__ = ("generation", "cons", "hits")
 
     def __init__(self) -> None:
         self.generation = LABELS.generation
-        self.cons: Dict[Tuple, int] = {}
-        self.forms: List[Tuple] = []
+        self.cons: Dict[Tuple, Tuple[int, Tuple]] = {}
         self.hits = 0
-        self.misses = 0
 
-    def refresh(self) -> None:
-        """Invalidate when the interned ids inside keys went stale."""
-        if self.generation != LABELS.generation or len(self.forms) > _PLAN_LIMIT:
+    def refresh(self) -> Dict[Tuple, Tuple[int, Tuple]]:
+        """The table to cons into, fresh when the interned ids inside keys
+        went stale or the table outgrew its backstop."""
+        if self.generation != LABELS.generation or len(self.cons) > _PLAN_LIMIT:
             self.generation = LABELS.generation
-            self.cons.clear()
-            self.forms.clear()
+            self.cons = {}
+        return self.cons
 
-    def record(self, root_hit: bool) -> None:
-        if root_hit:
-            self.hits += 1
-        else:
-            self.misses += 1
+    def clear(self) -> None:
+        self.cons = {}
 
 
 _PLANS = _PlanCache()
+
+#: form ids for consed shapes; never restarted, not even by a refresh or
+#: ``reset_memos``, so an id held by a racing thread stays unambiguous
+_FORM_IDS = itertools.count()
 
 
 def plan_hit_count() -> int:
     """Monotone count of root-level plan-cache hits (for stats deltas)."""
     return _PLANS.hits
-
-
-def plan_stats() -> Dict[str, int]:
-    """Current plan-cache counters (hits, misses, consed shapes)."""
-    return {
-        "hits": _PLANS.hits,
-        "misses": _PLANS.misses,
-        "shapes": len(_PLANS.cons),
-    }
-
-
-def reset_plan_cache() -> None:
-    """Drop all consed plans and counters (test isolation hook)."""
-    plans = _PLANS
-    plans.generation = LABELS.generation
-    plans.cons.clear()
-    plans.forms.clear()
-    plans.hits = 0
-    plans.misses = 0
 
 
 def canonical_form_fast(g, root: Node) -> Optional[Tuple]:
@@ -312,21 +300,21 @@ def canonical_form_fast(g, root: Node) -> Optional[Tuple]:
     if root_index is None:
         return None
     plans = _PLANS
-    plans.refresh()
-    form, root_hit = _consed_form(snap, root_index, plans)
-    plans.record(root_hit)
+    form, root_hit = _consed_form(snap, root_index, plans.refresh())
+    if root_hit:
+        plans.hits += 1
     return form
 
 
-def _consed_form(snap: SoASnapshot, root_index: int, plans: _PlanCache) -> Tuple[Tuple, bool]:
+def _consed_form(
+    snap: SoASnapshot, root_index: int, cons: Dict[Tuple, Tuple[int, Tuple]]
+) -> Tuple[Tuple, bool]:
     off = snap.slot_off
     repr_order = snap.slot_repr_order
     slot_eids = snap.slot_eids
     slot_other = snap.slot_other
     slot_colors = snap.slot_colors
     slot_color_lids = snap.slot_color_lids
-    cons = plans.cons
-    forms = plans.forms
     visited = bytearray(snap.n)
 
     # frame: [node, arrival eid, cursor, end, shape rows, entries,
@@ -362,54 +350,22 @@ def _consed_form(snap: SoASnapshot, root_index: int, plans: _PlanCache) -> Tuple
             continue
         # node complete: cons its shape into a form id
         key = tuple(frame[4])
-        fid = cons.get(key)
-        hit = fid is not None
-        if fid is None:
-            fid = len(forms)
-            forms.append(tuple(frame[5]))
-            cons[key] = fid
+        entry = cons.get(key)
+        hit = entry is not None
+        if entry is None:
+            entry = cons.setdefault(key, (next(_FORM_IDS), tuple(frame[5])))
+        fid, form = entry
         stack.pop()
         if not stack:
-            return forms[fid], hit
+            return form, hit
         parent = stack[-1]
         parent[4].append((parent[6], fid))
-        parent[5].append((parent[7], forms[fid]))
+        parent[5].append((parent[7], form))
 
 
 # ----------------------------------------------------------------------
 # columnar ball extraction
 # ----------------------------------------------------------------------
-class _BallMemo:
-    """Process-global memo of extracted balls, keyed by content digest.
-
-    A ball is a pure function of the parent graph's labelled structure,
-    the root label and the radius, so ``(digest, root, t)`` keys are sound
-    and never go stale.  Values hold the ball's frozen kernel (safe to
-    share: every consumer wraps it in a copy-on-write view) plus the BFS
-    distance dict, copied per lookup so callers may own their copy.
-
-    All mutation happens through methods on this instance, mirroring the
-    plan cache's containment pattern.
-    """
-
-    __slots__ = ("limit", "_entries")
-
-    def __init__(self, limit: int = 8192) -> None:
-        self.limit = limit
-        self._entries: Dict[tuple, tuple] = {}
-
-    def get(self, key: tuple):
-        return self._entries.get(key)
-
-    def put(self, key: tuple, value: tuple) -> None:
-        if len(self._entries) >= self.limit:
-            self._entries.clear()
-        self._entries[key] = value
-
-
-_BALLS = _BallMemo()
-
-
 def extract_ball(g, root: Node, t: int):
     """``tau_t(g, root)`` assembled directly over the SoA columns.
 
@@ -424,7 +380,7 @@ def extract_ball(g, root: Node, t: int):
     if kernel is None:
         return None
     memo_key = (kernel.digest, root, t)
-    hit = _BALLS.get(memo_key)
+    hit = BALLS.get(memo_key)
     if hit is not None:
         sub_kernel, distances = hit
         return sub_kernel, dict(distances)
@@ -491,7 +447,7 @@ def extract_ball(g, root: Node, t: int):
     if snap.canonical_ok:
         sub_snap = _derive_ball_snapshot(snap, order, edges, kept)
         object.__setattr__(sub_kernel, "_soa", sub_snap)
-    _BALLS.put(memo_key, (sub_kernel, distances))
+    BALLS.put(memo_key, (sub_kernel, distances))
     return sub_kernel, dict(distances)
 
 

@@ -208,7 +208,8 @@ def _run_canonical_microbench(params: Dict, ctx: BenchContext) -> Tuple[Dict, Li
     """
     from ...graphs.families import random_loopy_tree
     from ...graphs.isomorphism import canonical_form_of
-    from ...graphs.soa import plan_hit_count, reset_plan_cache
+    from ...graphs.memo import reset_memos
+    from ...graphs.soa import plan_hit_count
 
     nodes = int(params.get("nodes", 24))
     loops = int(params.get("loops", 2))
@@ -216,7 +217,7 @@ def _run_canonical_microbench(params: Dict, ctx: BenchContext) -> Tuple[Dict, Li
     graphs = [random_loopy_tree(nodes, loops, seed=seed) for seed in seeds]
 
     def canonicalise_batch() -> List[tuple]:
-        reset_plan_cache()
+        reset_memos()
         return [canonical_form_of(g, v) for g in graphs for v in g.nodes()]
 
     median, forms = ctx.time(canonicalise_batch)

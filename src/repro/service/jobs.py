@@ -44,10 +44,11 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 
 from .. import api
-from ..engine.cache import form_tier_stats, validate_tenant
+from ..engine.cache import validate_tenant
 from ..engine.faults import as_plan
 from ..engine.grid import GridSpec, expand
 from ..engine.store import ResultStore
+from ..graphs.memo import FORMS
 from ..obs.metrics import Histogram
 from ..obs.progress import ProgressEmitter, read_progress_events
 
@@ -385,7 +386,11 @@ class SweepService:
                 "queue_wait_s": _summary(self._queue_wait),
                 "run_s": _summary(self._run_time),
                 "rejected": dict(self._rejected),
-                "memory_tier": {**form_tier_stats(), "evictions": self._tier_evictions},
+                "memory_tier": {
+                    "entries": len(FORMS),
+                    "limit": FORMS.limit,
+                    "evictions": self._tier_evictions,
+                },
             }
 
     # -- the worker loop ---------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,28 @@ from repro.graphs.families import (
 def rng():
     """A deterministic RNG for randomised constructions."""
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def race():
+    """Run ``target(index)`` on ``threads`` threads at once, switching
+    between them every microsecond so unlocked compound updates interleave
+    as often as the interpreter allows."""
+
+    def run(target, threads=8):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=target, args=(n,)) for n in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+
+    return run
 
 
 @pytest.fixture

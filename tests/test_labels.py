@@ -37,7 +37,6 @@ class TestIntern:
         table = LabelTable()
         for label in LABEL_KINDS:
             lid = table.intern(label)
-            assert table.label_for(lid) == label
             assert table.repr_bytes(label) == repr(label).encode("utf-8")
             assert table.repr_bytes_of(lid) == repr(label).encode("utf-8")
 
@@ -53,6 +52,32 @@ class TestIntern:
         b = table.intern((0,) + (("x", 1),))  # equal, separately constructed
         assert a == b
         assert len(table) == 1
+
+
+class TestRacingInterns:
+    def test_every_label_keeps_its_own_bytes_and_token(self, race):
+        """Threads interning different new labels at once must never hand
+        two labels one id (which would give one the other's repr bytes,
+        hence a wrong digest)."""
+        table = LabelTable()
+        threads, per_thread = 8, 5000
+        batches = [[("fresh", index, i) for i in range(per_thread)] for index in range(threads)]
+
+        def intern_batch(index):
+            for label in batches[index]:
+                table.intern(label)
+
+        race(intern_batch, threads)
+        reference = LabelTable()
+        wrong = [
+            label
+            for batch in batches
+            for label in batch
+            if table.repr_bytes(label) != reference.repr_bytes(label)
+            or table.node_token(label) != reference.node_token(label)
+        ]
+        assert wrong == []
+        assert len(table) == threads * per_thread
 
 
 class TestDigestTokens:

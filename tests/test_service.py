@@ -12,7 +12,7 @@ import pytest
 
 from repro import api
 from repro.engine import GridSpec, smoke_grid
-from repro.engine.cache import FORM_TIER_LIMIT, reset_form_tier
+from repro.graphs.memo import FORMS, reset_memos
 from repro.obs.progress import read_progress_events
 from repro.service import (
     Backpressure,
@@ -204,8 +204,8 @@ class TestStats:
             assert summary["count"] == len(jobs)
             assert 0 <= summary["p50"] <= summary["p95"] <= summary["max"]
         tier = stats["memory_tier"]
-        assert tier["limit"] == FORM_TIER_LIMIT
-        assert 0 < tier["entries"] <= FORM_TIER_LIMIT
+        assert tier["limit"] == FORMS.limit
+        assert 0 < tier["entries"] <= FORMS.limit
 
     def test_rejections_counted_by_reason(self, tmp_path):
         service = make_service(tmp_path, queue_size=1, rate=0.001, burst=1)
@@ -418,7 +418,7 @@ class TestHTTPService:
             bob, bob_rows = self.run_job(first, grid, "bob")
         finally:
             first.stop()
-        reset_form_tier()  # the restarted server is a new process
+        reset_memos()  # the restarted server is a new process
         second = ServiceServer(make_service(tmp_path))
         second.start()
         try:

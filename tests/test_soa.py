@@ -24,6 +24,7 @@ from repro.graphs.families import (
 )
 from repro.graphs.isomorphism import canonical_rooted_form
 from repro.graphs.labels import LABELS
+from repro.graphs.memo import BALLS, reset_memos
 from repro.graphs.multigraph import ECGraph
 from repro.graphs.soa import (
     _VECTOR_MIN_EDGES,
@@ -31,7 +32,6 @@ from repro.graphs.soa import (
     canonical_form_fast,
     extract_ball,
     plan_hit_count,
-    reset_plan_cache,
     snapshot_of,
 )
 
@@ -97,7 +97,7 @@ class TestCanonicalFormFast:
             canonical_form_fast(cycle_graph(4), 0)
 
     def test_root_plan_hit_counted_on_isomorphic_repeat(self):
-        reset_plan_cache()
+        reset_memos()
         g = random_loopy_tree(4, 2, seed=6)
         form = canonical_form_fast(g, 0)
         h = g.relabel({v: ("twin", v) for v in g.nodes()})
@@ -112,6 +112,28 @@ class TestCanonicalFormFast:
 
     def test_foreign_object_falls_back(self):
         assert canonical_form_fast(object(), 0) is None
+
+    def test_racing_threads_cons_only_right_forms(self, race):
+        """Threads consing different shapes at once must never map two
+        shapes to one form id: the racing pass and a later serial pass over
+        the plans it left behind both match the reference."""
+        reset_memos()
+        trees = [random_loopy_tree(12, 2, seed=seed) for seed in range(300)]
+        expected = [canonical_rooted_form(g, 0) for g in trees]
+        threads = 8
+        wrong = []
+
+        def canonicalise(index):
+            offset = index * len(trees) // threads
+            for k in range(len(trees)):
+                j = (offset + k) % len(trees)
+                if canonical_form_fast(trees[j], 0) != expected[j]:
+                    wrong.append(j)
+
+        race(canonicalise, threads)
+        assert wrong == []
+        serial = [j for j, g in enumerate(trees) if canonical_form_fast(g, 0) != expected[j]]
+        assert serial == []
 
 
 def reference_ball(g: ECGraph, v, t: int):
@@ -174,7 +196,7 @@ class TestExtractBall:
         column for column, or canonical forms over balls could drift."""
         from array import array
 
-        from repro.graphs.soa import SoASnapshot, _BALLS, _build
+        from repro.graphs.soa import SoASnapshot, _build
 
         columns = (
             "n", "m", "labels", "index_of", "node_lids", "slot_off",
@@ -185,7 +207,7 @@ class TestExtractBall:
         g = random_loopy_tree(12, 2, seed=5)
         for v in (0, 5, 11):
             for t in range(4):
-                _BALLS._entries.clear()
+                BALLS.clear()
                 sub_kernel, _ = extract_ball(g, v, t)
                 derived = sub_kernel._soa
                 assert isinstance(derived, SoASnapshot)
