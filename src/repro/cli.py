@@ -840,7 +840,7 @@ def _lint_effects(paths, qualname: str) -> int:
     if fx is None:
         print(
             f"repro lint: no function or module {qualname!r} in the linted "
-            f"paths (use the dotted qualname, e.g. repro.graphs.kernel._label_bytes)",
+            f"paths (use the dotted qualname, e.g. repro.graphs.labels.LabelTable.intern)",
             file=sys.stderr,
         )
         return 2

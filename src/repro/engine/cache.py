@@ -1,7 +1,7 @@
 """Content-addressed memoization of canonical rooted forms.
 
 The hot path of every adversary run is canonicalising witness balls
-(:func:`repro.graphs.isomorphism.canonical_rooted_form`): each inductive
+(:func:`repro.graphs.soa.canonical_form_fast`): each inductive
 step canonicalises two rooted trees-with-loops that double in size as the
 ladder climbs.  Many of those balls recur — the two radius-0 balls of every
 base case are the same labelled single-node graph, the G- and H-side balls
@@ -13,8 +13,8 @@ sweep re-canonicalises everything it already saw.
 :class:`~repro.graphs.kernel.GraphKernel`, maintained incrementally by the
 builders so a lookup no longer re-walks the graph.  The digest is a pure
 function of the labelled rooted graph (node labels, ``(u, v, colour)`` edge
-multiset, root), so a hit can only ever return the form the recursion would
-have computed; edge ids (which vary across copies) are deliberately
+multiset, root), so a hit can only ever return the form a fresh computation
+would have produced; edge ids (which vary across copies) are deliberately
 excluded.
 
 Lookups fall through three tiers, process memory → tenant disk → shared
@@ -41,20 +41,19 @@ label), so a merged sweep trace reports the realised hit-rate.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 from ..graphs.kernel import GraphKernel
 from ..graphs.memo import FORMS
 from ..graphs.multigraph import ECGraph
 from ..graphs.serialize import decode_label, encode_label
-from ..graphs.soa import plan_hit_count
+from ..graphs.soa import canonical_form_fast, plan_hit_count
 from ..obs.tracer import current_tracer
 from .faults import active_injector
 
@@ -108,26 +107,9 @@ def graph_digest(g: ECGraph, root: Optional[Node] = None) -> str:
     structure (node labels, ``(u, v, colour)`` edge multiset, root) — exactly
     the condition under which their canonical rooted forms agree.  Edge ids
     are excluded: they differ between otherwise identical copies.
-
-    A legacy JSON-walk path handles foreign graph-likes without a kernel.
     """
-    if isinstance(g, GraphKernel):
-        return g.rooted_digest(root)
-    kernel = getattr(g, "kernel", None)
-    if isinstance(kernel, GraphKernel):
-        return kernel.rooted_digest(root)
-    edges = sorted(
-        tuple(sorted((repr(e.u), repr(e.v)))) + (repr(e.color),) for e in g.edges()
-    )
-    payload = json.dumps(
-        {
-            "nodes": sorted(repr(v) for v in g.nodes()),
-            "edges": edges,
-            "root": repr(root),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    kernel = g if isinstance(g, GraphKernel) else g.kernel
+    return kernel.rooted_digest(root)
 
 
 # Canonical forms are nested tuples of int/str leaves — the exact shape the
@@ -270,14 +252,11 @@ class CanonicalFormCache:
     # ------------------------------------------------------------------
     # the public entry point installed into repro.graphs.isomorphism
     # ------------------------------------------------------------------
-    def canonical_form(
-        self, g: ECGraph, root: Node, compute: Callable[[ECGraph, Node], Tuple]
-    ) -> Tuple:
+    def canonical_form(self, g: ECGraph, root: Node) -> Tuple:
         """The canonical rooted form of ``(g, root)``, memoized.
 
-        ``compute`` is the real canonicaliser
-        (:func:`repro.graphs.isomorphism.canonical_rooted_form`), called on
-        a miss.
+        A miss computes the form with
+        :func:`repro.graphs.soa.canonical_form_fast`.
         """
         key = graph_digest(g, root)
         hit, form = self._get(key)
@@ -288,11 +267,10 @@ class CanonicalFormCache:
             return form
         self.stats.misses += 1
         metrics.counter("engine.canonical_cache", outcome="miss").inc()
-        # the compute path runs the SoA array kernel (via the installed
-        # ``compute``); when its shape-plan cache answers the root shape,
-        # credit the reuse separately from the digest-keyed tiers
+        # when the SoA canonicaliser's shape-plan cache answers the root
+        # shape, credit the reuse separately from the digest-keyed tiers
         before_plan = plan_hit_count()
-        form = compute(g, root)
+        form = canonical_form_fast(g, root)
         gained = plan_hit_count() - before_plan
         if gained:
             self.stats.plan_hits += gained

@@ -9,19 +9,22 @@ For trees-with-loops (property (P3): the construction's graphs are trees once
 loops are ignored) a rooted, colour-preserving isomorphism is decided by a
 *canonical form*: proper edge colouring makes the recursive encoding of a
 rooted tree deterministic, so two balls are isomorphic iff their encodings are
-equal.  A general (slow) fallback via :mod:`networkx` VF2 is provided for
-arbitrary EC-graphs.
+equal.  Production computes forms with
+:func:`repro.graphs.soa.canonical_form_fast`, behind the ambient cache
+(:func:`canonical_form_of`); :func:`canonical_rooted_form` is the recursive
+definition, kept as the oracle the tests compare it against.  A general
+(slow) path via :mod:`networkx` VF2 serves non-tree EC-graphs.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional, Set, Tuple
 
 import networkx as nx
 
-from . import soa
 from .multigraph import ECGraph
 from .neighborhoods import Ball
+from .soa import canonical_form_fast
 
 Node = Hashable
 
@@ -40,7 +43,7 @@ _LOOP = "loop"
 _CUT = "cut"
 
 #: the installed canonical-form memoizer (duck-typed: anything with a
-#: ``canonical_form(g, root, compute)`` method, normally a
+#: ``canonical_form(g, root)`` method, normally a
 #: :class:`repro.engine.cache.CanonicalFormCache`); ``None`` disables
 #: memoization.  Held here — not in :mod:`repro.engine` — so the graphs
 #: layer never imports upwards.
@@ -81,19 +84,23 @@ class use_canonical_cache:
         return False
 
 
-def canonical_rooted_form(g: ECGraph, root: Node, _from_eid: Optional[int] = None) -> Tuple:
-    """Canonical form of a rooted EC tree-with-loops.
+def canonical_rooted_form(
+    g: ECGraph, root: Node, _from_eid: Optional[int] = None, _seen: Optional[Set[Node]] = None
+) -> Tuple:
+    """Canonical form of a rooted EC tree-with-loops (the test oracle).
 
     Recursively encodes the structure below ``root``: for each incident edge
     (other than the one we arrived by) the entry is ``(colour, "loop")`` for a
     loop and ``(colour, <child encoding>)`` otherwise.  Entries are sorted by
-    colour; properness guarantees colours are distinct, so the encoding is
-    well-defined and two rooted trees-with-loops are colour-isomorphic iff
-    their canonical forms are equal.
+    ``repr`` of the colour, stably over the colour-sorted incident edges, so
+    distinct colours sharing a ``repr`` keep their colour order; properness
+    guarantees colours are distinct, so the encoding is well-defined and two
+    rooted trees-with-loops are colour-isomorphic iff their canonical forms
+    are equal.
 
-    Raises ``ValueError`` if the graph (ignoring loops) contains a cycle,
-    since the recursion would not terminate on such inputs.
+    Raises ``ValueError`` if the graph (ignoring loops) contains a cycle.
     """
+    seen = {root} if _seen is None else _seen
     entries = []
     for e in g.incident_edges(root):
         if _from_eid is not None and e.eid == _from_eid:
@@ -101,36 +108,30 @@ def canonical_rooted_form(g: ECGraph, root: Node, _from_eid: Optional[int] = Non
             continue
         if e.is_loop:
             entries.append((e.color, _LOOP))
-        else:
-            child = e.other(root)
-            entries.append((e.color, canonical_rooted_form(g, child, _from_eid=e.eid)))
-    return tuple(sorted(entries, key=lambda item: (repr(item[0]), repr(item[1]))))
-
-
-def _compute_canonical(g: ECGraph, root: Node) -> Tuple:
-    """The compute path under a cache miss: the plan-cached array kernel
-    (:func:`repro.graphs.soa.canonical_form_fast`) when the graph's frozen
-    kernel admits a SoA snapshot, the reference recursion otherwise.  Both
-    produce identical tuples; the recursion remains the semantics of
-    record."""
-    form = soa.canonical_form_fast(g, root)
-    if form is not None:
-        return form
-    return canonical_rooted_form(g, root)
+            continue
+        child = e.other(root)
+        if child in seen:
+            raise ValueError(
+                "canonical form undefined: graph contains a cycle "
+                "(ignoring loops); canonical_rooted_form requires a tree"
+            )
+        seen.add(child)
+        entries.append((e.color, canonical_rooted_form(g, child, e.eid, seen)))
+    return tuple(sorted(entries, key=lambda item: repr(item[0])))
 
 
 def canonical_form_of(g: ECGraph, root: Node) -> Tuple:
     """Canonical rooted form of a tree-with-loops, through the ambient cache.
 
-    Equal to :func:`canonical_rooted_form` but consults the installed
-    canonical-form cache (:func:`install_canonical_cache`) first and
-    computes misses over the columnar SoA snapshot; the hot path of
+    Consults the installed canonical-form cache
+    (:func:`install_canonical_cache`) first and computes misses with
+    :func:`repro.graphs.soa.canonical_form_fast`; the hot path of
     ball-isomorphism checks and of the parallel sweep engine.
     """
     cache = _CANONICAL_CACHE
     if cache is not None:
-        return cache.canonical_form(g, root, _compute_canonical)
-    return _compute_canonical(g, root)
+        return cache.canonical_form(g, root)
+    return canonical_form_fast(g, root)
 
 
 def rooted_isomorphic(g1: ECGraph, r1: Node, g2: ECGraph, r2: Node) -> bool:

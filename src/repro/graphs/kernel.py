@@ -139,21 +139,12 @@ class DiEdge:
 # (repro.graphs.labels); the payload encoding is unchanged, so digests
 # stay byte-identical across the refactor
 # ----------------------------------------------------------------------
-def _label_bytes(v: Node) -> bytes:
-    return LABELS.repr_bytes(v)
-
-
 def _node_token(v: Node) -> int:
     return LABELS.node_token(v)
 
 
 def _edge_token(ends: Tuple[Node, Node], color: Color, directed: bool) -> int:
     return LABELS.edge_token(ends, color, directed)
-
-
-def _record_token(record, directed: bool) -> int:
-    ends = (record.tail, record.head) if directed else (record.u, record.v)
-    return _edge_token(ends, record.color, directed)
 
 
 class GraphKernel:
@@ -176,7 +167,7 @@ class GraphKernel:
         object.__setattr__(self, "_next_eid", next_eid)
         object.__setattr__(self, "_digest", None)
         # lazily-built columnar snapshot (repro.graphs.soa); None until the
-        # first consumer asks, a sentinel when the structure defies one
+        # first consumer asks
         object.__setattr__(self, "_soa", None)
 
     def __setattr__(self, name, value):

@@ -18,7 +18,7 @@ from typing import Dict, Hashable
 
 from .kernel import GraphKernel
 from .multigraph import ECGraph
-from .soa import extract_ball as _extract_ball_fast
+from .soa import extract_ball
 
 Node = Hashable
 
@@ -79,27 +79,10 @@ def ball(g: ECGraph, v: Node, t: int) -> Ball:
     Nodes at distance at most ``t`` are included; an edge is included iff one
     of its endpoints lies at distance at most ``t - 1`` (equivalently, the
     edge's distance ``min dist + 1`` is at most ``t``).  Loops at a node of
-    distance ``d`` have distance ``d + 1``.
+    distance ``d`` have distance ``d + 1``.  Raises ``KeyError`` when ``v``
+    is not a node of ``g``, at every radius.
     """
     if t < 0:
         raise ValueError("radius must be non-negative")
-    fast = _extract_ball_fast(g, v, t)
-    if fast is not None:
-        sub_kernel, dist = fast
-        return Ball(
-            graph=ECGraph.from_kernel(sub_kernel), root=v, radius=t, distances=dist
-        )
-    dist = g.bfs_distances(v, max_dist=t)
-    sub = ECGraph()
-    for w in dist:
-        sub.add_node(w)
-    if t >= 1:
-        for e in g.edges():
-            du = dist.get(e.u)
-            dv = dist.get(e.v)
-            candidates = [d for d in (du, dv) if d is not None]
-            if not candidates:
-                continue
-            if min(candidates) <= t - 1 and du is not None and dv is not None:
-                sub.add_edge(e.u, e.v, e.color, eid=e.eid)
-    return Ball(graph=sub, root=v, radius=t, distances=dist)
+    sub_kernel, dist = extract_ball(g, v, t)
+    return Ball(graph=ECGraph.from_kernel(sub_kernel), root=v, radius=t, distances=dist)

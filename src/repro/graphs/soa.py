@@ -13,11 +13,13 @@ over the interned-label ids of :mod:`repro.graphs.labels`:
   the colour's interned id, the edge id, and the dense index of the other
   endpoint — adjacency without touching an ``Edge`` record;
 * a second per-node permutation ordering each node's slots by ``repr``
-  of the colour — the exact sort key of
+  of the colour, stably, so distinct colours sharing a ``repr`` keep
+  their colour order — the sort of
   :func:`repro.graphs.isomorphism.canonical_rooted_form`;
 * per-edge: edge id and both endpoint indices, in insertion order.
 
-On top of the snapshot live the two integer-array hot paths:
+On top of the snapshot live the two integer-array hot paths, the only
+production implementations of canonical forms and balls:
 
 * :func:`canonical_form_fast` — an iterative, hash-consed canonicaliser.
   Each node's *shape* — its ``(colour id, child form id)`` rows in
@@ -33,13 +35,14 @@ On top of the snapshot live the two integer-array hot paths:
   tokens), skipping the per-edge properness checks and token hashing of
   the generic builder path.
 
-Both functions return ``None`` (or raise exactly what the object path
-would) whenever a snapshot cannot represent the input — directed kernels,
-unsortable colours, colours with colliding ``repr``; callers fall back to
-the reference implementations, which remain the semantics of record.
-Snapshots memoize into the kernel's ``_soa`` slot and carry the label
-table's generation: a table clear invalidates every snapshot and the plan
-cache wholesale.
+Every undirected kernel has a snapshot.  A directed kernel raises
+``TypeError``, a root that is not a node raises ``KeyError``, and colours
+that do not sort raise whatever ``sorted`` raises.  The object-walking
+:func:`~repro.graphs.isomorphism.canonical_rooted_form` stays as the
+oracle that ``tests/test_differential.py`` compares against.  Snapshots
+memoize into the kernel's ``_soa`` slot and carry the label table's
+generation: a table clear invalidates every snapshot and the plan cache
+wholesale.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ _CUT = "cut"
 _LOOP_FID = -1
 _CUT_FID = -2
 
-#: kernels whose structure defies a snapshot memoize this sentinel so the
-#: (failing) build is attempted once, not per lookup
-_UNAVAILABLE = "soa-unavailable"
-
 #: consed forms kept before the plan cache self-clears (a backstop far
 #: above any real sweep; clearing only ever costs recomputation)
 _PLAN_LIMIT = 1 << 18
@@ -100,7 +99,6 @@ class SoASnapshot:
         "slot_eids",
         "slot_other",
         "slot_repr_order",
-        "canonical_ok",
         "edge_eids",
         "edge_ui",
         "edge_vi",
@@ -121,7 +119,6 @@ class SoASnapshot:
         self.slot_eids = array("q")
         self.slot_other = array("q")
         self.slot_repr_order = array("q")
-        self.canonical_ok = True
         self.edge_eids = array("q")
         self.edge_ui = array("q")
         self.edge_vi = array("q")
@@ -159,7 +156,6 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
     eids = snap.slot_eids
     other = snap.slot_other
     repr_order = snap.slot_repr_order
-    canonical_ok = True
     base = 0
     for v, vi in index_of.items():
         # colour-sorted = the native ``incident_edges`` iteration order
@@ -177,16 +173,11 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
         base += len(items)
         off.append(base)
         # canonical order sorts by repr(colour); UTF-8 bytes preserve the
-        # code-point comparison, so the memoized bytes are the sort key
+        # code-point comparison, so the memoized bytes are the sort key, and
+        # the stable sort keeps repr-tied colours in colour order
         order = sorted(range(len(items)), key=reprs.__getitem__)
         start = base - len(items)
         repr_order.extend(start + j for j in order)
-        for a, b in zip(order, order[1:]):
-            if reprs[a] == reprs[b]:
-                # two distinct colours sharing a repr: the reference sort
-                # would consult payload reprs — defer to it for this graph
-                canonical_ok = False
-    snap.canonical_ok = canonical_ok
 
     edge_eids = snap.edge_eids
     edge_ui = snap.edge_ui
@@ -200,35 +191,25 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
     return snap
 
 
-def snapshot_of(kernel: GraphKernel) -> Optional[SoASnapshot]:
-    """The memoized SoA snapshot of a frozen kernel, or ``None``.
+def snapshot_of(kernel: GraphKernel) -> SoASnapshot:
+    """The memoized SoA snapshot of a frozen, undirected kernel.
 
-    ``None`` means the structure defies a snapshot (directed discipline,
-    colours that do not sort) — callers must fall back to the object path.
-    Snapshots built against a since-cleared label table are rebuilt.
+    Raises ``TypeError`` for a directed kernel, and whatever ``sorted``
+    raises when a node's colours do not sort.  Snapshots built against a
+    since-cleared label table are rebuilt.
     """
     snap = kernel._soa
-    if isinstance(snap, SoASnapshot) and snap.generation == LABELS.generation:
+    if snap is not None and snap.generation == LABELS.generation:
         return snap
-    if snap is _UNAVAILABLE:
-        return None
     if kernel._directed:
-        object.__setattr__(kernel, "_soa", _UNAVAILABLE)
-        return None
-    try:
-        snap = _build(kernel)
-    except Exception:
-        object.__setattr__(kernel, "_soa", _UNAVAILABLE)
-        return None
+        raise TypeError("SoA snapshots cover undirected (EC) kernels only")
+    snap = _build(kernel)
     object.__setattr__(kernel, "_soa", snap)
     return snap
 
 
-def _kernel_of(g) -> Optional[GraphKernel]:
-    if isinstance(g, GraphKernel):
-        return g
-    kernel = getattr(g, "kernel", None)
-    return kernel if isinstance(kernel, GraphKernel) else None
+def _kernel_of(g) -> GraphKernel:
+    return g if isinstance(g, GraphKernel) else g.kernel
 
 
 # ----------------------------------------------------------------------
@@ -282,23 +263,15 @@ def plan_hit_count() -> int:
     return _PLANS.hits
 
 
-def canonical_form_fast(g, root: Node) -> Optional[Tuple]:
-    """Canonical rooted form over the SoA snapshot, or ``None`` to fall back.
+def canonical_form_fast(g, root: Node) -> Tuple:
+    """Canonical rooted form of a tree-with-loops, over the SoA snapshot.
 
-    Byte-identical to :func:`repro.graphs.isomorphism.canonical_rooted_form`
-    on every input it accepts; raises ``ValueError`` when the graph
-    (ignoring loops) contains a cycle, where the reference recursion would
-    not terminate.
+    Equal to :func:`repro.graphs.isomorphism.canonical_rooted_form` on
+    every input; raises ``ValueError`` when the graph (ignoring loops)
+    contains a cycle and ``KeyError`` when ``root`` is not a node.
     """
-    kernel = _kernel_of(g)
-    if kernel is None:
-        return None
-    snap = snapshot_of(kernel)
-    if snap is None or not snap.canonical_ok:
-        return None
-    root_index = snap.index_of.get(root)
-    if root_index is None:
-        return None
+    snap = snapshot_of(_kernel_of(g))
+    root_index = snap.index_of[root]
     plans = _PLANS
     form, root_hit = _consed_form(snap, root_index, plans.refresh())
     if root_hit:
@@ -371,25 +344,19 @@ def extract_ball(g, root: Node, t: int):
 
     Returns ``(sub_kernel, distances)`` — the frozen kernel of the ball's
     subgraph (sharing the parent's edge records) plus the BFS distance
-    dict in discovery order — or ``None`` when no snapshot is available.
-    Node order, edge order, edge ids and the content digest are identical
-    to the historical builder-based extraction.  Results are memoized
-    process-wide by ``(parent digest, root, t)``.
+    dict in discovery order; raises ``KeyError`` when ``root`` is not a
+    node.  Node order, edge order, edge ids and the content digest are
+    those of building the ball edge by edge with a ``GraphBuilder``.
+    Results are memoized process-wide by ``(parent digest, root, t)``.
     """
     kernel = _kernel_of(g)
-    if kernel is None:
-        return None
     memo_key = (kernel.digest, root, t)
     hit = BALLS.get(memo_key)
     if hit is not None:
         sub_kernel, distances = hit
         return sub_kernel, dict(distances)
     snap = snapshot_of(kernel)
-    if snap is None:
-        return None
-    root_index = snap.index_of.get(root)
-    if root_index is None:
-        return None
+    root_index = snap.index_of[root]
 
     n = snap.n
     off = snap.slot_off
@@ -444,9 +411,7 @@ def extract_ball(g, root: Node, t: int):
             # the builder recurrence, reproduced exactly for byte-compat
             next_eid = (next_eid if next_eid > eid else eid) + 1
     sub_kernel = GraphKernel(False, slots, edges, acc & _MASK, next_eid)
-    if snap.canonical_ok:
-        sub_snap = _derive_ball_snapshot(snap, order, edges, kept)
-        object.__setattr__(sub_kernel, "_soa", sub_snap)
+    object.__setattr__(sub_kernel, "_soa", _derive_ball_snapshot(snap, order, edges, kept))
     BALLS.put(memo_key, (sub_kernel, distances))
     return sub_kernel, dict(distances)
 
@@ -460,8 +425,7 @@ def _derive_ball_snapshot(
     slots (so they stay colour-sorted), and the kept entries of the parent's
     stable repr permutation are the stable repr permutation of the
     subsequence — column-for-column what :func:`_build` would compute, with
-    no sorting, interning or ``repr`` work.  Only called when the parent is
-    ``canonical_ok`` (no repr ties), which the subsequence then inherits.
+    no sorting, interning or ``repr`` work.
     """
     sub = SoASnapshot()
     sub.generation = parent.generation

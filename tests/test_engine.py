@@ -69,8 +69,8 @@ class TestCanonicalFormCache:
     def test_hit_and_miss_counting(self):
         g1, g2 = loopy_pair()
         cache = CanonicalFormCache(use_disk=False)
-        f1 = cache.canonical_form(g1, "a", canonical_rooted_form)
-        f2 = cache.canonical_form(g2, "a", canonical_rooted_form)
+        f1 = cache.canonical_form(g1, "a")
+        f2 = cache.canonical_form(g2, "a")
         assert f1 == f2 == canonical_rooted_form(g1, "a")
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
@@ -80,21 +80,21 @@ class TestCanonicalFormCache:
         monkeypatch.setattr(FORMS, "limit", 2)
         cache = CanonicalFormCache(use_disk=False)
         for n in (2, 3, 4):
-            cache.canonical_form(path_graph(n), 0, canonical_rooted_form)
+            cache.canonical_form(path_graph(n), 0)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # the evicted entry (n=2, least recently used) misses again
-        cache.canonical_form(path_graph(2), 0, canonical_rooted_form)
+        cache.canonical_form(path_graph(2), 0)
         assert cache.stats.misses == 4
         assert cache.stats.hits == 0
 
     def test_disk_roundtrip_across_instances(self, tmp_path):
         g1, _ = loopy_pair()
         first = CanonicalFormCache(directory=tmp_path)
-        first.canonical_form(g1, "a", canonical_rooted_form)
+        first.canonical_form(g1, "a")
         reset_memos()  # the second instance stands for a new process
         second = CanonicalFormCache(directory=tmp_path)
-        second.canonical_form(g1, "a", canonical_rooted_form)
+        second.canonical_form(g1, "a")
         assert second.stats.hits == 1
         assert second.stats.disk_hits == 1
 
@@ -103,7 +103,7 @@ class TestCanonicalFormCache:
         cache = CanonicalFormCache(directory=tmp_path)
         key = graph_digest(g1, "a")
         (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
-        form = cache.canonical_form(g1, "a", canonical_rooted_form)
+        form = cache.canonical_form(g1, "a")
         assert form == canonical_rooted_form(g1, "a")
         assert cache.stats.disk_corrupt == 1
         assert cache.stats.misses == 1
@@ -119,7 +119,7 @@ class TestCanonicalFormCache:
             json.dumps({"format": "something-else", "key": key, "form": None}),
             encoding="utf-8",
         )
-        cache.canonical_form(g1, "a", canonical_rooted_form)
+        cache.canonical_form(g1, "a")
         assert cache.stats.disk_corrupt == 1
 
     def test_env_dir_fallback(self, tmp_path, monkeypatch):
@@ -146,7 +146,7 @@ class TestFormTier:
     def test_scopes_isolate_readers(self, tmp_path):
         g1, _ = loopy_pair()
         alice = CanonicalFormCache(directory=tmp_path / "alice")
-        alice.canonical_form(g1, "a", canonical_rooted_form)
+        alice.canonical_form(g1, "a")
         bob = CanonicalFormCache(directory=tmp_path / "bob")
         assert len(alice) == 1 and len(bob) == 0
         assert len(CanonicalFormCache(directory=tmp_path / "alice")) == 1
@@ -158,7 +158,7 @@ class TestMultiTenantCache:
     def test_tenant_namespaces_the_disk_tier(self, tmp_path):
         g1, _ = loopy_pair()
         cache = CanonicalFormCache(directory=tmp_path, tenant="alice")
-        cache.canonical_form(g1, "a", canonical_rooted_form)
+        cache.canonical_form(g1, "a")
         key = graph_digest(g1, "a")
         assert (tmp_path / "tenants" / "alice" / f"{key}.json").exists()
         assert not (tmp_path / f"{key}.json").exists()
@@ -166,9 +166,9 @@ class TestMultiTenantCache:
     def test_tenants_do_not_see_each_other(self, tmp_path):
         g1, _ = loopy_pair()
         alice = CanonicalFormCache(directory=tmp_path, tenant="alice")
-        alice.canonical_form(g1, "a", canonical_rooted_form)
+        alice.canonical_form(g1, "a")
         bob = CanonicalFormCache(directory=tmp_path, tenant="bob")
-        bob.canonical_form(g1, "a", canonical_rooted_form)
+        bob.canonical_form(g1, "a")
         assert bob.stats.misses == 1
         assert bob.stats.disk_hits == 0 and bob.stats.shared_hits == 0
 
@@ -183,19 +183,19 @@ class TestMultiTenantCache:
         g1, _ = loopy_pair()
         shared = tmp_path / "shared"
         alice = CanonicalFormCache(directory=tmp_path, tenant="alice", shared_dir=shared)
-        alice.canonical_form(g1, "a", canonical_rooted_form)
+        alice.canonical_form(g1, "a")
         key = graph_digest(g1, "a")
         # alice's miss populated both her tier and the shared tier
         assert (shared / f"{key}.json").exists()
         reset_memos()  # bob's cache stands for another process
         bob = CanonicalFormCache(directory=tmp_path, tenant="bob", shared_dir=shared)
-        bob.canonical_form(g1, "a", canonical_rooted_form)
+        bob.canonical_form(g1, "a")
         assert bob.stats.hits == 1 and bob.stats.shared_hits == 1
         # read-through: the shared hit was promoted into bob's tenant tier
         assert (tmp_path / "tenants" / "bob" / f"{key}.json").exists()
         reset_memos()  # and bob's next process
         third = CanonicalFormCache(directory=tmp_path, tenant="bob", shared_dir=shared)
-        third.canonical_form(g1, "a", canonical_rooted_form)
+        third.canonical_form(g1, "a")
         assert third.stats.disk_hits == 1 and third.stats.shared_hits == 0
 
     def test_disk_budget_evicts_oldest_used(self, tmp_path):
@@ -203,7 +203,7 @@ class TestMultiTenantCache:
 
         cache = CanonicalFormCache(directory=tmp_path, disk_budget=1)
         for n in (2, 3, 4):
-            cache.canonical_form(path_graph(n), 0, canonical_rooted_form)
+            cache.canonical_form(path_graph(n), 0)
             # distinct mtimes even on coarse-grained filesystems
             for index, path in enumerate(sorted(tmp_path.glob("*.json"))):
                 os.utime(path, (index, index))
@@ -216,7 +216,7 @@ class TestMultiTenantCache:
     def test_disk_budget_never_evicts_the_fresh_write(self, tmp_path):
         g1, _ = loopy_pair()
         cache = CanonicalFormCache(directory=tmp_path, disk_budget=1)
-        cache.canonical_form(g1, "a", canonical_rooted_form)
+        cache.canonical_form(g1, "a")
         key = graph_digest(g1, "a")
         # the single entry exceeds the budget yet survives
         assert (tmp_path / f"{key}.json").exists()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.families import path_graph, single_node_with_loops, star_graph
+from repro.graphs.families import cycle_graph, path_graph, single_node_with_loops, star_graph
 from repro.graphs.isomorphism import (
     balls_isomorphic,
     canonical_rooted_form,
@@ -13,6 +13,7 @@ from repro.graphs.isomorphism import (
 )
 from repro.graphs.multigraph import ECGraph
 from repro.graphs.neighborhoods import ball
+from repro.graphs.soa import canonical_form_fast
 
 
 def loopy_tree_a() -> ECGraph:
@@ -20,6 +21,14 @@ def loopy_tree_a() -> ECGraph:
     g.add_edge("r", "x", 1)
     g.add_edge("r", "r", 2)
     g.add_edge("x", "x", 2)
+    return g
+
+
+def parallel_pair() -> ECGraph:
+    """Two nodes joined by two edges: a cycle of length 2."""
+    g = ECGraph()
+    g.add_edge(0, 1, 1)
+    g.add_edge(0, 1, 2)
     return g
 
 
@@ -46,6 +55,16 @@ class TestCanonicalForm:
         h = ECGraph()
         h.add_edge("a", "b", 1)
         assert canonical_rooted_form(g, "a") != canonical_rooted_form(h, "a")
+
+    @pytest.mark.parametrize(
+        "graph", [cycle_graph(4), cycle_graph(5), parallel_pair()], ids=["c4", "c5", "parallel-pair"]
+    )
+    def test_cycle_raises_the_fast_paths_value_error(self, graph):
+        with pytest.raises(ValueError, match="cycle") as oracle:
+            canonical_rooted_form(graph, 0)
+        with pytest.raises(ValueError) as fast:
+            canonical_form_fast(graph, 0)
+        assert str(oracle.value) == str(fast.value)
 
 
 class TestRootedIsomorphic:

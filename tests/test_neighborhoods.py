@@ -72,6 +72,12 @@ class TestMetadata:
         with pytest.raises(ValueError):
             ball(path_graph(2), 0, -1)
 
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_missing_root_raises_at_every_radius(self, t):
+        # radius 0 included: a node that is not in the graph has no ball
+        with pytest.raises(KeyError):
+            ball(path_graph(3), 99, t)
+
     def test_ball_preserves_edge_ids(self):
         g = path_graph(4)
         b = ball(g, 1, 1)

@@ -1,10 +1,11 @@
 """Tests for the columnar kernel snapshots (repro.graphs.soa).
 
-The SoA layer is an *optimisation*, never a semantics change: every test
-here compares the array paths against the object-walking reference
-implementations (or an inline reproduction of them) and pins the sharing
-discipline — snapshots memoize per frozen kernel, balls memoize by content
-digest, and the canonicalisation plan cache recognises isomorphic shapes.
+The SoA layer is the only production path for canonical forms and balls:
+the tests here compare it against the object-walking oracles and pin the
+sharing discipline — snapshots memoize per frozen kernel, balls memoize by
+content digest, and the canonicalisation plan cache recognises isomorphic
+shapes.  ``tests/test_differential.py`` runs the same comparisons over
+generated inputs.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.graphs.soa import (
     plan_hit_count,
     snapshot_of,
 )
+from tests.oracles import reference_ball
 
 
 class TestSnapshot:
@@ -46,10 +48,12 @@ class TestSnapshot:
     def test_directed_kernel_has_no_snapshot(self):
         po = POGraph()
         po.add_edge("a", "b", 1)
-        kernel = po.kernel
-        assert snapshot_of(kernel) is None
-        # the failed build is memoized too, not retried per lookup
-        assert snapshot_of(kernel) is None
+        with pytest.raises(TypeError, match="undirected"):
+            snapshot_of(po.kernel)
+        with pytest.raises(TypeError, match="undirected"):
+            canonical_form_fast(po, "a")
+        with pytest.raises(TypeError, match="undirected"):
+            extract_ball(po, "a", 1)
 
     def test_label_table_clear_invalidates_snapshots(self):
         kernel = random_loopy_tree(4, 1, seed=1).kernel
@@ -110,8 +114,9 @@ class TestCanonicalFormFast:
         # consed forms are identical objects, not merely equal
         assert twin_form is form
 
-    def test_foreign_object_falls_back(self):
-        assert canonical_form_fast(object(), 0) is None
+    def test_foreign_object_raises(self):
+        with pytest.raises(AttributeError):
+            canonical_form_fast(object(), 0)
 
     def test_racing_threads_cons_only_right_forms(self, race):
         """Threads consing different shapes at once must never map two
@@ -136,28 +141,8 @@ class TestCanonicalFormFast:
         assert serial == []
 
 
-def reference_ball(g: ECGraph, v, t: int):
-    """The historical builder-based extraction (the semantics of record)."""
-    dist = g.bfs_distances(v, max_dist=t)
-    sub = ECGraph()
-    for w in dist:
-        sub.add_node(w)
-    if t >= 1:
-        for e in g.edges():
-            du = dist.get(e.u)
-            dv = dist.get(e.v)
-            candidates = [d for d in (du, dv) if d is not None]
-            if not candidates:
-                continue
-            if min(candidates) <= t - 1 and du is not None and dv is not None:
-                sub.add_edge(e.u, e.v, e.color, eid=e.eid)
-    return sub, dist
-
-
 def assert_same_extraction(g: ECGraph, v, t: int) -> None:
-    fast = extract_ball(g, v, t)
-    assert fast is not None
-    sub_kernel, distances = fast
+    sub_kernel, distances = extract_ball(g, v, t)
     ref, ref_dist = reference_ball(g, v, t)
     assert distances == ref_dist
     view = ECGraph.from_kernel(sub_kernel)
@@ -201,8 +186,8 @@ class TestExtractBall:
         columns = (
             "n", "m", "labels", "index_of", "node_lids", "slot_off",
             "slot_color_lids", "slot_colors", "slot_eids", "slot_other",
-            "slot_repr_order", "canonical_ok", "edge_eids", "edge_ui",
-            "edge_vi", "edge_color_lids",
+            "slot_repr_order", "edge_eids", "edge_ui", "edge_vi",
+            "edge_color_lids",
         )
         g = random_loopy_tree(12, 2, seed=5)
         for v in (0, 5, 11):
