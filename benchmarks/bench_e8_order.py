@@ -18,30 +18,14 @@ from repro.core.canonical_order import (
     bracket,
     compare_words,
     concat,
-    reduce_word,
+    tree_ball,
     tree_sort_key,
 )
 
 
-def ball(d: int, radius: int):
-    steps = [(c, s) for c in range(1, d + 1) for s in (+1, -1)]
-    words = {()}
-    frontier = {()}
-    for _ in range(radius):
-        nxt = set()
-        for w in frontier:
-            for step in steps:
-                r = reduce_word(w + (step,))
-                if len(r) == len(w) + 1:
-                    nxt.add(r)
-        words |= nxt
-        frontier = nxt
-    return sorted(words)
-
-
 @pytest.mark.parametrize("d,radius", [(2, 3), (3, 2)])
 def test_order_axioms_exhaustive(benchmark, record, d, radius):
-    words = ball(d, radius)
+    words = tree_ball(d, radius)
 
     def verify():
         violations = 0
@@ -64,7 +48,7 @@ def test_order_axioms_exhaustive(benchmark, record, d, radius):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_homogeneity_random(benchmark, record, d):
-    words = ball(d, 3)
+    words = tree_ball(d, 3)
     rng = random.Random(99)
     triples = [(rng.choice(words), rng.choice(words), rng.choice(words)) for _ in range(1500)]
 
@@ -86,7 +70,7 @@ def test_homogeneity_random(benchmark, record, d):
 
 
 def test_sorting_a_large_ball(benchmark, record):
-    words = ball(2, 5)
+    words = tree_ball(2, 5)
     ordered = benchmark.pedantic(lambda: sorted(words, key=tree_sort_key), rounds=1, iterations=1)
     assert len(ordered) == len(words)
     record(

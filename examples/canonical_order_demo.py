@@ -25,25 +25,14 @@ from repro.core.canonical_order import (
     concat,
     inverse_word,
     reduce_word,
+    tree_ball,
     tree_sort_key,
 )
 
 
 def ball_of_radius(d: int, radius: int):
-    """All reduced words of length <= radius over d colours."""
-    steps = [(c, s) for c in range(1, d + 1) for s in (+1, -1)]
-    words = {()}
-    frontier = {()}
-    for _ in range(radius):
-        nxt = set()
-        for w in frontier:
-            for step in steps:
-                r = reduce_word(w + (step,))
-                if len(r) == len(w) + 1:
-                    nxt.add(r)
-        words |= nxt
-        frontier = nxt
-    return sorted(words, key=tree_sort_key)
+    """All reduced words of length <= radius over d colours, in the order."""
+    return sorted(tree_ball(d, radius), key=tree_sort_key)
 
 
 def pretty(word) -> str:

@@ -257,10 +257,8 @@ def sweep(
     :class:`repro.obs.ProgressEmitter` for live heartbeat telemetry; it
     observes the sweep without changing any row.
     """
-    from .engine import GridSpec, run_sweep
+    from .engine import run_sweep
 
-    if grid is not None and not isinstance(grid, GridSpec):
-        grid = GridSpec.from_mapping(grid)
     result = run_sweep(
         grid,
         workers=workers,
@@ -300,11 +298,10 @@ def bench(
     """Run the named scaling-experiment suite; returns a :class:`BenchReport`.
 
     The execution-control options (``workers``/``backend``/``cell_timeout``/
-    ``retries``/``max_restarts``) are validated through
-    :class:`repro.engine.executors.ExecutionOptions` and forwarded to every
-    sweep the suite's runners launch (worker-scaling keeps sweeping its own
-    worker counts); left at ``None`` they change nothing, so default bench
-    rows stay comparable across the committed trajectory.
+    ``retries``/``max_restarts``) are forwarded to every sweep the suite's
+    runners launch, which validates them (worker-scaling keeps sweeping its
+    own worker counts); left at ``None`` they change nothing, so default
+    bench rows stay comparable across the committed trajectory.
 
     Rows are schema-versioned dicts (see
     :mod:`repro.obs.bench.trajectory`) and are **not** persisted here —
@@ -323,13 +320,6 @@ def bench(
         "max_restarts": max_restarts,
     }
     engine_opts = {key: value for key, value in overrides.items() if value is not None}
-    if engine_opts:
-        from .engine.executors import ExecutionOptions, parse_hosts
-
-        checked = dict(engine_opts)
-        if "hosts" in checked:
-            checked["hosts"] = tuple(parse_hosts(checked["hosts"]))
-        ExecutionOptions(**{"workers": 1, **checked})  # shared validation
     rows = run_suite(
         suite, repeats=repeats, warmup=warmup, commit=commit, engine_opts=engine_opts
     )

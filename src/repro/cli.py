@@ -1,66 +1,28 @@
 """Command-line interface: run the paper's machinery from a shell.
 
-Subcommands (``python -m repro <subcommand> --help`` for details):
-
-* ``solve``     — run a distributed maximal-FM algorithm on a graph family
-                  and verify the output;
-* ``adversary`` — run the Section 4 unfold-and-mix construction against an
-                  algorithm and print the witness ladder;
-* ``refute``    — test a claim "algorithm X finishes in t rounds on
-                  degree-Delta graphs";
-* ``cover``     — extract the 2-approximate vertex cover from a maximal FM;
-* ``order``     — print a ball of the 2d-regular PO-tree sorted by the
-                  Appendix A homogeneous order;
-* ``lint``      — run the model-contract static analyzer (``repro.lint``)
-                  over source trees, or demo the runtime locality sanitizer;
-* ``trace``     — run a workload under the ``repro.obs`` tracer and print
-                  the span tree (optionally dump JSON/JSONL traces and a
-                  hottest-spans profile);
-* ``sweep``     — run a declarative (algorithm × Delta × chain × seed) grid
-                  through the parallel experiment engine (``repro.engine``),
-                  with canonical-form caching, resumable result shards, an
-                  optional deterministic fault plan (``--faults``), and live
-                  heartbeat telemetry (``--progress``);
-* ``bench``     — run the declared scaling-experiment suite
-                  (``repro.obs.bench``), append per-commit rows to the
-                  ``BENCH_TRAJECTORY.jsonl`` history, gate regressions
-                  against it (``--check``), or render the trend dashboard
-                  (``--report``);
-* ``serve``     — run one socket-backend shard server; point a sweep at it
-                  (possibly on another host) with
-                  ``sweep --backend socket --hosts HOST:PORT,...``;
-* ``serve-api`` — run the sweep-as-a-service HTTP/JSON job server
-                  (``repro.service``): queued GridSpec submissions over
-                  ``POST /v1/jobs``, multi-tenant canonical-form caching,
-                  per-job progress streaming and 429 backpressure
-                  (``docs/service.md``);
-* ``verify``    — test a claimed round count through the ``repro.api``
-                  facade, optionally stacking a Section 5 chain; or, with
-                  ``--store DIR``, replay a finished sweep store's rows
-                  against fresh serial computation.
-
-Subcommands share one flag vocabulary wired through
-:func:`add_common_options` — ``--json`` (bare prints JSON to stdout, with a
-PATH writes the file), ``--delta``, ``--chain``, ``--out``, and (for the
-engine-driving subcommands ``sweep`` and ``bench``) the execution-control
-group ``--workers`` / ``--backend`` / ``--hosts`` / ``--cell-timeout`` /
-``--retries`` / ``--max-restarts``, validated in one place by
-:class:`repro.engine.executors.ExecutionOptions`.
+``python -m repro --help`` lists the verbs and ``python -m repro <verb>
+--help`` documents each one.  A verb parses its flags, makes one library
+call and renders the result.  :func:`main` is the one error boundary: a
+``ValueError`` from any verb exits 1 with the single line
+``repro <verb>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
+from . import api, lint, obs
 from .core.adversary import run_adversary
-from .core.canonical_order import reduce_word, tree_sort_key
-from .core.theorem import refute
+from .core.canonical_order import tree_ball, tree_sort_key
+from .core.exhaustive import half_integral_grid, one_round_universe, search_view_function
 from .core.witness import AlgorithmFailure
-from .engine.executors import BACKENDS
-from .engine.grid import ALGORITHMS
+from .engine import CellExecutionError, GridSpec, e1_grid, smoke_grid, verify_store
+from .engine.executors import BACKENDS, ExecutionOptions, ShardServer, parse_hosts
+from .engine.grid import CHAINS, make_algorithm
 from .graphs.families import (
     caterpillar,
     complete_graph,
@@ -71,13 +33,15 @@ from .graphs.families import (
     random_regular_graph,
     star_graph,
 )
+from .lint.rules import RULE_MODULES
+from .local.context import NodeContext
+from .local.sanitize import LocalityViolation
 from .matching.fm import fm_from_node_outputs
+from .matching.proposal import ProposalFM
 from .matching.verify import verify_distributed
 from .matching.vertex_cover import is_vertex_cover, vertex_cover_quality
 
 __all__ = ["main", "build_parser", "add_common_options"]
-
-CHAIN_CHOICES = ("ec", "po", "oi", "id")
 
 
 def add_common_options(
@@ -91,19 +55,11 @@ def add_common_options(
 ) -> argparse.ArgumentParser:
     """Attach the shared flag vocabulary to a subcommand parser.
 
-    Every subcommand that wants machine-readable output, a degree bound, a
-    Section 5 chain or an output directory spells them the same way:
-
-    * ``--json [PATH]`` — bare prints JSON to stdout, with a PATH writes it;
-    * ``--delta N`` — maximum degree (default per subcommand);
-    * ``--chain {ec,po,oi,id}`` — how deep a simulation chain to stack;
-    * ``--out DIR`` — directory for result artifacts.
-
-    ``execution=True`` adds the execution-control group shared by the
-    engine-driving subcommands (``sweep``, ``bench``): ``--workers``,
-    ``--backend``, ``--hosts``, ``--cell-timeout``, ``--retries`` and
-    ``--max-restarts``, validated together by
-    :func:`_execution_options` /
+    ``--json [PATH]`` (bare prints JSON to stdout, with a PATH writes it),
+    ``--delta N`` and ``--chain {ec,po,oi,id}`` (defaults per subcommand)
+    and ``--out DIR`` are spelled the same by every verb that takes them.
+    ``execution=True`` adds the engine-driving verbs' execution-control
+    group; its defaults and rules are those of
     :class:`repro.engine.executors.ExecutionOptions`.
     """
     if json_flag:
@@ -111,7 +67,6 @@ def add_common_options(
             "--json",
             nargs="?",
             const=True,
-            default=None,
             metavar="PATH",
             help="machine-readable output (bare: print to stdout; PATH: write file)",
         )
@@ -122,7 +77,7 @@ def add_common_options(
     if chain is not None:
         parser.add_argument(
             "--chain",
-            choices=list(CHAIN_CHOICES),
+            choices=list(CHAINS),
             default=chain,
             help="simulation chain to stack in front of the base machine "
             "(ec: none; po: EC<=PO; oi: EC<=PO<=OI; id: the full "
@@ -130,7 +85,7 @@ def add_common_options(
         )
     if out:
         parser.add_argument(
-            "--out", metavar="DIR", default=None, help="directory for result artifacts"
+            "--out", metavar="DIR", help="directory for result artifacts"
         )
     if execution:
         group = parser.add_argument_group(
@@ -141,7 +96,7 @@ def add_common_options(
         group.add_argument(
             "--workers",
             type=int,
-            default=1,
+            default=ExecutionOptions.workers,
             metavar="N",
             help="shard fan-out for parallel backends (default 1: the serial "
             "inline baseline; >= 2 selects the process pool unless "
@@ -150,14 +105,13 @@ def add_common_options(
         group.add_argument(
             "--backend",
             choices=sorted(BACKENDS),
-            default=None,
+            default=ExecutionOptions.backend,
             help="sweep executor backend: inline (in-process, zero spawn), "
             "process (spawn pool), socket (shard servers over TCP; see "
             "the serve subcommand). Default: picked from --workers",
         )
         group.add_argument(
             "--hosts",
-            default=None,
             metavar="HOST:PORT,...",
             help="socket backend only: external shard servers to dispatch "
             "to (default: self-hosted loopback servers)",
@@ -165,7 +119,7 @@ def add_common_options(
         group.add_argument(
             "--cell-timeout",
             type=float,
-            default=None,
+            default=ExecutionOptions.cell_timeout,
             metavar="SECONDS",
             help="per-cell watchdog: a cell running longer is abandoned and "
             "retried (default: no timeout)",
@@ -173,41 +127,30 @@ def add_common_options(
         group.add_argument(
             "--retries",
             type=int,
-            default=1,
+            default=ExecutionOptions.retries,
             metavar="N",
             help="extra attempts per cell after a timeout or error (default 1)",
         )
         group.add_argument(
             "--max-restarts",
             type=int,
-            default=2,
+            default=ExecutionOptions.max_restarts,
             metavar="N",
             help="rounds of dead-worker recovery before giving up (default 2)",
         )
     return parser
 
 
-def _execution_options(args):
-    """Validate the shared execution-control flags into one typed object.
-
-    All constraints live in :class:`repro.engine.executors.ExecutionOptions`
-    so ``sweep`` and ``bench`` reject bad values identically (``--workers
-    0``, negative timeouts, ``--hosts`` without ``--backend socket``, ...).
-    """
-    from .engine.executors import ExecutionOptions, parse_hosts
-
-    try:
-        hosts = tuple(parse_hosts(args.hosts)) if args.hosts else ()
-        return ExecutionOptions(
-            workers=args.workers,
-            backend=args.backend,
-            hosts=hosts,
-            cell_timeout=args.cell_timeout,
-            retries=args.retries,
-            max_restarts=args.max_restarts,
-        )
-    except ValueError as error:
-        raise SystemExit(f"repro {args.command}: {error}") from None
+def _execution_options(args) -> ExecutionOptions:
+    """The execution-control flags, validated as one object."""
+    return ExecutionOptions(
+        workers=args.workers,
+        backend=args.backend,
+        hosts=tuple(parse_hosts(args.hosts)),
+        cell_timeout=args.cell_timeout,
+        retries=args.retries,
+        max_restarts=args.max_restarts,
+    )
 
 
 def _emit_json(args, payload: str) -> None:
@@ -231,14 +174,8 @@ def _make_graph(family: str, n: int, delta: int, seed: int):
         "loopy-tree": lambda: random_loopy_tree(n, max(delta - 1, 1), seed),
     }
     if family not in factories:
-        raise SystemExit(f"unknown family {family!r}; choose from {sorted(factories)}")
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(factories)}")
     return factories[family]()
-
-
-def _make_algorithm(name: str):
-    if name not in ALGORITHMS:
-        raise SystemExit(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
-    return ALGORITHMS[name]()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,31 +186,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run a maximal-FM algorithm on a graph family")
-    solve.add_argument("--family", default="random")
-    solve.add_argument("--n", type=int, default=20)
-    solve.add_argument("--delta", type=int, default=4)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--algorithm", default="greedy")
+    # option groups two verbs share, declared once as argparse parents
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--family", default="random")
+    graph.add_argument("--n", type=int, default=20)
+    graph.add_argument("--delta", type=int, default=4)
+    graph.add_argument("--seed", type=int, default=0)
+    graph.add_argument("--algorithm", default="greedy")
+    bind = argparse.ArgumentParser(add_help=False)
+    bind.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="interface to bind (default 127.0.0.1; 0.0.0.0 to serve other "
+        "hosts)",
+    )
+    bind.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="port to bind (default 0: an OS-assigned free port, printed "
+        "on startup)",
+    )
+
+    sub.add_parser(
+        "solve", parents=[graph], help="run a maximal-FM algorithm on a graph family"
+    ).set_defaults(handler=_cmd_solve)
 
     adv = sub.add_parser("adversary", help="run the Section 4 lower-bound construction")
+    adv.set_defaults(handler=_cmd_adversary)
     adv.add_argument("--delta", type=int, default=5)
     adv.add_argument("--algorithm", default="greedy")
     adv.add_argument("--deep-verify", action="store_true")
 
-    ref = sub.add_parser("refute", help="test a claimed round count")
-    ref.add_argument("--delta", type=int, default=5)
-    ref.add_argument("--algorithm", default="greedy")
-    ref.add_argument("--claimed-rounds", type=int, required=True)
-
-    cov = sub.add_parser("cover", help="2-approximate vertex cover from a maximal FM")
-    cov.add_argument("--family", default="random")
-    cov.add_argument("--n", type=int, default=20)
-    cov.add_argument("--delta", type=int, default=4)
-    cov.add_argument("--seed", type=int, default=0)
-    cov.add_argument("--algorithm", default="greedy")
+    sub.add_parser(
+        "cover", parents=[graph], help="2-approximate vertex cover from a maximal FM"
+    ).set_defaults(handler=_cmd_cover)
 
     order = sub.add_parser("order", help="print a T-ball in the Appendix A order")
+    order.set_defaults(handler=_cmd_order)
     order.add_argument("--generators", type=int, default=2)
     order.add_argument("--radius", type=int, default=2)
 
@@ -281,56 +231,56 @@ def build_parser() -> argparse.ArgumentParser:
         "exhaustive",
         help="prove 1-round impossibility by enumerating all grid-valued algorithms",
     )
+    ex.set_defaults(handler=_cmd_exhaustive)
     ex.add_argument("--delta", type=int, default=3)
     ex.add_argument("--grid-denominator", type=int, default=6)
 
-    lint = sub.add_parser(
+    lint_verb = sub.add_parser(
         "lint",
         help="model-contract static analysis (per-line rules plus the "
         "interprocedural effect/concurrency/kernel/suppression checks)",
     )
-    lint.add_argument(
+    lint_verb.set_defaults(handler=_cmd_lint)
+    lint_verb.add_argument(
         "paths",
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
     )
-    add_common_options(lint, json_flag=True)
-    lint.add_argument(
+    add_common_options(lint_verb, json_flag=True)
+    lint_verb.add_argument(
         "--sanitize-demo",
         action="store_true",
         help="run the runtime locality sanitizer against a cheating and an "
         "honest EC algorithm instead of linting",
     )
-    lint.add_argument(
+    lint_verb.add_argument(
         "--baseline",
         nargs="?",
         const="lint-baseline.json",
-        default=None,
         metavar="PATH",
         help="ratchet mode: fail only on findings not in the committed "
         "baseline (default path: lint-baseline.json)",
     )
-    lint.add_argument(
+    lint_verb.add_argument(
         "--update-baseline",
         nargs="?",
         const="lint-baseline.json",
-        default=None,
         metavar="PATH",
         help="rewrite the baseline to the current findings and exit 0",
     )
-    lint.add_argument(
+    lint_verb.add_argument(
         "--sarif",
         metavar="PATH",
         help="also write the findings as a SARIF 2.1.0 log (GitHub "
         "code scanning)",
     )
-    lint.add_argument(
+    lint_verb.add_argument(
         "--explain",
         metavar="RULE",
         help="print a rule's full documentation and exit",
     )
-    lint.add_argument(
+    lint_verb.add_argument(
         "--effects",
         metavar="MODULE.FUNC",
         help="print the inferred effect report for a function (or MODULE "
@@ -341,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a workload under the repro.obs tracer and print the span tree",
     )
+    trace.set_defaults(handler=_cmd_trace)
     trace.add_argument(
         "target",
         choices=["demo", "adversary", "theorem"],
@@ -369,23 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an (algorithm x Delta x chain x seed) grid through the "
         "parallel experiment engine",
     )
+    sweep.set_defaults(handler=_cmd_sweep)
     sweep.add_argument(
         "--algorithms",
-        default=None,
         help="comma-separated algorithm names (default: greedy,proposal)",
     )
     sweep.add_argument(
         "--deltas",
-        default=None,
         help="Delta values, comma-separated or A..B (default: 3..8)",
     )
     sweep.add_argument(
-        "--seeds", default=None, help="comma-separated seeds (default: 0)"
+        "--seeds", help="comma-separated seeds (default: 0)"
     )
     add_common_options(sweep, json_flag=True, chain="ec", out=True, execution=True)
     sweep.add_argument(
         "--cache-dir",
-        default=None,
         metavar="DIR",
         help="on-disk canonical-form cache (default: $REPRO_CACHE_DIR)",
     )
@@ -405,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--min-hit-rate",
         type=float,
-        default=None,
         metavar="RATE",
         help="fail (exit 1) when the canonical-form cache hit rate falls "
         "below RATE (0..1) — a CI guard for the digest-keyed cache; "
@@ -413,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--faults",
-        default=None,
         metavar="PLAN.json",
         help="replay a deterministic fault plan during the sweep "
         "(see docs/fault_injection.md for the schema)",
@@ -422,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         nargs="?",
         const=True,
-        default=None,
         metavar="PATH",
         help="live heartbeat telemetry: a single-line status on stderr plus "
         "JSONL events written to PATH (bare: <out>/progress.jsonl when "
@@ -434,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the scaling-experiment suite, persist per-commit trajectory "
         "rows, and gate performance regressions",
     )
+    bench.set_defaults(handler=_cmd_bench)
     bench.add_argument(
         "--suite",
         default="smoke",
@@ -478,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--commit",
-        default=None,
         metavar="SHA",
         help="commit id recorded on rows (default: $REPRO_BENCH_COMMIT or "
         "git rev-parse HEAD)",
@@ -494,26 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[bind],
         help="run one socket-backend shard server (pair with "
         "sweep --backend socket --hosts HOST:PORT,...)",
     )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; 0.0.0.0 to serve other "
-        "hosts)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="port to bind (default 0: an OS-assigned free port, printed "
-        "on startup)",
-    )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument(
         "--max-requests",
         type=int,
-        default=None,
         metavar="N",
         help="exit after serving N shard requests (default: run until "
         "interrupted)",
@@ -521,22 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_api = sub.add_parser(
         "serve-api",
+        parents=[bind],
         help="run the sweep-as-a-service HTTP/JSON job server "
         "(POST /v1/jobs; see docs/service.md)",
     )
-    serve_api.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; 0.0.0.0 to serve other "
-        "hosts)",
-    )
-    serve_api.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="port to bind (default 0: an OS-assigned free port, printed "
-        "on startup)",
-    )
+    serve_api.set_defaults(handler=_cmd_serve_api)
     serve_api.add_argument(
         "--data-dir",
         default="service-data",
@@ -547,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_api.add_argument(
         "--cache-dir",
-        default=None,
         metavar="DIR",
         help="base of the multi-tenant canonical-form cache "
         "(tenants/<name>/ + shared/; default DATA_DIR/cache)",
@@ -561,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_api.add_argument(
         "--disk-budget",
         type=int,
-        default=None,
         metavar="BYTES",
         help="byte budget per cache tier directory; oldest-used entries "
         "are evicted past it (default: never evict)",
@@ -601,24 +522,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify",
+        aliases=["refute"],
         help="verify a claimed round count through the repro.api facade, "
         "or replay a finished sweep store against fresh computation",
     )
+    ver.set_defaults(handler=_cmd_verify)
     ver.add_argument(
         "--algorithm",
-        default=None,
         help="registered algorithm to test (default: greedy on the 'ec' "
         "chain; deeper chains always run the proposal dynamics)",
     )
     ver.add_argument(
         "--claimed-rounds",
         type=int,
-        default=None,
         help="claimed round count to refute (required unless --store)",
     )
     ver.add_argument(
         "--store",
-        default=None,
         metavar="DIR",
         help="replay a finished sweep store: recompute every persisted row "
         "serially and fail unless they match byte-for-byte",
@@ -630,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     g = _make_graph(args.family, args.n, args.delta, args.seed)
-    alg = _make_algorithm(args.algorithm)
+    alg = make_algorithm(args.algorithm)
     outputs = alg.run_on(g)
     fm = fm_from_node_outputs(g, outputs)
     ok, _, check_rounds = verify_distributed(g, outputs)
@@ -644,7 +564,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    alg = _make_algorithm(args.algorithm)
+    alg = make_algorithm(args.algorithm)
     try:
         witness = run_adversary(alg, args.delta, deep_verify=args.deep_verify)
     except AlgorithmFailure as failure:
@@ -661,16 +581,9 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
-def _cmd_refute(args) -> int:
-    alg = _make_algorithm(args.algorithm)
-    result = refute(alg, args.claimed_rounds, args.delta)
-    print(result.summary())
-    return 0 if result.kind != "consistent" else 2
-
-
 def _cmd_cover(args) -> int:
     g = _make_graph(args.family, args.n, args.delta, args.seed)
-    alg = _make_algorithm(args.algorithm)
+    alg = make_algorithm(args.algorithm)
     fm = fm_from_node_outputs(g, alg.run_on(g))
     cover, ratio, lower = vertex_cover_quality(fm)
     assert is_vertex_cover(g, cover)
@@ -681,8 +594,6 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
-    from .core.exhaustive import half_integral_grid, one_round_universe, search_view_function
-
     universe = one_round_universe(args.delta)
     outcome = search_view_function(
         universe, t=1, grid=half_integral_grid(args.grid_denominator)
@@ -706,12 +617,6 @@ def _cmd_exhaustive(args) -> int:
 
 def _sanitize_demo() -> int:
     """Show the locality sanitizer catching a cheat and passing an honest run."""
-    from .api import run
-    from .graphs.families import path_graph
-    from .local.context import NodeContext
-    from .local.sanitize import LocalityViolation
-    from .matching.proposal import ProposalFM
-
     class CheatingFM(ProposalFM):
         """Proposal dynamics, except it peeks at the node label."""
 
@@ -722,7 +627,7 @@ def _sanitize_demo() -> int:
 
     g = path_graph(5)
     try:
-        run(CheatingFM("EC"), g, sanitize=True)
+        api.run(CheatingFM("EC"), g, sanitize=True)
     except LocalityViolation as violation:
         print(f"cheating algorithm caught: {violation}")
         caught = True
@@ -730,120 +635,82 @@ def _sanitize_demo() -> int:
         print("ERROR: the cheating algorithm was not caught")
         caught = False
 
-    result = run(ProposalFM("EC"), g, sanitize=True)
+    result = api.run(ProposalFM("EC"), g, sanitize=True)
     log = result.access_log
     reads = ", ".join(f"{attr}={n}" for attr, n in sorted(log.reads.items()))
     print(f"honest algorithm clean: {log.clean} (model {log.model}; reads: {reads})")
     return 0 if caught and log.clean else 1
 
 
-def _cmd_lint(args) -> int:
-    from .lint import (
-        lint_paths,
-        load_baseline,
-        ratchet,
-        render_json,
-        render_sarif,
-        render_text,
-        write_baseline,
-    )
+def _lint_usage_error(message: str) -> int:
+    """The lint verb's usage errors: one stderr line and exit status 2."""
+    print(f"repro lint: {message}", file=sys.stderr)
+    return 2
 
+
+def _cmd_lint(args) -> int:
     if args.sanitize_demo:
         return _sanitize_demo()
     if args.explain:
         return _lint_explain(args.explain)
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
-        print(f"repro lint: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
+        return _lint_usage_error(f"no such path: {', '.join(missing)}")
     if args.effects:
         return _lint_effects(args.paths, args.effects)
-    findings = lint_paths(args.paths)
+    findings = lint.lint_paths(args.paths)
     if args.sarif:
-        Path(args.sarif).write_text(render_sarif(findings) + "\n", encoding="utf-8")
+        Path(args.sarif).write_text(lint.render_sarif(findings) + "\n", encoding="utf-8")
         print(f"wrote SARIF to {args.sarif}")
     if args.update_baseline:
-        write_baseline(Path(args.update_baseline), findings)
-        print(
-            f"baseline updated: {args.update_baseline} now accepts "
-            f"{len(findings)} finding(s)"
-        )
+        lint.write_baseline(Path(args.update_baseline), findings)
+        print(f"baseline updated: {args.update_baseline} now accepts {len(findings)} finding(s)")
         return 0
+    fixed = 0
     if args.baseline:
         baseline_path = Path(args.baseline)
         if not baseline_path.exists():
-            print(
-                f"repro lint: baseline file {args.baseline} not found; create "
-                f"it with: repro lint --update-baseline {args.baseline}",
-                file=sys.stderr,
+            return _lint_usage_error(
+                f"baseline file {args.baseline} not found; create "
+                f"it with: repro lint --update-baseline {args.baseline}"
             )
-            return 2
+        # a malformed baseline is a usage error (2), not a finding (1)
         try:
-            accepted = load_baseline(baseline_path)
+            accepted = lint.load_baseline(baseline_path)
         except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        new, fixed = ratchet(findings, accepted)
-        if args.json is not None:
-            _emit_json(args, render_json(new))
-        else:
-            print(render_text(new))
-        if fixed:
-            print(
-                f"ratchet: {fixed} baselined finding(s) no longer occur; "
-                f"tighten with: repro lint --update-baseline {args.baseline}"
-            )
-        return 1 if new else 0
+            return _lint_usage_error(str(exc))
+        findings, fixed = lint.ratchet(findings, accepted)
     if args.json is not None:
-        _emit_json(args, render_json(findings))
+        _emit_json(args, lint.render_json(findings))
     else:
-        print(render_text(findings))
+        print(lint.render_text(findings))
+    if fixed:
+        print(f"ratchet: {fixed} baselined finding(s) no longer occur; "
+              f"tighten with: repro lint --update-baseline {args.baseline}")
     return 1 if findings else 0
 
 
 def _lint_explain(rule: str) -> int:
     """Print one rule's full module documentation."""
-    from .lint.rules import RULE_MODULES
-
     module = RULE_MODULES.get(rule)
     if module is None:
-        print(
-            f"repro lint: unknown rule {rule!r}; known rules: "
-            f"{', '.join(sorted(RULE_MODULES))}",
-            file=sys.stderr,
+        return _lint_usage_error(
+            f"unknown rule {rule!r}; known rules: {', '.join(sorted(RULE_MODULES))}"
         )
-        return 2
     print((module.__doc__ or "").strip())
     return 0
 
 
 def _lint_effects(paths, qualname: str) -> int:
     """Print the inferred effect report for one function or module body."""
-    from .lint.engine import (
-        DEFAULT_CONFIG,
-        ProjectUnderLint,
-        _parse_module,
-        _iter_py_files,
-        module_name_for,
-    )
-
-    modules = []
-    for file in _iter_py_files(Path(p) for p in paths):
-        mod, syntax = _parse_module(
-            file.read_text(encoding="utf-8"), str(file), module_name_for(file), DEFAULT_CONFIG
-        )
-        if mod is not None:
-            modules.append(mod)
-    project = ProjectUnderLint(modules=modules, config=DEFAULT_CONFIG)
-    analysis = project.effects
+    modules, _ = lint.load_modules(paths)
+    analysis = lint.ProjectUnderLint(modules=modules).effects
     fx = analysis.lookup(qualname)
     if fx is None:
-        print(
-            f"repro lint: no function or module {qualname!r} in the linted "
-            f"paths (use the dotted qualname, e.g. repro.graphs.labels.LabelTable.intern)",
-            file=sys.stderr,
+        return _lint_usage_error(
+            f"no function or module {qualname!r} in the linted "
+            f"paths (use the dotted qualname, e.g. repro.graphs.labels.LabelTable.intern)"
         )
-        return 2
     print(f"{fx.qualname}  (module {fx.module}, line {fx.lineno})")
     print(f"  raw direct effects (pre-noqa): {', '.join(sorted(fx.raw_direct)) or '-'}")
     print(f"  direct effects:    {', '.join(sorted(fx.direct)) or '-'}")
@@ -858,29 +725,18 @@ def _lint_effects(paths, qualname: str) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .obs import (
-        Tracer,
-        count_spans,
-        profile_rows,
-        render_profile,
-        render_tree,
-        use_tracer,
-        write_json,
-        write_jsonl,
-    )
-
-    tracer = Tracer()
-    with use_tracer(tracer):
+    tracer = obs.Tracer()
+    with obs.use_tracer(tracer):
         if args.target == "demo":
             g = _make_graph("random", 20, args.delta, seed=0)
-            alg = _make_algorithm(args.algorithm)
+            alg = make_algorithm(args.algorithm)
             with tracer.span("trace.demo", family="random", delta=args.delta):
                 outputs = alg.run_on(g)
                 ok, _, _ = verify_distributed(g, outputs)
             print(f"demo: {alg.name} on random(n=20, delta={args.delta}); verifier "
                   f"{'accepts' if ok else 'REJECTS'}")
         elif args.target == "adversary":
-            alg = _make_algorithm(args.algorithm)
+            alg = make_algorithm(args.algorithm)
             try:
                 witness = run_adversary(alg, args.delta, tracer=tracer)
             except AlgorithmFailure as failure:
@@ -888,30 +744,23 @@ def _cmd_trace(args) -> int:
             else:
                 print(witness.conclusion())
         else:  # theorem: the Section 5 chain in front of the adversary
-            from .core.theorem import chain_from_name
-
-            ec = chain_from_name(args.chain, t=args.delta)
-            result = refute(ec, claimed_rounds=1, delta=args.delta, tracer=tracer)
+            result = api.refute(None, args.delta, chain=args.chain, tracer=tracer)
             print(result.summary())
 
-    steps = count_spans(tracer, "adversary.step")
+    steps = obs.count_spans(tracer, "adversary.step")
     total = sum(1 for _ in tracer.iter_spans())
     print(f"\ntrace: {total} spans ({steps} adversary steps)")
-    print(render_tree(tracer, max_depth=args.max_depth))
+    print(obs.render_tree(tracer, max_depth=args.max_depth))
     if args.profile:
         print("\nhottest spans (by self time):")
-        print(render_profile(profile_rows(tracer), top=args.top))
+        print(obs.render_profile(obs.profile_rows(tracer), top=args.top))
     if isinstance(args.json, str):
-        path = write_json(tracer, args.json, command=f"trace {args.target}")
+        path = obs.write_json(tracer, args.json, command=f"trace {args.target}")
         print(f"\nwrote JSON trace to {path}")
     elif args.json:
-        import json as json_
-
-        from .obs import trace_document
-
-        print(json_.dumps(trace_document(tracer, command=f"trace {args.target}")))
+        print(json.dumps(obs.trace_document(tracer, command=f"trace {args.target}")))
     if args.jsonl:
-        path = write_jsonl(tracer, args.jsonl)
+        path = obs.write_jsonl(tracer, args.jsonl)
         print(f"wrote JSONL span log to {path}")
     return 0
 
@@ -924,24 +773,19 @@ def _parse_ints(spec: str, flag: str) -> tuple:
         try:
             return tuple(range(int(lo), int(hi) + 1))
         except ValueError:
-            raise SystemExit(f"{flag}: bad range {spec!r} (want A..B)") from None
+            raise ValueError(f"{flag}: bad range {spec!r} (want A..B)") from None
     try:
         return tuple(int(part) for part in spec.split(","))
     except ValueError:
-        raise SystemExit(f"{flag}: bad value {spec!r} (want N,N,... or A..B)") from None
+        raise ValueError(f"{flag}: bad value {spec!r} (want N,N,... or A..B)") from None
 
 
 def _cmd_serve(args) -> int:
     """Run one socket-backend shard server until interrupted."""
-    from .engine.executors import ShardServer
-
     server = ShardServer(host=args.host, port=args.port)
     host, port = server.address
     print(f"shard server listening on {host}:{port}", flush=True)
-    print(
-        f"dispatch to it with: repro sweep --backend socket --hosts {host}:{port}",
-        flush=True,
-    )
+    print(f"dispatch to it with: repro sweep --backend socket --hosts {host}:{port}", flush=True)
     try:
         server.serve_forever(max_requests=args.max_requests)
     except KeyboardInterrupt:
@@ -956,7 +800,6 @@ def _cmd_serve_api(args) -> int:
     """Run the sweep-as-a-service HTTP job server until interrupted."""
     from .service import ServiceConfig, ServiceServer, SweepService
 
-    options = _execution_options(args)
     config = ServiceConfig(
         data_dir=Path(args.data_dir),
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
@@ -966,12 +809,9 @@ def _cmd_serve_api(args) -> int:
         job_workers=args.job_workers,
         rate=args.rate,
         burst=args.burst,
-        sweep_options=options.engine_kwargs(),
+        sweep_options=_execution_options(args).engine_kwargs(),
     )
-    try:
-        server = ServiceServer(SweepService(config), host=args.host, port=args.port)
-    except ValueError as error:
-        raise SystemExit(f"repro serve-api: {error}") from None
+    server = ServiceServer(SweepService(config), host=args.host, port=args.port)
     host, port = server.address
     print(f"sweep service listening on http://{host}:{port}/v1/", flush=True)
     print(
@@ -988,16 +828,9 @@ def _cmd_serve_api(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import json as json_
-
-    from .api import sweep as api_sweep
-    from .engine import GridSpec, e1_grid, smoke_grid
-
     if args.smoke:
         grid = smoke_grid()
-    elif args.algorithms is None and args.deltas is None and args.seeds is None and args.chain == "ec":
-        grid = e1_grid()
-    else:
+    else:  # unset axes keep the E1 grid's values
         base = e1_grid()
         grid = GridSpec(
             algorithms=tuple(args.algorithms.split(",")) if args.algorithms else base.algorithms,
@@ -1005,22 +838,18 @@ def _cmd_sweep(args) -> int:
             chains=(args.chain,),
             seeds=_parse_ints(args.seeds, "--seeds") if args.seeds else base.seeds,
         )
-    from .engine import CellExecutionError
-
     options = _execution_options(args)
     progress = None
     progress_path = None
     if args.progress is not None:
-        from .obs.progress import ProgressEmitter
-
         if isinstance(args.progress, str):
             progress_path = Path(args.progress)
         elif args.out:
             progress_path = Path(args.out) / "progress.jsonl"
-        progress = ProgressEmitter(path=progress_path, stream=sys.stderr)
+        progress = obs.ProgressEmitter(path=progress_path, stream=sys.stderr)
 
     try:
-        result = api_sweep(
+        result = api.sweep(
             grid,
             out=args.out,
             cache_dir=args.cache_dir,
@@ -1030,8 +859,6 @@ def _cmd_sweep(args) -> int:
             progress=progress,
             **options.engine_kwargs(),
         )
-    except ValueError as error:
-        raise SystemExit(f"repro sweep: {error}") from None
     except CellExecutionError as error:
         # the failing cell is named here and recorded in summary.json's
         # "failed" list when --out was given
@@ -1042,104 +869,69 @@ def _cmd_sweep(args) -> int:
         print(f"results under {args.out} (summary.json, trace.json, shard-*.jsonl)")
     if progress_path is not None:
         print(f"progress events: {progress_path} ({progress.events} event(s))")
-    # the gate verdict is computed before the JSON payload is emitted so
-    # --json consumers always see a machine-readable account — including
-    # the 0-lookup case, where "hit_rate": null states explicitly that the
-    # floor was not applied (it used to be text-only with exit 0)
+    cache = result.cache
+    # the gate verdict is part of the JSON payload, so --json consumers get
+    # a machine-readable account; "hit_rate": null on 0 lookups states that
+    # the floor was not applied
     gate = None
     if args.min_hit_rate is not None:
-        if result.cache.lookups == 0:
-            gate = {
-                "min_hit_rate": args.min_hit_rate,
-                "hit_rate": None,
-                "applied": False,
-                "passed": None,
-            }
-        else:
-            gate = {
-                "min_hit_rate": args.min_hit_rate,
-                "hit_rate": result.cache.hit_rate,
-                "applied": True,
-                "passed": result.cache.hit_rate >= args.min_hit_rate,
-            }
+        applied = cache.lookups > 0
+        gate = {
+            "min_hit_rate": args.min_hit_rate,
+            "hit_rate": cache.hit_rate if applied else None,
+            "applied": applied,
+            "passed": cache.hit_rate >= args.min_hit_rate if applied else None,
+        }
     if args.json is not None:
         payload = {
             "grid": grid.as_dict(),
             "workers": result.workers,
             "backend": result.backend,
             "resumed": result.resumed,
-            "cache": result.cache.as_dict(),
+            "cache": cache.as_dict(),
             "recovery": result.recovery,
             "rows": list(result.rows),
         }
         if gate is not None:
             payload["hit_rate_gate"] = gate
-        _emit_json(args, json_.dumps(payload, sort_keys=True))
-    refuted = sum(1 for row in result.rows if row["status"] == "refuted")
+        _emit_json(args, json.dumps(payload, sort_keys=True))
     if gate is not None:
         # interned-plan reuse is reported alongside the rate but never
         # gated: a plan hit is a cheap compute under a miss, not a lookup
-        if result.cache.misses:
-            print(
-                f"interned-plan reuse: {result.cache.plan_hits}/{result.cache.misses} "
-                f"miss(es) answered by a cached shape plan"
-            )
+        if cache.misses:
+            print(f"interned-plan reuse: {cache.plan_hits}/{cache.misses} "
+                  f"miss(es) answered by a cached shape plan")
         else:
             print("interned-plan reuse: n/a (0 canonicalisation misses)")
+        floor = f"{args.min_hit_rate:.3f}"
         if not gate["applied"]:
             # no lookups (e.g. --no-cache, or a grid whose cells never
             # canonicalise): a rate floor is meaningless, not a failure
-            print(
-                f"canonical-cache hit rate n/a (0 lookups; "
-                f"--min-hit-rate {args.min_hit_rate:.3f} not applied)"
-            )
+            print(f"canonical-cache hit rate n/a (0 lookups; --min-hit-rate {floor} not applied)")
         elif not gate["passed"]:
-            print(
-                f"canonical-cache hit rate {result.cache.hit_rate:.3f} below required "
-                f"{args.min_hit_rate:.3f} "
-                f"({result.cache.hits}/{result.cache.lookups} lookups)"
-            )
+            print(f"canonical-cache hit rate {cache.hit_rate:.3f} below required {floor} "
+                  f"({cache.hits}/{cache.lookups} lookups)")
             return 1
         else:
-            print(
-                f"canonical-cache hit rate {result.cache.hit_rate:.3f} "
-                f"(>= {args.min_hit_rate:.3f} required)"
-            )
-    return 0 if refuted == 0 else 1
+            print(f"canonical-cache hit rate {cache.hit_rate:.3f} (>= {floor} required)")
+    return 0 if all(row["status"] != "refuted" for row in result.rows) else 1
 
 
 def _cmd_bench(args) -> int:
-    import json as json_
-
-    from .api import bench as api_bench
     from .obs import bench
 
     if args.report:
         trajectory_rows = bench.read_rows(args.trajectory)
         if args.json is not None:
-            _emit_json(args, json_.dumps(trajectory_rows, sort_keys=True, default=str))
+            _emit_json(args, json.dumps(trajectory_rows, sort_keys=True, default=str))
         else:
             print(bench.render_trajectory(trajectory_rows, last=args.last))
         return 0
 
-    options = _execution_options(args)
-    try:
-        suite = bench.suite_named(args.suite)
-    except ValueError as error:
-        raise SystemExit(f"repro bench: {error}") from None
-    report = api_bench(
-        suite,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        commit=args.commit,
-        workers=options.workers,
-        backend=options.backend,
-        hosts=list(options.hosts) or None,
-        cell_timeout=options.cell_timeout,
-        retries=options.retries,
-        max_restarts=options.max_restarts,
-    )
-    rows = list(report.rows)
+    options = _execution_options(args).engine_kwargs()
+    suite = bench.suite_named(args.suite)
+    run = api.bench(suite, repeats=args.repeats, warmup=args.warmup, commit=args.commit, **options)
+    rows = list(run.rows)
 
     if args.check:
         trajectory_rows = bench.read_rows(args.trajectory)
@@ -1152,20 +944,14 @@ def _cmd_bench(args) -> int:
             return 2
         report = bench.check_rows(rows, trajectory_rows, suite)
         if args.json is not None:
-            _emit_json(
-                args,
-                json_.dumps(
-                    {"rows": rows, "check": report.as_dict()},
-                    sort_keys=True,
-                    default=str,
-                ),
-            )
+            payload = {"rows": rows, "check": report.as_dict()}
+            _emit_json(args, json.dumps(payload, sort_keys=True, default=str))
         else:
             print(bench.render_check(report, rows, trajectory_rows))
         return 0 if report.ok else 1
 
     if args.json is not None:
-        _emit_json(args, json_.dumps(rows, sort_keys=True, default=str))
+        _emit_json(args, json.dumps(rows, sort_keys=True, default=str))
     else:
         print(bench.render_rows(rows))
     if args.dry_run:
@@ -1178,14 +964,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify_store(args) -> int:
     """Replay a finished sweep store against fresh serial computation."""
-    import json as json_
-
-    from .engine import verify_store
-
-    directory = Path(args.store)
-    if not directory.is_dir():
-        raise SystemExit(f"repro verify: no such store directory: {args.store}")
-    report = verify_store(directory)
+    if not Path(args.store).is_dir():
+        raise ValueError(f"no such store directory: {args.store}")
+    report = verify_store(Path(args.store))
     ok = not report["mismatched"] and report["summary_consistent"]
     print(
         f"store {args.store}: {report['matched']}/{report['cells']} rows match "
@@ -1202,37 +983,29 @@ def _cmd_verify_store(args) -> int:
             f"{scan.get('duplicates', 0)} duplicate row(s)"
         )
     if args.json is not None:
-        _emit_json(args, json_.dumps(report, sort_keys=True, default=str))
+        _emit_json(args, json.dumps(report, sort_keys=True, default=str))
     return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
-    import json as json_
-
-    from .api import refute as api_refute
-
+    """``verify``, and its alias ``refute``: test a claimed round count."""
     if args.store is not None:
         if args.claimed_rounds is not None:
-            raise SystemExit("repro verify: --store and --claimed-rounds are mutually exclusive")
+            raise ValueError("--store and --claimed-rounds are mutually exclusive")
         return _cmd_verify_store(args)
     if args.claimed_rounds is None:
-        raise SystemExit("repro verify: one of --claimed-rounds or --store is required")
+        raise ValueError("one of --claimed-rounds or --store is required")
     if args.chain == "ec":
-        result = api_refute(
-            _make_algorithm(args.algorithm or "greedy"),
-            args.delta,
-            claimed_rounds=args.claimed_rounds,
-        )
+        algorithm, chain = make_algorithm(args.algorithm or "greedy"), None
+    elif args.algorithm in (None, "proposal"):
+        algorithm, chain = None, args.chain
     else:
-        if args.algorithm not in (None, "proposal"):
-            raise SystemExit(
-                f"repro verify: chain {args.chain!r} runs the proposal dynamics "
-                f"(the one machine with PO/ID presentations); drop --algorithm "
-                f"or pass --algorithm proposal"
-            )
-        result = api_refute(
-            None, args.delta, claimed_rounds=args.claimed_rounds, chain=args.chain
+        raise ValueError(
+            f"chain {args.chain!r} runs the proposal dynamics "
+            f"(the one machine with PO/ID presentations); drop --algorithm "
+            f"or pass --algorithm proposal"
         )
+    result = api.refute(algorithm, args.delta, claimed_rounds=args.claimed_rounds, chain=chain)
     print(result.summary())
     if args.json is not None:
         payload = {
@@ -1243,53 +1016,33 @@ def _cmd_verify(args) -> int:
             "kind": result.kind,
             "summary": result.summary(),
         }
-        _emit_json(args, json_.dumps(payload, sort_keys=True))
+        _emit_json(args, json.dumps(payload, sort_keys=True))
     return 0 if result.kind != "consistent" else 2
 
 
 def _cmd_order(args) -> int:
-    steps = [(c, s) for c in range(1, args.generators + 1) for s in (+1, -1)]
-    words = {()}
-    frontier = {()}
-    for _ in range(args.radius):
-        nxt = set()
-        for w in frontier:
-            for step in steps:
-                r = reduce_word(w + (step,))
-                if len(r) == len(w) + 1:
-                    nxt.add(r)
-        words |= nxt
-        frontier = nxt
-
     def pretty(word):
         if not word:
             return "e"
         return ".".join(f"g{c}" if s > 0 else f"g{c}~" for (c, s) in word)
 
-    for i, w in enumerate(sorted(words, key=tree_sort_key)):
+    words = sorted(tree_ball(args.generators, args.radius), key=tree_sort_key)
+    for i, w in enumerate(words):
         print(f"{i:>4}: {pretty(w)}")
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    The one error boundary: a ``ValueError`` from any verb (bad input the
+    library rejected) exits 1 with the line ``repro <verb>: <message>``.
+    """
     args = build_parser().parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "adversary": _cmd_adversary,
-        "refute": _cmd_refute,
-        "cover": _cmd_cover,
-        "order": _cmd_order,
-        "exhaustive": _cmd_exhaustive,
-        "lint": _cmd_lint,
-        "trace": _cmd_trace,
-        "sweep": _cmd_sweep,
-        "serve": _cmd_serve,
-        "serve-api": _cmd_serve_api,
-        "bench": _cmd_bench,
-        "verify": _cmd_verify,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.handler(args)
+    except ValueError as error:
+        raise SystemExit(f"repro {args.command}: {error}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -44,6 +44,7 @@ __all__ = [
     "bracket",
     "compare_words",
     "tree_sort_key",
+    "tree_ball",
 ]
 
 
@@ -58,6 +59,18 @@ def reduce_word(steps: Sequence[Step]) -> Word:
         else:
             out.append((c, d))
     return tuple(out)
+
+
+def tree_ball(d: int, radius: int) -> List[Word]:
+    """The nodes of ``T`` within ``radius`` of the identity: the reduced words
+    of length ``<= radius`` over colours ``1 .. d``, in tuple order (sort by
+    :data:`tree_sort_key` for the homogeneous order)."""
+    steps = [(c, s) for c in range(1, d + 1) for s in (+1, -1)]
+    words, frontier = {()}, {()}
+    for _ in range(radius):
+        frontier = {r for w in frontier for step in steps if len(r := reduce_word(w + (step,))) > len(w)}
+        words |= frontier
+    return sorted(words)
 
 
 def inverse_word(word: Sequence[Step]) -> Word:

@@ -81,8 +81,11 @@ def half_integral_grid(denominator: int = 2) -> List[Fraction]:
     """The weight grid ``{0, 1/d, 2/d, ..., 1}``.
 
     ``denominator = 2`` is the natural choice (a half-integral maximal FM
-    always exists), ``6`` covers thirds and halves simultaneously.
+    always exists), ``6`` covers thirds and halves simultaneously.  A
+    denominator below 1 names no grid and raises ``ValueError``.
     """
+    if denominator < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {denominator}")
     return [Fraction(k, denominator) for k in range(denominator + 1)]
 
 
@@ -107,6 +110,10 @@ def search_view_function(
     if t < 1:
         raise ValueError("use zero_round_impossibility for t = 0")
     grid = sorted({Fraction(w) for w in grid})
+    if not grid:
+        # an empty grid admits no algorithm on any universe: its
+        # "impossible" verdict would prove nothing
+        raise ValueError("the weight grid is empty")
     if any(w < 0 or w > 1 for w in grid):
         raise ValueError("grid weights must lie in [0, 1]")
 

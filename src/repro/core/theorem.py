@@ -172,8 +172,11 @@ def refute(
     ``tracer`` wraps the whole pipeline in one ``theorem.refute`` span; the
     adversary and any ``sim.*`` chain layers the algorithm is built from
     nest inside it, making the per-layer overhead of EC ⇐ PO ⇐ OI ⇐ ID
-    directly measurable.
+    directly measurable.  A negative ``claimed_rounds`` claims nothing and
+    raises ``ValueError`` before the adversary runs.
     """
+    if claimed_rounds < 0:
+        raise ValueError(f"claimed_rounds must be >= 0, got {claimed_rounds}")
     tracer = tracer if tracer is not None else current_tracer()
     with tracer.span(
         "theorem.refute",

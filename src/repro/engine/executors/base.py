@@ -157,11 +157,13 @@ class ExecutorContext:
 class ExecutionOptions:
     """The validated execution-control vocabulary shared by sweep and bench.
 
-    One object backs both CLI subcommands (``--workers``, ``--backend``,
-    ``--hosts``, ``--cell-timeout``, ``--retries``, ``--max-restarts``) and
-    the :mod:`repro.api` facade, so the constraints are checked in exactly
-    one place: at least one worker, non-negative timeouts and budgets, a
-    known backend name, and ``hosts`` only where it means something.
+    One object backs the CLI's execution flags (``--workers``,
+    ``--backend``, ``--hosts``, ``--cell-timeout``, ``--retries``,
+    ``--max-restarts``, whose defaults are this class's) and
+    :func:`repro.engine.run_sweep`, which applies it to every caller, so
+    the constraints are checked in exactly one place: at least one worker,
+    positive timeouts, non-negative budgets, a known backend name, and
+    ``hosts`` only where it means something.
     """
 
     workers: int = 1

@@ -15,7 +15,7 @@ Cells are deliberately tiny value objects (round-trippable through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
 from ..core.adversary import run_adversary
 from ..core.witness import AlgorithmFailure
@@ -139,10 +139,18 @@ def smoke_grid() -> GridSpec:
 
 
 def expand(grid: Union[GridSpec, Mapping]) -> List[Cell]:
-    """The grid's cells, validated, in deterministic sorted order."""
+    """The grid's cells, validated, each once, in deterministic sorted order.
+
+    A repeated axis value names its cells once, so no cell is computed or
+    counted twice; an empty axis raises ``ValueError``, since a 0-cell
+    sweep would finish ``done`` having checked nothing.
+    """
     if not isinstance(grid, GridSpec):
         grid = GridSpec.from_mapping(grid)
-    cells: List[Cell] = []
+    for axis, values in grid.as_dict().items():
+        if not values:
+            raise ValueError(f"grid axis {axis!r} is empty")
+    cells: Set[Cell] = set()
     for algorithm in grid.algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(
@@ -160,7 +168,7 @@ def expand(grid: Union[GridSpec, Mapping]) -> List[Cell]:
                 if delta < 2:
                     raise ValueError("the construction needs delta >= 2")
                 for seed in grid.seeds:
-                    cells.append(Cell(algorithm, delta, chain, seed))
+                    cells.add(Cell(algorithm, delta, chain, seed))
     return sorted(cells)
 
 

@@ -56,13 +56,14 @@ from ..obs.export import merge_trace_documents
 from ..obs.progress import NULL_PROGRESS, NullProgressEmitter
 from ..obs.tracer import current_tracer
 from .cache import CacheStats
-from .executors.base import ExecutorContext, SweepExecutor, as_executor
+from .executors.base import ExecutionOptions, ExecutorContext, SweepExecutor, as_executor
 from .executors.shard import (
     CellExecutionError,
     CellTimeout,
     shard_cells,
     shard_payloads,
 )
+from .executors.sockets import parse_hosts
 from .faults import as_plan
 from .grid import Cell, GridSpec, expand, run_cell
 from .store import ResultStore
@@ -148,6 +149,8 @@ def run_sweep(
         ``backend=None``, ``0`` or ``1`` selects the inline backend (the
         serial baseline the parallel paths must reproduce byte-identically)
         and ``n >= 2`` selects the process pool — the historical behaviour.
+        A negative count, like any value :class:`~repro.engine.executors.
+        ExecutionOptions` rejects, raises ``ValueError``.
     backend:
         Which :class:`~repro.engine.executors.SweepExecutor` runs the
         shards: ``"inline"``, ``"process"``, ``"socket"``, an executor
@@ -208,6 +211,17 @@ def run_sweep(
         The emitter only observes the sweep — rows are byte-identical with
         or without it.  ``None`` (default) uses the shared no-op emitter.
     """
+    # the execution-control rules, once for every caller; workers=0 is the
+    # serial spelling, and an executor instance brings its own backend
+    named = not isinstance(backend, SweepExecutor)
+    ExecutionOptions(
+        workers=workers or 1,
+        backend=backend if named else None,
+        hosts=tuple(parse_hosts(hosts)) if named else (),
+        cell_timeout=cell_timeout,
+        retries=retries,
+        max_restarts=max_restarts,
+    )
     if grid is None:
         spec = GridSpec()
     elif isinstance(grid, GridSpec):

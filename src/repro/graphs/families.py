@@ -130,6 +130,8 @@ def random_bounded_degree_graph(n: int, max_degree: int, seed: int) -> ECGraph:
     are still below the bound; density targets roughly ``n * max_degree / 4``
     edges, so instances are neither trees nor near-regular.
     """
+    if n < 2:
+        raise ValueError(f"random graphs need at least 2 nodes, got {n}")
     rng = random.Random(seed)
     degree = {v: 0 for v in range(n)}
     chosen = set()

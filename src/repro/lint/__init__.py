@@ -60,6 +60,7 @@ from .engine import (
     ProjectUnderLint,
     lint_paths,
     lint_source,
+    load_modules,
     module_name_for,
 )
 from .reporters import render_json, render_sarif, render_text, summarize
@@ -75,6 +76,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_baseline",
+    "load_modules",
     "module_name_for",
     "ratchet",
     "render_json",

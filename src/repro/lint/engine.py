@@ -54,6 +54,7 @@ __all__ = [
     "MARKER_KINDS",
     "lint_source",
     "lint_paths",
+    "load_modules",
     "module_name_for",
 ]
 
@@ -593,6 +594,29 @@ def _iter_py_files(paths: Iterable[Path]) -> Iterable[Path]:
             yield candidate
 
 
+def load_modules(
+    paths: Iterable, config: Optional[LintConfig] = None
+) -> Tuple[List[ModuleUnderLint], List[Finding]]:
+    """Parse every ``*.py`` under ``paths`` (files or directories) once.
+
+    Returns the parsed modules, and one ``syntax`` finding per file that
+    does not parse; a file passed both directly and via a parent directory
+    is read once.
+    """
+    config = config or DEFAULT_CONFIG
+    modules: List[ModuleUnderLint] = []
+    syntax_findings: List[Finding] = []
+    for file in _iter_py_files(Path(p) for p in paths):
+        source = file.read_text(encoding="utf-8")
+        mod, syntax = _parse_module(source, str(file), module_name_for(file), config)
+        if syntax is not None:
+            syntax_findings.append(syntax)
+        else:
+            assert mod is not None
+            modules.append(mod)
+    return modules, syntax_findings
+
+
 def lint_paths(
     paths: Iterable,
     config: Optional[LintConfig] = None,
@@ -600,21 +624,12 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint every ``*.py`` under ``paths`` (files or directories).
 
-    All parseable modules form one :class:`ProjectUnderLint`, so the
-    interprocedural rules see every cross-module call path; a file passed
-    both directly and via a parent directory is linted once.
+    All parseable modules (:func:`load_modules`) form one
+    :class:`ProjectUnderLint`, so the interprocedural rules see every
+    cross-module call path.
     """
     config = config or DEFAULT_CONFIG
     wanted = _selected_rules(select)
-    modules: List[ModuleUnderLint] = []
-    findings: List[Finding] = []
-    for file in _iter_py_files(Path(p) for p in paths):
-        source = file.read_text(encoding="utf-8")
-        mod, syntax = _parse_module(source, str(file), module_name_for(file), config)
-        if syntax is not None:
-            findings.append(syntax)
-        else:
-            assert mod is not None
-            modules.append(mod)
+    modules, findings = load_modules(paths, config)
     findings.extend(_lint_modules(modules, config, wanted))
     return sorted(findings)

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro import api
+from repro.engine import smoke_grid
 from repro.graphs.families import path_graph
 from repro.graphs.ports import po_double_from_ec
 from repro.local.runtime import ECNetwork, run, run_rounds
@@ -68,6 +69,12 @@ class TestApiRefute:
         with pytest.raises(ValueError, match="unknown chain"):
             api.refute(None, 3, chain="qc")
 
+    @pytest.mark.parametrize("chain", [None, "po"])
+    def test_negative_claim_rejected(self, chain):
+        algorithm = greedy_color_algorithm() if chain is None else None
+        with pytest.raises(ValueError, match="claimed_rounds must be >= 0"):
+            api.refute(algorithm, 3, claimed_rounds=-3, chain=chain)
+
 
 class TestApiSweep:
     def test_mapping_grid(self):
@@ -86,6 +93,25 @@ class TestApiSweep:
         assert 0.0 <= report.cache_hit_rate <= 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.backend = "process"
+
+    @pytest.mark.parametrize(
+        ("options", "message"),
+        [
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"workers": -3}, "workers must be >= 1"),
+            ({"cell_timeout": -1.0}, "cell_timeout must be positive"),
+            ({"max_restarts": -1}, "max_restarts must be >= 0"),
+        ],
+    )
+    def test_bad_execution_options_rejected(self, options, message):
+        # retries=-1 used to fail every cell with "RuntimeError: unknown",
+        # workers=-3 to run and report "on -3 worker(s)"
+        with pytest.raises(ValueError, match=message):
+            api.sweep(smoke_grid(), **options)
+
+    def test_workers_zero_is_the_serial_spelling(self):
+        report = api.sweep({"algorithms": "greedy", "deltas": 3}, workers=0)
+        assert report.backend == "inline" and report.workers == 0
 
     def test_facade_reexported_at_package_top_level(self):
         import repro

@@ -14,25 +14,9 @@ from repro.core.canonical_order import (
     inverse_word,
     reduce_word,
     slot_key,
+    tree_ball,
     tree_sort_key,
 )
-
-
-def ball(d: int, radius: int):
-    """All reduced words of length <= radius over d colours."""
-    steps = [(c, s) for c in range(1, d + 1) for s in (+1, -1)]
-    words = {()}
-    frontier = {()}
-    for _ in range(radius):
-        nxt = set()
-        for w in frontier:
-            for step in steps:
-                r = reduce_word(w + (step,))
-                if len(r) == len(w) + 1:
-                    nxt.add(r)
-        words |= nxt
-        frontier = nxt
-    return sorted(words)
 
 
 class TestWords:
@@ -66,13 +50,13 @@ class TestBracket:
 
     def test_brackets_are_odd(self):
         """Totality: the bracket of any non-trivial reduced word is odd."""
-        for w in ball(2, 3):
+        for w in tree_ball(2, 3):
             if w:
                 assert bracket(w) % 2 == 1 or bracket(w) % 2 == -1
                 assert bracket(w) != 0
 
     def test_antisymmetry(self):
-        for w in ball(2, 3):
+        for w in tree_ball(2, 3):
             assert bracket(w) == -bracket(inverse_word(w))
 
     def test_requires_reduced(self):
@@ -101,13 +85,13 @@ class TestLinearOrder:
         assert compare_words(((1, 1),), ((1, 1),)) == 0
 
     def test_antisymmetric_total(self):
-        words = ball(2, 2)
+        words = tree_ball(2, 2)
         for x, y in combinations(words, 2):
             assert compare_words(x, y) == -compare_words(y, x)
             assert compare_words(x, y) != 0
 
     def test_transitive_exhaustive(self):
-        words = ball(2, 2)
+        words = tree_ball(2, 2)
         for x, y, z in combinations(words, 3):
             signs = (compare_words(x, y), compare_words(y, z), compare_words(x, z))
             if signs[0] == signs[1] == -1:
@@ -116,7 +100,7 @@ class TestLinearOrder:
                 assert signs[2] == 1
 
     def test_sortable(self):
-        words = ball(2, 2)
+        words = tree_ball(2, 2)
         ordered = sorted(words, key=tree_sort_key)
         for a, b in zip(ordered, ordered[1:]):
             assert compare_words(a, b) == -1
@@ -128,7 +112,7 @@ class TestHomogeneity:
 
     def test_left_invariance_random(self):
         rng = random.Random(42)
-        words = ball(2, 3)
+        words = tree_ball(2, 3)
         for _ in range(500):
             x, y = rng.sample(words, 2)
             g = rng.choice(words)
@@ -136,7 +120,7 @@ class TestHomogeneity:
 
     def test_left_invariance_three_colors(self):
         rng = random.Random(7)
-        words = ball(3, 2)
+        words = tree_ball(3, 2)
         for _ in range(200):
             x, y = rng.sample(words, 2)
             g = rng.choice(words)
@@ -150,7 +134,7 @@ class TestHomogeneity:
         base_ball = [()] + [reduce_word((s,)) for s in steps]
         base_sorted = sorted(base_ball, key=tree_sort_key)
         base_pattern = [base_sorted.index(w) for w in base_ball]
-        for g in ball(2, 2):
+        for g in tree_ball(2, 2):
             shifted = [concat(g, w) for w in base_ball]
             shifted_sorted = sorted(shifted, key=tree_sort_key)
             pattern = [shifted_sorted.index(w) for w in shifted]

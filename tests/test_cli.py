@@ -2,11 +2,150 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: every verb's arguments as (option strings, or the dest of a positional;
+#: default; choices), in declaration order, read from build_parser(): the
+#: surface a refactor of the parser must not change
+SURFACE = {
+    "adversary": [
+        (("--delta",), 5, None),
+        (("--algorithm",), "greedy", None),
+        (("--deep-verify",), False, None),
+    ],
+    "bench": [
+        (("--suite",), "smoke", None),
+        (("--trajectory",), "BENCH_TRAJECTORY.jsonl", None),
+        (("--check",), False, None),
+        (("--report",), False, None),
+        (("--dry-run",), False, None),
+        (("--repeats",), 3, None),
+        (("--warmup",), 1, None),
+        (("--commit",), None, None),
+        (("--last",), 8, None),
+        (("--json",), None, None),
+        (("--workers",), 1, None),
+        (("--backend",), None, ["inline", "process", "socket"]),
+        (("--hosts",), None, None),
+        (("--cell-timeout",), None, None),
+        (("--retries",), 1, None),
+        (("--max-restarts",), 2, None),
+    ],
+    "cover": [
+        (("--family",), "random", None),
+        (("--n",), 20, None),
+        (("--delta",), 4, None),
+        (("--seed",), 0, None),
+        (("--algorithm",), "greedy", None),
+    ],
+    "exhaustive": [
+        (("--delta",), 3, None),
+        (("--grid-denominator",), 6, None),
+    ],
+    "lint": [
+        (("paths",), ["src"], None),
+        (("--json",), None, None),
+        (("--sanitize-demo",), False, None),
+        (("--baseline",), None, None),
+        (("--update-baseline",), None, None),
+        (("--sarif",), None, None),
+        (("--explain",), None, None),
+        (("--effects",), None, None),
+    ],
+    "order": [
+        (("--generators",), 2, None),
+        (("--radius",), 2, None),
+    ],
+    "serve": [
+        (("--host",), "127.0.0.1", None),
+        (("--port",), 0, None),
+        (("--max-requests",), None, None),
+    ],
+    "serve-api": [
+        (("--host",), "127.0.0.1", None),
+        (("--port",), 0, None),
+        (("--data-dir",), "service-data", None),
+        (("--cache-dir",), None, None),
+        (("--no-shared-cache",), False, None),
+        (("--disk-budget",), None, None),
+        (("--queue-size",), 16, None),
+        (("--job-workers",), 1, None),
+        (("--rate",), 0.0, None),
+        (("--burst",), 4, None),
+        (("--workers",), 1, None),
+        (("--backend",), None, ["inline", "process", "socket"]),
+        (("--hosts",), None, None),
+        (("--cell-timeout",), None, None),
+        (("--retries",), 1, None),
+        (("--max-restarts",), 2, None),
+    ],
+    "solve": [
+        (("--family",), "random", None),
+        (("--n",), 20, None),
+        (("--delta",), 4, None),
+        (("--seed",), 0, None),
+        (("--algorithm",), "greedy", None),
+    ],
+    "sweep": [
+        (("--algorithms",), None, None),
+        (("--deltas",), None, None),
+        (("--seeds",), None, None),
+        (("--json",), None, None),
+        (("--chain",), "ec", ["ec", "po", "oi", "id"]),
+        (("--out",), None, None),
+        (("--workers",), 1, None),
+        (("--backend",), None, ["inline", "process", "socket"]),
+        (("--hosts",), None, None),
+        (("--cell-timeout",), None, None),
+        (("--retries",), 1, None),
+        (("--max-restarts",), 2, None),
+        (("--cache-dir",), None, None),
+        (("--no-cache",), False, None),
+        (("--resume",), False, None),
+        (("--smoke",), False, None),
+        (("--min-hit-rate",), None, None),
+        (("--faults",), None, None),
+        (("--progress",), None, None),
+    ],
+    "trace": [
+        (("target",), None, ["demo", "adversary", "theorem"]),
+        (("--algorithm",), "greedy", None),
+        (("--json",), None, None),
+        (("--delta",), 5, None),
+        (("--chain",), "po", ["ec", "po", "oi", "id"]),
+        (("--jsonl",), None, None),
+        (("--profile",), False, None),
+        (("--top",), 10, None),
+        (("--max-depth",), 3, None),
+    ],
+    "verify": [
+        (("--algorithm",), None, None),
+        (("--claimed-rounds",), None, None),
+        (("--store",), None, None),
+        (("--json",), None, None),
+        (("--delta",), 5, None),
+        (("--chain",), "ec", ["ec", "po", "oi", "id"]),
+    ],
+}
+SURFACE["refute"] = SURFACE["verify"]  # an alias, not a second verb
+
+
+def subcommands(parser):
+    """The verb name -> verb parser map of a ``build_parser()`` parser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def verb_surface(verb_parser):
+    return [
+        (tuple(a.option_strings) or (a.dest,), a.default, None if a.choices is None else list(a.choices))
+        for a in verb_parser._actions
+        if not isinstance(a, argparse._HelpAction)
+    ]
 
 
 class TestSolve:
@@ -133,6 +272,18 @@ class TestSweep:
         assert main(["sweep", "--smoke", "--out", out_dir, "--resume"]) == 0
         out = capsys.readouterr().out
         assert "(0 computed, 4 resumed)" in out
+
+    def test_repeated_delta_is_one_cell(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main([
+            "sweep", "--algorithms", "greedy", "--deltas", "3,3", "--out", str(out_dir), "--progress",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("1 cells (1 computed, 0 resumed)")
+        assert len((out_dir / "shard-0.jsonl").read_text().splitlines()) == 1
+        events = [json.loads(line) for line in (out_dir / "progress.jsonl").read_text().splitlines()]
+        final = events[-1]
+        assert final["event"] == "final" and final["done"] == final["total"] == 1
 
     def test_bad_delta_spec(self):
         with pytest.raises(SystemExit):
@@ -374,3 +525,45 @@ class TestVerifyStore:
     def test_missing_store_directory(self, tmp_path):
         with pytest.raises(SystemExit, match="no such store"):
             main(["verify", "--store", str(tmp_path / "nope")])
+
+
+class TestSurface:
+    @pytest.mark.parametrize("verb", sorted(SURFACE))
+    def test_options_defaults_and_choices(self, verb):
+        assert verb_surface(subcommands(build_parser())[verb]) == SURFACE[verb]
+
+    def test_no_verb_added_or_removed(self):
+        assert sorted(subcommands(build_parser())) == sorted(SURFACE)
+
+    def test_refute_is_the_verify_parser(self):
+        verbs = subcommands(build_parser())
+        assert verbs["refute"] is verbs["verify"]
+
+
+class TestErrorBoundary:
+    """``main`` turns a library ``ValueError`` into exit 1 and one line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "0"],
+            ["adversary", "--delta", "1"],
+            ["exhaustive", "--grid-denominator", "0"],
+            ["exhaustive", "--grid-denominator", "-2"],
+            ["verify", "--claimed-rounds", "-1"],
+            ["refute", "--claimed-rounds", "-3"],
+            ["sweep", "--deltas", "8..3"],
+            ["sweep", "--algorithms", "greedy", "--deltas", "three"],
+        ],
+    )
+    def test_bad_input_exits_with_one_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str)  # a string exit code means status 1
+        assert message.startswith(f"repro {argv[0]}: ")
+        assert "\n" not in message
+
+    def test_refute_without_claim_gets_the_verify_message(self):
+        with pytest.raises(SystemExit, match="repro refute: one of --claimed-rounds or --store"):
+            main(["refute"])

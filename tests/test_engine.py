@@ -29,7 +29,8 @@ from repro.graphs.families import path_graph
 from repro.graphs.isomorphism import canonical_rooted_form, use_canonical_cache
 from repro.graphs.memo import FORMS, reset_memos
 from repro.graphs.multigraph import ECGraph
-from repro.obs import Tracer, merge_trace_documents, use_tracer
+from repro.obs import ProgressEmitter, Tracer, merge_trace_documents, use_tracer
+from repro.obs.progress import read_progress_events
 
 
 def loopy_pair():
@@ -296,6 +297,15 @@ class TestGrid:
         with pytest.raises(ValueError, match="proposal"):
             expand(GridSpec(algorithms=("greedy",), chains=("po",)))
 
+    def test_repeated_axis_values_name_each_cell_once(self):
+        cells = expand(GridSpec(algorithms=("greedy", "greedy"), deltas=(3, 3), seeds=(0, 0)))
+        assert [cell.key for cell in cells] == ["greedy/d3/ec/s0"]
+
+    @pytest.mark.parametrize("axis", ["algorithms", "deltas", "chains", "seeds"])
+    def test_empty_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"grid axis '{axis}' is empty"):
+            expand({axis: []})
+
     def test_from_mapping_accepts_scalars(self):
         spec = GridSpec.from_mapping({"algorithms": "greedy", "deltas": 4})
         assert spec.algorithms == ("greedy",)
@@ -427,6 +437,46 @@ class TestRunSweep:
     def test_no_cache_disables_memoization(self):
         result = run_sweep(GridSpec(algorithms=("greedy",), deltas=(3,)), use_cache=False)
         assert result.cache.lookups == 0
+
+    def test_repeated_delta_computed_once_and_final_event_exact(self, tmp_path):
+        # deltas (3, 3) used to compute its one cell twice and end with a
+        # final event of done 1, total 2, pending 1
+        path = tmp_path / "progress.jsonl"
+        emitter = ProgressEmitter(path=path, interval=0.0)
+        grid = GridSpec(algorithms=("greedy",), deltas=(3, 3))
+        result = run_sweep(grid, out_dir=tmp_path / "out", progress=emitter)
+        assert [row["key"] for row in result.rows] == ["greedy/d3/ec/s0"]
+        assert ResultStore(tmp_path / "out").count_rows() == 1
+        final = read_progress_events(path)[-1]
+        assert final["event"] == "final"
+        assert final["done"] == final["total"] == 1 and final["pending"] == 0
+
+    def test_empty_grid_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="grid axis 'deltas' is empty"):
+            run_sweep({"deltas": []}, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        ("options", "message"),
+        [
+            ({"workers": -3}, "workers must be >= 1, got -3"),
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"max_restarts": -1}, "max_restarts must be >= 0"),
+            ({"cell_timeout": -1.0}, "cell_timeout must be positive"),
+            ({"cell_timeout": 0}, "cell_timeout must be positive"),
+            ({"backend": "carrier-pigeon"}, "unknown backend"),
+            ({"backend": "inline", "hosts": "h:1"}, "hosts only apply to the socket backend"),
+        ],
+    )
+    def test_execution_options_validated_once_for_every_caller(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            run_sweep(smoke_grid(), **options)
+
+    def test_executor_instance_accepted(self):
+        from repro.engine.executors import InlineExecutor
+
+        result = run_sweep(GridSpec(algorithms=("greedy",), deltas=(3,)), backend=InlineExecutor())
+        assert result.backend == "inline" and len(result.rows) == 1
 
     def test_sweep_nests_under_ambient_tracer(self):
         tracer = Tracer()

@@ -24,6 +24,16 @@ class TestGrid:
         assert Fraction(1, 3) in grid and Fraction(1, 2) in grid
         assert len(grid) == 7
 
+    @pytest.mark.parametrize("denominator", [0, -2])
+    def test_denominator_below_one_names_no_grid(self, denominator):
+        # -2 used to give an empty grid (a vacuous IMPOSSIBLE), 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="denominator must be >= 1"):
+            half_integral_grid(denominator)
+
+    def test_empty_grid_proves_nothing(self):
+        with pytest.raises(ValueError, match="grid is empty"):
+            search_view_function(one_round_universe(2), t=1, grid=[])
+
 
 class TestUniverse:
     def test_counts(self):

@@ -95,6 +95,12 @@ class TestSubmission:
         assert second.tenant == "public"  # the default tenant
         assert [j.id for j in service.jobs(tenant="alice")] == [job.id]
 
+    def test_submit_counts_each_cell_once_and_rejects_empty_grids(self, tmp_path):
+        service = make_service(tmp_path)
+        assert service.submit({"algorithms": ["greedy"], "deltas": [3, 3]}).cells == 1
+        with pytest.raises(ValueError, match="grid axis 'deltas' is empty"):
+            service.submit({"deltas": []})
+
     def test_queue_full_raises_backpressure(self, tmp_path):
         service = make_service(tmp_path, queue_size=1)  # workers never started
         service.submit(tiny_grid())
@@ -366,6 +372,8 @@ class TestHTTPService:
             server, "POST", "/v1/jobs", {"grid": {"algorithms": ["bogus"]}}
         )
         assert status == 400 and "invalid submission" in payload["error"]
+        status, _, payload = self.request(server, "POST", "/v1/jobs", {"grid": {"deltas": []}})
+        assert status == 400 and "empty" in payload["error"]
         status, _, payload = self.request(
             server, "POST", "/v1/jobs", {"grid": tiny_grid(), "tenant": "../escape"}
         )

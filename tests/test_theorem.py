@@ -62,6 +62,16 @@ class TestRefute:
         assert r.failure is not None
         assert "not" in r.summary()
 
+    def test_negative_claim_rejected_before_the_adversary_runs(self, monkeypatch):
+        import repro.core.theorem as theorem
+
+        def adversary(*args, **kwargs):
+            raise AssertionError("the adversary ran")
+
+        monkeypatch.setattr(theorem, "run_adversary", adversary)
+        with pytest.raises(ValueError, match="claimed_rounds must be >= 0, got -3"):
+            refute(greedy_color_algorithm(), claimed_rounds=-3, delta=3)
+
     def test_boundary_claim(self):
         """claimed = Delta - 2 is exactly refutable; Delta - 1 is not."""
         r1 = refute(greedy_color_algorithm(), claimed_rounds=3, delta=5)
