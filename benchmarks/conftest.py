@@ -15,12 +15,6 @@ sorted**, so an unchanged benchmark reproduces its committed artifact byte
 for byte.  Each artifact carries the recorded series, the lint-cleanliness
 header, and — when ``$REPRO_BENCH_TRACE`` is set — a hottest-spans profile
 of the whole session captured with the ``repro.obs`` tracer.
-
-With ``$REPRO_BENCH_TRAJECTORY`` set to a path, the session also appends
-one per-experiment baseline row for the current commit to that
-``BENCH_TRAJECTORY.jsonl`` file (suite ``"pytest-bench"``, so the rows
-never collide with the ``repro bench`` suites; see
-``repro.obs.bench.trajectory`` for the schema).
 """
 
 from __future__ import annotations
@@ -172,39 +166,6 @@ def _write_artifacts(tr) -> None:
             profile=profile,
         )
         tr.write_line(f"wrote {path}")
-    _seed_trajectory(tr, groups)
-
-
-def _seed_trajectory(tr, groups: Dict[str, List[dict]]) -> None:
-    """Append per-experiment baseline rows when $REPRO_BENCH_TRAJECTORY is set.
-
-    The rows carry the recorded series/row counts under suite
-    ``"pytest-bench"`` — enough for the trajectory to be non-empty and
-    attributable to a commit even before ``repro bench`` has run.
-    """
-    target = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if not target or not groups:
-        return
-    try:
-        from repro.obs.bench import append_rows, current_commit, make_row
-    except Exception as exc:  # never block a bench run on the trajectory
-        tr.write_line(f"bench trajectory unavailable: {exc}")
-        return
-    commit = current_commit()
-    rows = [
-        make_row(
-            suite="pytest-bench",
-            experiment=experiment_id,
-            commit=commit,
-            metrics={
-                "series": len(series),
-                "rows": sum(len(group["rows"]) for group in series),
-            },
-        )
-        for experiment_id, series in sorted(groups.items())
-    ]
-    path = append_rows(target, rows)
-    tr.write_line(f"appended {len(rows)} baseline row(s) to {path}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -38,17 +38,15 @@ Quickstart::
 """
 
 from . import analysis, api, coloring, core, engine, graphs, lint, local, matching, problems
-from .api import BenchReport, Refutation, RunResult, SweepReport, bench, refute, run, sweep
+from .api import Refutation, RunResult, SweepReport, refute, run, sweep
 
 __version__ = "1.0.0"
 
 __all__ = [
     # the stable facade (repro.api), re-exported at the top level
-    "BenchReport",
     "Refutation",
     "RunResult",
     "SweepReport",
-    "bench",
     "refute",
     "run",
     "sweep",

@@ -9,18 +9,15 @@ Three verbs cover the repository's workflows:
   optionally stacking the Section 5 simulation chain (EC ⇐ PO ⇐ OI ⇐ ID)
   in front of a base machine;
 * :func:`sweep` — run a declarative grid of (algorithm, ∆, chain, seed)
-  cells through the parallel experiment engine (:mod:`repro.engine`);
-* :func:`bench` — run a declared scaling-experiment suite
-  (:mod:`repro.obs.bench`) and return its per-commit trajectory rows.
+  cells through the parallel experiment engine (:mod:`repro.engine`).
 
 Everything here is re-exported keyword-first and model-agnostic: ``run``
 builds the right network adapter from the algorithm's declared model, and
 ``refute`` accepts either a ready EC-weight algorithm or a ``chain`` name.
 Returns are typed: ``run`` a :class:`RunResult`, ``refute`` a
-:class:`Refutation`, ``sweep`` a frozen :class:`SweepReport`, ``bench`` a
-frozen :class:`BenchReport` — no raw dict ever escapes the facade.  The
-lower-level modules remain importable, but new code (and the CLI) should
-go through this facade.
+:class:`Refutation`, ``sweep`` a frozen :class:`SweepReport` — no raw
+dict ever escapes the facade.  The lower-level modules remain importable,
+but new code (and the CLI) should go through this facade.
 """
 
 from __future__ import annotations
@@ -44,11 +41,9 @@ from .local.runtime import (
 )
 
 __all__ = [
-    "BenchReport",
     "Refutation",
     "RunResult",
     "SweepReport",
-    "bench",
     "refute",
     "run",
     "sweep",
@@ -98,27 +93,6 @@ class SweepReport:
             trace=result.trace,
             summary=result.summary(),
         )
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Immutable facade view of one bench-suite run.
-
-    ``rows`` are the schema-versioned trajectory rows (see
-    :mod:`repro.obs.bench.trajectory`), untouched, so they can be handed
-    straight to ``append_rows``/``check_rows``.
-    """
-
-    suite: str
-    rows: Tuple[Mapping[str, Any], ...]
-
-    @property
-    def commit(self) -> Optional[str]:
-        return self.rows[0].get("commit") if self.rows else None
-
-    @property
-    def experiments(self) -> Tuple[str, ...]:
-        return tuple(row.get("experiment", "?") for row in self.rows)
 
 
 def _as_network(algorithm: DistributedAlgorithm, graph: Any, globals_: Optional[Dict[str, Any]]) -> Network:
@@ -281,47 +255,3 @@ def sweep(
     )
     return SweepReport.from_engine(result)
 
-
-def bench(
-    suite="smoke",
-    *,
-    repeats: int = 3,
-    warmup: int = 1,
-    commit: Optional[str] = None,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    hosts=None,
-    cell_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    max_restarts: Optional[int] = None,
-) -> BenchReport:
-    """Run the named scaling-experiment suite; returns a :class:`BenchReport`.
-
-    The execution-control options (``workers``/``backend``/``cell_timeout``/
-    ``retries``/``max_restarts``) are forwarded to every sweep the suite's
-    runners launch, which validates them (worker-scaling keeps sweeping its
-    own worker counts); left at ``None`` they change nothing, so default
-    bench rows stay comparable across the committed trajectory.
-
-    Rows are schema-versioned dicts (see
-    :mod:`repro.obs.bench.trajectory`) and are **not** persisted here —
-    append them with :func:`repro.obs.bench.append_rows`, or use
-    ``python -m repro bench``, which also runs the regression gate
-    (``--check``) and the dashboard (``--report``).
-    """
-    from .obs.bench import run_suite
-
-    overrides = {
-        "workers": workers,
-        "backend": backend,
-        "hosts": hosts,
-        "cell_timeout": cell_timeout,
-        "retries": retries,
-        "max_restarts": max_restarts,
-    }
-    engine_opts = {key: value for key, value in overrides.items() if value is not None}
-    rows = run_suite(
-        suite, repeats=repeats, warmup=warmup, commit=commit, engine_opts=engine_opts
-    )
-    name = suite if isinstance(suite, str) else suite.name
-    return BenchReport(suite=name, rows=tuple(rows))

@@ -21,7 +21,7 @@ from .core.canonical_order import tree_ball, tree_sort_key
 from .core.exhaustive import half_integral_grid, one_round_universe, search_view_function
 from .core.witness import AlgorithmFailure
 from .engine import CellExecutionError, GridSpec, e1_grid, smoke_grid, verify_store
-from .engine.executors import BACKENDS, ExecutionOptions, ShardServer, parse_hosts
+from .engine.executors import BACKENDS, ExecutionOptions, ShardServer
 from .engine.grid import CHAINS, make_algorithm
 from .graphs.families import (
     caterpillar,
@@ -146,7 +146,7 @@ def _execution_options(args) -> ExecutionOptions:
     return ExecutionOptions(
         workers=args.workers,
         backend=args.backend,
-        hosts=tuple(parse_hosts(args.hosts)),
+        hosts=args.hosts,
         cell_timeout=args.cell_timeout,
         retries=args.retries,
         max_restarts=args.max_restarts,
@@ -374,69 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         "JSONL events written to PATH (bare: <out>/progress.jsonl when "
         "--out is set, else stderr only)",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the scaling-experiment suite, persist per-commit trajectory "
-        "rows, and gate performance regressions",
-    )
-    bench.set_defaults(handler=_cmd_bench)
-    bench.add_argument(
-        "--suite",
-        default="smoke",
-        help="declared suite to run (smoke, full; default smoke)",
-    )
-    bench.add_argument(
-        "--trajectory",
-        default="BENCH_TRAJECTORY.jsonl",
-        metavar="PATH",
-        help="append-only trajectory file (default BENCH_TRAJECTORY.jsonl)",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="run the suite, compare against the committed trajectory, and "
-        "exit 1 past any declared threshold (nothing is appended)",
-    )
-    bench.add_argument(
-        "--report",
-        action="store_true",
-        help="render the trend dashboard from the trajectory without running",
-    )
-    bench.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="run the suite and print the rows without appending them",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="timed repetitions per measurement; the median is recorded "
-        "(default 3)",
-    )
-    bench.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        metavar="N",
-        help="untimed warmup runs per measurement (default 1)",
-    )
-    bench.add_argument(
-        "--commit",
-        metavar="SHA",
-        help="commit id recorded on rows (default: $REPRO_BENCH_COMMIT or "
-        "git rev-parse HEAD)",
-    )
-    bench.add_argument(
-        "--last",
-        type=int,
-        default=8,
-        metavar="N",
-        help="rows per experiment in the --report dashboard (default 8)",
-    )
-    add_common_options(bench, json_flag=True, execution=True)
 
     serve = sub.add_parser(
         "serve",
@@ -915,51 +852,6 @@ def _cmd_sweep(args) -> int:
         else:
             print(f"canonical-cache hit rate {cache.hit_rate:.3f} (>= {floor} required)")
     return 0 if all(row["status"] != "refuted" for row in result.rows) else 1
-
-
-def _cmd_bench(args) -> int:
-    from .obs import bench
-
-    if args.report:
-        trajectory_rows = bench.read_rows(args.trajectory)
-        if args.json is not None:
-            _emit_json(args, json.dumps(trajectory_rows, sort_keys=True, default=str))
-        else:
-            print(bench.render_trajectory(trajectory_rows, last=args.last))
-        return 0
-
-    options = _execution_options(args).engine_kwargs()
-    suite = bench.suite_named(args.suite)
-    run = api.bench(suite, repeats=args.repeats, warmup=args.warmup, commit=args.commit, **options)
-    rows = list(run.rows)
-
-    if args.check:
-        trajectory_rows = bench.read_rows(args.trajectory)
-        if not trajectory_rows:
-            print(
-                f"repro bench: trajectory {args.trajectory} is empty or missing; "
-                f"record a baseline first with: repro bench --suite {args.suite}",
-                file=sys.stderr,
-            )
-            return 2
-        report = bench.check_rows(rows, trajectory_rows, suite)
-        if args.json is not None:
-            payload = {"rows": rows, "check": report.as_dict()}
-            _emit_json(args, json.dumps(payload, sort_keys=True, default=str))
-        else:
-            print(bench.render_check(report, rows, trajectory_rows))
-        return 0 if report.ok else 1
-
-    if args.json is not None:
-        _emit_json(args, json.dumps(rows, sort_keys=True, default=str))
-    else:
-        print(bench.render_rows(rows))
-    if args.dry_run:
-        print(f"dry run: {len(rows)} row(s) not appended to {args.trajectory}")
-    else:
-        bench.append_rows(args.trajectory, rows)
-        print(f"appended {len(rows)} row(s) to {args.trajectory}")
-    return 0
 
 
 def _cmd_verify_store(args) -> int:

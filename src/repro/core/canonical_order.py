@@ -65,6 +65,10 @@ def tree_ball(d: int, radius: int) -> List[Word]:
     """The nodes of ``T`` within ``radius`` of the identity: the reduced words
     of length ``<= radius`` over colours ``1 .. d``, in tuple order (sort by
     :data:`tree_sort_key` for the homogeneous order)."""
+    if d < 1:
+        raise ValueError(f"T needs at least 1 generator, got {d}")
+    if radius < 0:
+        raise ValueError(f"ball radius must be >= 0, got {radius}")
     steps = [(c, s) for c in range(1, d + 1) for s in (+1, -1)]
     words, frontier = {()}, {()}
     for _ in range(radius):

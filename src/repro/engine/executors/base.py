@@ -155,15 +155,17 @@ class ExecutorContext:
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """The validated execution-control vocabulary shared by sweep and bench.
+    """The validated execution-control vocabulary shared by sweep and serve-api.
 
     One object backs the CLI's execution flags (``--workers``,
     ``--backend``, ``--hosts``, ``--cell-timeout``, ``--retries``,
-    ``--max-restarts``, whose defaults are this class's) and
-    :func:`repro.engine.run_sweep`, which applies it to every caller, so
-    the constraints are checked in exactly one place: at least one worker,
-    positive timeouts, non-negative budgets, a known backend name, and
-    ``hosts`` only where it means something.
+    ``--max-restarts``, whose defaults are this class's),
+    :func:`as_executor` and :func:`repro.engine.run_sweep`, so each
+    constraint is checked and worded in exactly one place: at least one
+    worker, positive timeouts, non-negative budgets, a known backend name,
+    and ``hosts`` only where it means something.  ``hosts`` takes a
+    ``"HOST:PORT,..."`` spec or ``(host, port)`` pairs and is parsed here,
+    once, into pairs.
     """
 
     workers: int = 1
@@ -174,6 +176,9 @@ class ExecutionOptions:
     max_restarts: int = 2
 
     def __post_init__(self):
+        from .sockets import parse_hosts
+
+        object.__setattr__(self, "hosts", tuple(parse_hosts(self.hosts)))
         if self.workers < 1:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers} (serial runs are "
@@ -192,7 +197,7 @@ class ExecutionOptions:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
         if self.hosts and self.backend != "socket":
             raise ValueError(
-                f"hosts only apply to the socket backend, not {self.backend!r}"
+                f"hosts only apply to the socket backend, not backend={self.backend!r}"
             )
 
     def engine_kwargs(self) -> dict:
@@ -249,21 +254,15 @@ def as_executor(
     ``None`` keeps the historical behaviour: ``workers >= 2`` selects the
     process pool, anything less runs inline — so ``run_sweep(workers=0)``
     is still the serial baseline and ``run_sweep(workers=4)`` still spawns.
+    A named backend, its ``workers`` and its ``hosts`` are checked by
+    :class:`ExecutionOptions`; an instance brings its own.
     """
     if isinstance(backend, SweepExecutor):
         return backend
-    if backend is None:
-        backend = "process" if workers >= 2 else "inline"
-    try:
-        factory = BACKENDS[backend]
-    except KeyError:
+    options = ExecutionOptions(workers=workers or 1, backend=backend, hosts=hosts)
+    name = options.backend or ("process" if workers >= 2 else "inline")
+    if memory_budget is not None and name != "socket":
         raise ValueError(
-            f"unknown backend {backend!r}; choose from {', '.join(sorted(BACKENDS))}"
-        ) from None
-    if hosts is not None and backend != "socket":
-        raise ValueError(f"hosts only apply to the socket backend, not {backend!r}")
-    if memory_budget is not None and backend != "socket":
-        raise ValueError(
-            f"memory_budget only applies to the socket backend, not {backend!r}"
+            f"memory_budget only applies to the socket backend, not {name!r}"
         )
-    return factory(workers, hosts, memory_budget)
+    return BACKENDS[name](workers, options.hosts, memory_budget)

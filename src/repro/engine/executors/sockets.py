@@ -277,13 +277,14 @@ class SocketExecutor(SweepExecutor):
     def __init__(
         self,
         workers: int = 0,
-        hosts=None,
+        hosts: Sequence[Tuple[str, int]] = (),
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
     ):
         if memory_budget <= 0:
             raise ValueError(f"memory_budget must be positive, got {memory_budget}")
         self.memory_budget = memory_budget
-        self._external = parse_hosts(hosts)
+        #: ``(host, port)`` pairs, as :class:`ExecutionOptions` parses them
+        self._external = list(hosts)
         #: fan-out: the configured hosts, or a self-hosted loopback pair
         self.width = len(self._external) if self._external else max(2, workers)
         self._local_servers: List[ShardServer] = []

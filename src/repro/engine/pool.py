@@ -63,7 +63,6 @@ from .executors.shard import (
     shard_cells,
     shard_payloads,
 )
-from .executors.sockets import parse_hosts
 from .faults import as_plan
 from .grid import Cell, GridSpec, expand, run_cell
 from .store import ResultStore
@@ -211,13 +210,13 @@ def run_sweep(
         The emitter only observes the sweep — rows are byte-identical with
         or without it.  ``None`` (default) uses the shared no-op emitter.
     """
-    # the execution-control rules, once for every caller; workers=0 is the
-    # serial spelling, and an executor instance brings its own backend
-    named = not isinstance(backend, SweepExecutor)
+    # the execution-control rules, worded once in ExecutionOptions:
+    # as_executor checks a named backend with its workers and hosts (an
+    # executor instance brings its own), and the retry policy is checked
+    # here; workers=0 is the serial spelling
+    executor = as_executor(backend, workers=workers, hosts=hosts, memory_budget=memory_budget)
     ExecutionOptions(
         workers=workers or 1,
-        backend=backend if named else None,
-        hosts=tuple(parse_hosts(hosts)) if named else (),
         cell_timeout=cell_timeout,
         retries=retries,
         max_restarts=max_restarts,
@@ -234,7 +233,6 @@ def run_sweep(
     cell_keys = {cell.key for cell in cells}
     store = ResultStore(out_dir) if out_dir else None
 
-    executor = as_executor(backend, workers=workers, hosts=hosts, memory_budget=memory_budget)
     parallel = executor.capabilities.parallel
     # the serial fallback executor: used for every round of a non-parallel
     # backend and for the last recovery round of a parallel one

@@ -95,6 +95,8 @@ def cycle_graph(n: int) -> ECGraph:
 
 def star_graph(k: int) -> ECGraph:
     """Star ``K_{1,k}``: centre ``0`` joined to leaves ``1 .. k``; colour = leaf index."""
+    if k < 1:
+        raise ValueError(f"a star needs at least 1 leaf, got {k}")
     g = ECGraph()
     g.add_node(0)
     for i in range(1, k + 1):
@@ -132,6 +134,8 @@ def random_bounded_degree_graph(n: int, max_degree: int, seed: int) -> ECGraph:
     """
     if n < 2:
         raise ValueError(f"random graphs need at least 2 nodes, got {n}")
+    if max_degree < 1:
+        raise ValueError(f"random graphs need max_degree >= 1, got {max_degree}")
     rng = random.Random(seed)
     degree = {v: 0 for v in range(n)}
     chosen = set()

@@ -146,11 +146,9 @@ class LintConfig:
             # model output.
             "repro.engine.executors.shard",
             "repro.engine.faults",
-            # progress: heartbeat throttling/ETAs; bench runner: the
-            # warmup/repeat timing harness.  Both inject the clock
-            # (defaulting to perf_counter) and only ever report durations.
+            # progress: heartbeat throttling/ETAs.  It injects the clock
+            # (defaulting to perf_counter) and only ever reports durations.
             "repro.obs.progress",
-            "repro.obs.bench.runner",
             # service jobs: the token-bucket rate limiter's injected clock
             # (defaulting to monotonic) feeds only admission control
             "repro.service.jobs",

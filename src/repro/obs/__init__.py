@@ -1,6 +1,6 @@
 """Observability for the reproduction: tracing, metrics, and exporters.
 
-The package has three small modules:
+The package has four small modules:
 
 * :mod:`repro.obs.tracer` — span-based tracing.  A :class:`Tracer` records
   nested, wall-timed spans with attributes and counters; the shared
@@ -15,17 +15,14 @@ The package has three small modules:
 * :mod:`repro.obs.progress` — the :class:`ProgressEmitter` heartbeat hook
   the sweep engine drives for ``repro sweep --progress`` (JSONL events plus
   a single-line TTY status).
-* :mod:`repro.obs.bench` — the scaling-experiment benchmark suite behind
-  ``repro bench``: suite declarations, the warmup/repeat runner, the
-  append-only per-commit trajectory store, the regression checker and the
-  dashboard reporters.  Imported lazily (it depends on the engine).
 
 The determinism contract of the repository is preserved: wall-clock reads
-are confined to the sanctioned modules :mod:`repro.obs.tracer`,
-:mod:`repro.obs.progress` and :mod:`repro.obs.bench.runner` (see the
-sanctioned-clock exemption in :mod:`repro.lint`), and nothing an algorithm
-computes may depend on a trace — spans observe the computation, they never
-feed back into it.
+are confined to the sanctioned modules that ``LintConfig.clock_modules``
+names (:mod:`repro.lint`): :mod:`repro.obs.tracer`,
+:mod:`repro.obs.progress`, :mod:`repro.engine.executors.shard`,
+:mod:`repro.engine.faults` and :mod:`repro.service.jobs`.  Nothing an
+algorithm computes may depend on a trace — spans observe the computation,
+they never feed back into it.
 
 See ``docs/observability.md`` for the full API tour, the metric-name and
 span-name catalogues, and the JSON schema.
@@ -34,7 +31,6 @@ span-name catalogues, and the JSON schema.
 from .export import (
     TRACE_SCHEMA_VERSION,
     count_spans,
-    document_profile,
     merge_metrics_snapshots,
     merge_trace_documents,
     profile_rows,
@@ -65,7 +61,6 @@ __all__ = [
     "use_tracer",
     "TRACE_SCHEMA_VERSION",
     "count_spans",
-    "document_profile",
     "merge_metrics_snapshots",
     "merge_trace_documents",
     "profile_rows",

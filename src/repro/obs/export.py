@@ -36,7 +36,6 @@ __all__ = [
     "write_jsonl",
     "render_tree",
     "profile_rows",
-    "document_profile",
     "render_profile",
     "count_spans",
     "write_bench_artifact",
@@ -246,30 +245,6 @@ def profile_rows(tracer) -> List[dict]:
         row["calls"] += 1
         row["total"] += span.duration
         row["self"] += span.self_time
-    rows = sorted(agg.values(), key=lambda r: (-r["self"], -r["total"], r["name"]))
-    for row in rows:
-        row["mean"] = row["total"] / row["calls"] if row["calls"] else 0.0
-    return rows
-
-
-def document_profile(*documents) -> List[dict]:
-    """:func:`profile_rows` over serialized trace documents instead of a
-    live tracer: aggregates the nested span dicts of every document passed,
-    hottest self-time first.  Used by ``repro bench`` to attribute a wall
-    time regression to span names without keeping tracers alive."""
-    agg: Dict[str, dict] = {}
-    stack: List[dict] = []
-    for doc in documents:
-        stack.extend(doc.get("spans", []))
-    while stack:
-        span = stack.pop()
-        row = agg.setdefault(
-            span["name"], {"name": span["name"], "calls": 0, "total": 0.0, "self": 0.0}
-        )
-        row["calls"] += 1
-        row["total"] += span.get("duration", 0.0) or 0.0
-        row["self"] += span.get("self_time", 0.0) or 0.0
-        stack.extend(span.get("children", []))
     rows = sorted(agg.values(), key=lambda r: (-r["self"], -r["total"], r["name"]))
     for row in rows:
         row["mean"] = row["total"] / row["calls"] if row["calls"] else 0.0

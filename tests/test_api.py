@@ -118,8 +118,7 @@ class TestApiSweep:
 
         assert repro.sweep is api.sweep
         assert repro.SweepReport is api.SweepReport
-        assert repro.BenchReport is api.BenchReport
-        for name in ("run", "refute", "sweep", "bench"):
+        for name in ("run", "refute", "sweep"):
             assert name in repro.__all__ and name in api.__all__
 
 

@@ -18,24 +18,6 @@ SURFACE = {
         (("--algorithm",), "greedy", None),
         (("--deep-verify",), False, None),
     ],
-    "bench": [
-        (("--suite",), "smoke", None),
-        (("--trajectory",), "BENCH_TRAJECTORY.jsonl", None),
-        (("--check",), False, None),
-        (("--report",), False, None),
-        (("--dry-run",), False, None),
-        (("--repeats",), 3, None),
-        (("--warmup",), 1, None),
-        (("--commit",), None, None),
-        (("--last",), 8, None),
-        (("--json",), None, None),
-        (("--workers",), 1, None),
-        (("--backend",), None, ["inline", "process", "socket"]),
-        (("--hosts",), None, None),
-        (("--cell-timeout",), None, None),
-        (("--retries",), 1, None),
-        (("--max-restarts",), 2, None),
-    ],
     "cover": [
         (("--family",), "random", None),
         (("--n",), 20, None),
@@ -390,30 +372,30 @@ class TestSweep:
 
 
 class TestExecutionOptionsGroup:
-    """The execution-control vocabulary shared by ``sweep`` and ``bench``."""
+    """The execution-control vocabulary shared by ``sweep`` and ``serve-api``."""
 
-    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    @pytest.mark.parametrize("command", ["sweep", "serve-api"])
     def test_workers_zero_rejected(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--workers", "0"])
         assert f"repro {command}: workers must be >= 1" in str(exc.value)
 
-    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    @pytest.mark.parametrize("command", ["sweep", "serve-api"])
     def test_negative_cell_timeout_rejected(self, command):
         with pytest.raises(SystemExit, match="cell_timeout must be positive"):
             main([command, "--cell-timeout", "-2"])
 
-    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    @pytest.mark.parametrize("command", ["sweep", "serve-api"])
     def test_negative_retries_rejected(self, command):
         with pytest.raises(SystemExit, match="retries must be >= 0"):
             main([command, "--retries", "-1"])
 
-    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    @pytest.mark.parametrize("command", ["sweep", "serve-api"])
     def test_hosts_require_socket_backend(self, command):
         with pytest.raises(SystemExit, match="hosts only apply to the socket"):
             main([command, "--hosts", "127.0.0.1:9"])
 
-    @pytest.mark.parametrize("command", ["sweep", "bench"])
+    @pytest.mark.parametrize("command", ["sweep", "serve-api"])
     def test_unknown_backend_rejected_by_argparse(self, command, capsys):
         with pytest.raises(SystemExit):
             main([command, "--backend", "carrier-pigeon"])
@@ -554,6 +536,10 @@ class TestErrorBoundary:
             ["refute", "--claimed-rounds", "-3"],
             ["sweep", "--deltas", "8..3"],
             ["sweep", "--algorithms", "greedy", "--deltas", "three"],
+            ["order", "--generators", "0"],
+            ["order", "--radius", "-1"],
+            ["solve", "--family", "star", "--delta", "0"],
+            ["trace", "demo", "--delta", "0"],
         ],
     )
     def test_bad_input_exits_with_one_line(self, argv):

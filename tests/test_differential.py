@@ -86,7 +86,7 @@ def shaded(g: ECGraph) -> ECGraph:
 # ----------------------------------------------------------------------
 def family_inputs():
     graphs = [(f"path{n}", path_graph(n)) for n in range(1, 8)]
-    graphs += [(f"star{k}", star_graph(k)) for k in range(6)]
+    graphs += [(f"star{k}", star_graph(k)) for k in range(1, 6)]
     graphs += [(f"loops{k}", single_node_with_loops(k)) for k in range(1, 5)]
     graphs += [("caterpillar3x2", caterpillar(3, 2)), ("caterpillar4x1", caterpillar(4, 1))]
     graphs += [

@@ -181,13 +181,29 @@ class TestRegistry:
         executor = InlineExecutor()
         assert as_executor(executor) is executor
 
+    @staticmethod
+    def same_error_from_both_entry_points(**options) -> str:
+        """The message ``as_executor`` and ``run_sweep`` both raise."""
+        with pytest.raises(ValueError) as direct:
+            as_executor(**options)
+        with pytest.raises(ValueError) as swept:
+            run_sweep(smoke_grid(), **options)
+        assert str(swept.value) == str(direct.value)
+        return str(direct.value)
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            as_executor("carrier-pigeon")
+        message = self.same_error_from_both_entry_points(backend="carrier-pigeon")
+        assert message.startswith("unknown backend 'carrier-pigeon'")
 
     def test_socket_only_options_rejected_elsewhere(self):
-        with pytest.raises(ValueError, match="hosts only apply"):
-            as_executor("inline", hosts=[("h", 1)])
+        for backend, hosts in [
+            ("inline", [("h", 1)]),
+            (None, [("h", 1)]),
+            (None, "h:1"),
+            ("process", "h:1,h:2"),
+        ]:
+            message = self.same_error_from_both_entry_points(backend=backend, hosts=hosts)
+            assert message == f"hosts only apply to the socket backend, not backend={backend!r}"
         with pytest.raises(ValueError, match="memory_budget only applies"):
             as_executor("process", workers=2, memory_budget=10)
 
@@ -209,9 +225,13 @@ class TestCapabilities:
         assert not SocketExecutor(workers=2).capabilities.separate_process
 
     def test_socket_external_hosts_are_separate_processes(self):
-        executor = SocketExecutor(hosts=[("127.0.0.1", 7641), ("127.0.0.1", 7642)])
-        assert executor.capabilities.separate_process
-        assert executor.width == 2
+        for executor in (
+            SocketExecutor(hosts=[("127.0.0.1", 7641), ("127.0.0.1", 7642)]),
+            # a HOST:PORT spec is parsed once, by ExecutionOptions
+            as_executor("socket", hosts="127.0.0.1:7641, 127.0.0.1:7642"),
+        ):
+            assert executor.capabilities.separate_process
+            assert executor.width == 2
 
     def test_base_executor_is_the_serial_contract(self):
         caps = SweepExecutor.capabilities

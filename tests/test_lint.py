@@ -217,9 +217,8 @@ class TestClockExemption:
         # linting src with the exemption removed flags exactly the sanctioned
         # clock modules: the tracer (span timing), the shard runtime (retry
         # backoff, watchdog joins), the fault injector (stall injection), the
-        # progress emitter (heartbeat throttling/ETAs), the bench runner
-        # (the warmup/repeat timing harness) and the sweep service's
-        # token-bucket rate limiter
+        # progress emitter (heartbeat throttling/ETAs) and the sweep
+        # service's token-bucket rate limiter
         from dataclasses import replace
 
         strict = replace(DEFAULT_CONFIG, clock_modules=frozenset())
@@ -228,7 +227,6 @@ class TestClockExemption:
         assert offenders == {
             str(SRC / "repro" / "obs" / "tracer.py"),
             str(SRC / "repro" / "obs" / "progress.py"),
-            str(SRC / "repro" / "obs" / "bench" / "runner.py"),
             str(SRC / "repro" / "engine" / "executors" / "shard.py"),
             str(SRC / "repro" / "engine" / "faults.py"),
             str(SRC / "repro" / "service" / "jobs.py"),
@@ -241,7 +239,6 @@ class TestClockExemption:
             {
                 "repro.obs.tracer",
                 "repro.obs.progress",
-                "repro.obs.bench.runner",
                 "repro.engine.executors.shard",
                 "repro.engine.faults",
                 "repro.service.jobs",

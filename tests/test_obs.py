@@ -14,7 +14,6 @@ from repro.obs import (
     Tracer,
     count_spans,
     current_tracer,
-    document_profile,
     merge_metrics_snapshots,
     merge_trace_documents,
     profile_rows,
@@ -466,12 +465,3 @@ class TestSnapshotMerge:
     def test_merge_trace_documents_of_nothing(self):
         merged = merge_trace_documents([])
         assert merged["merged_from"] == 0 and merged["spans"] == []
-
-    def test_document_profile_matches_the_live_profile(self):
-        tracer = make_traced()
-        live = profile_rows(tracer)
-        from_doc = document_profile(trace_document(tracer))
-        key = lambda rows: [  # noqa: E731 - local comparison shim
-            {k: row[k] for k in ("name", "calls", "total", "self")} for row in rows
-        ]
-        assert key(from_doc) == key(live)
