@@ -187,7 +187,6 @@ def sweep(
     workers: int = 0,
     backend: Optional[str] = None,
     hosts=None,
-    memory_budget: Optional[int] = None,
     out: Optional[str] = None,
     cache_dir: Optional[str] = None,
     cache_tenant: Optional[str] = None,
@@ -212,9 +211,8 @@ def sweep(
     ``backend`` selects the :class:`~repro.engine.executors.SweepExecutor`
     that runs the shards — ``"inline"``, ``"process"`` or ``"socket"``
     (``None`` keeps the workers-based default: ``workers >= 2`` spawns the
-    process pool, anything less runs inline).  ``hosts`` and
-    ``memory_budget`` configure the socket backend's shard servers and
-    per-request ball-volume budget.
+    process pool, anything less runs inline).  ``hosts`` names the socket
+    backend's shard servers.
 
     ``cache_tenant``/``cache_shared_dir``/``cache_disk_budget`` configure
     the multi-tenant canonical-form cache the sweep service uses: a
@@ -238,7 +236,6 @@ def sweep(
         workers=workers,
         backend=backend,
         hosts=hosts,
-        memory_budget=memory_budget,
         out_dir=out,
         cache_dir=cache_dir,
         cache_tenant=cache_tenant,

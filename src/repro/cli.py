@@ -168,7 +168,7 @@ def _make_graph(family: str, n: int, delta: int, seed: int):
         "cycle": lambda: cycle_graph(n),
         "star": lambda: star_graph(delta),
         "complete": lambda: complete_graph(n),
-        "caterpillar": lambda: caterpillar(max(n // 3, 1), max(delta - 2, 1)),
+        "caterpillar": lambda: caterpillar(n // 3, max(delta - 2, 1)),
         "random": lambda: random_bounded_degree_graph(n, delta, seed),
         "regular": lambda: random_regular_graph(n if (n * delta) % 2 == 0 else n + 1, delta, seed),
         "loopy-tree": lambda: random_loopy_tree(n, max(delta - 1, 1), seed),

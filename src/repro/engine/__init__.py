@@ -17,9 +17,9 @@ process-parallel sweep:
   watchdogs and shard reassignment (see ``docs/fault_injection.md``);
 * :mod:`repro.engine.executors` — the pluggable
   :class:`~repro.engine.executors.SweepExecutor` backends the driver
-  dispatches shards to: ``inline`` (in-process asyncio, zero spawn),
-  ``process`` (the spawn-context pool) and ``socket`` (multi-host shard
-  servers over JSON framing with per-worker memory budgeting);
+  dispatches shards to: ``inline`` (in-process, zero spawn), ``process``
+  (the spawn-context pool) and ``socket`` (multi-host shard servers over
+  JSON framing);
 * :mod:`repro.engine.faults` — a deterministic fault-injection layer (seeded
   :class:`~repro.engine.faults.FaultPlan`) that replays worker kills, shard
   truncation, cache corruption, stalls and transient I/O errors so every
@@ -33,8 +33,6 @@ from .cache import CacheStats, CanonicalFormCache, graph_digest
 from .executors import (
     BACKENDS,
     ExecutionOptions,
-    ExecutorCapabilities,
-    ExecutorContext,
     InlineExecutor,
     ProcessExecutor,
     ShardServer,
@@ -57,8 +55,6 @@ __all__ = [
     "CellExecutionError",
     "CellTimeout",
     "ExecutionOptions",
-    "ExecutorCapabilities",
-    "ExecutorContext",
     "Fault",
     "FaultInjector",
     "FaultPlan",

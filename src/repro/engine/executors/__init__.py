@@ -1,6 +1,6 @@
 """Pluggable sweep execution backends.
 
-The :class:`~repro.engine.executors.base.SweepExecutor` protocol separates
+The :class:`~repro.engine.executors.base.SweepExecutor` contract separates
 *what a sweep means* (owned by :func:`repro.engine.run_sweep`: sharding,
 the result store, progress, recovery policy) from *where shards run*
 (owned by a backend).  Shipped backends:
@@ -8,7 +8,7 @@ the result store, progress, recovery policy) from *where shards run*
 ======== ============================================== ==================
 name     where shards run                               selects with
 ======== ============================================== ==================
-inline   this process, on an asyncio loop (zero spawn)  default, workers<2
+inline   this process, one shard after another          default, workers<2
 process  a spawn-context ``ProcessPoolExecutor``        default, workers>=2
 socket   shard servers over JSON/socket framing         ``backend="socket"``
 ======== ============================================== ==================
@@ -16,46 +16,24 @@ socket   shard servers over JSON/socket framing         ``backend="socket"``
 All of them drive the same shard runtime
 (:mod:`repro.engine.executors.shard`), and all of them must pass the same
 conformance suite: byte-identical rows vs the serial baseline, under every
-fault kind their :class:`~repro.engine.executors.base.ExecutorCapabilities`
-declare.  ``docs/engine.md`` documents how to write a new backend.
+fault kind.  ``docs/engine.md`` documents how to write a new backend.
 """
 
-from .base import (
-    BACKENDS,
-    ExecutionOptions,
-    ExecutorCapabilities,
-    ExecutorContext,
-    SweepExecutor,
-    as_executor,
-)
+from .base import BACKENDS, ExecutionOptions, SweepExecutor, as_executor
 from .inline import InlineExecutor
 from .process import ProcessExecutor
 from .shard import run_shard, shard_cells, shard_payloads
-from .sockets import (
-    DEFAULT_MEMORY_BUDGET,
-    ShardServer,
-    SocketExecutor,
-    batch_cells_by_volume,
-    estimated_ball_volume,
-    estimated_cell_volume,
-    parse_hosts,
-)
+from .sockets import ShardServer, SocketExecutor, parse_hosts
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_MEMORY_BUDGET",
     "ExecutionOptions",
-    "ExecutorCapabilities",
-    "ExecutorContext",
     "InlineExecutor",
     "ProcessExecutor",
     "ShardServer",
     "SocketExecutor",
     "SweepExecutor",
     "as_executor",
-    "batch_cells_by_volume",
-    "estimated_ball_volume",
-    "estimated_cell_volume",
     "parse_hosts",
     "run_shard",
     "shard_cells",

@@ -1,4 +1,4 @@
-"""The ``SweepExecutor`` protocol: where shards run is an interface.
+"""The ``SweepExecutor`` contract: where shards run is an interface.
 
 :func:`repro.engine.run_sweep` owns everything a sweep *means* — sharding,
 the :class:`~repro.engine.store.ResultStore`, progress emission, resume and
@@ -7,33 +7,27 @@ exactly one thing: getting a shard payload executed somewhere and the
 outcome back.  Three backends ship (``docs/engine.md`` documents how to
 write a fourth):
 
-* :class:`~repro.engine.executors.inline.InlineExecutor` — in-process on an
-  asyncio loop, zero spawn; the default for smoke grids and unit tests;
+* :class:`~repro.engine.executors.inline.InlineExecutor` — in-process, one
+  shard after another, zero spawn; the default for smoke grids and unit
+  tests;
 * :class:`~repro.engine.executors.process.ProcessExecutor` — the original
   spawn-context process pool, now a thin adapter;
 * :class:`~repro.engine.executors.sockets.SocketExecutor` — a stdlib
-  multi-host backend speaking JSON over sockets, with per-worker memory
-  budgeting.
+  multi-host backend speaking JSON over sockets.
 
 The conformance contract (``tests/test_executors.py``) is the same for all
 of them: rows byte-identical to the serial baseline, and every fault kind
-the backend's :class:`ExecutorCapabilities` declares must be survived with
-byte-identical rows.
+survived with byte-identical rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
-
-from ..faults import FAULT_KINDS
-from .shard import run_shard
+from typing import List, Optional, Tuple
 
 __all__ = [
     "BACKENDS",
     "ExecutionOptions",
-    "ExecutorCapabilities",
-    "ExecutorContext",
     "SweepExecutor",
     "as_executor",
 ]
@@ -44,91 +38,40 @@ ShardOutcome = Tuple[int, List[dict], dict, dict]
 ShardFailure = Tuple[dict, BaseException]
 
 
-@dataclass(frozen=True)
-class ExecutorCapabilities:
-    """What a backend can do; the driver adapts its policy to these flags.
-
-    Attributes
-    ----------
-    parallel:
-        The backend runs a round's shards concurrently.  ``False`` makes
-        the driver hand it one shard at a time (the serial baseline path).
-    separate_process:
-        Shards execute in their own OS process.  Only then may the fault
-        injector arm the *real* ``SIGKILL`` trigger for ``kill-worker``
-        faults; in-process backends degrade the kill to a raised
-        :class:`~repro.engine.faults.InjectedWorkerError`, which exercises
-        the same coordinator recovery path without shooting the test
-        process.
-    supports_on_row:
-        The per-row progress callback reaches the driver live.  Backends
-        without it are observed by the store-polling progress monitor
-        instead; rows are byte-identical either way.
-    fault_kinds:
-        The fault classes this backend declares survivable — its
-        conformance contract.  The mandatory trigger points
-        (``on_worker_cell``, ``on_cell_body``, ``on_store_append``,
-        ``on_cache_write``/``check_cache_io``) live in the shared shard
-        runtime, so every backend inherits them; only the kill *mechanism*
-        (signal vs raise) is backend-specific.
-    """
-
-    parallel: bool
-    separate_process: bool
-    supports_on_row: bool
-    fault_kinds: frozenset = frozenset(FAULT_KINDS)
-
-
 class SweepExecutor:
-    """Base class / protocol every sweep backend implements.
+    """Base class every sweep backend subclasses.
 
     The driver's calls, in order:
 
     1. :meth:`start` once, before the first round;
-    2. :meth:`run_round` once per (recovery) round with that round's shard
-       payloads — the default implementation submits them sequentially
-       through :meth:`submit_shard`, so a minimal backend only overrides
-       that one primitive;
+    2. ``run_round(payloads, on_row=None)`` once per (recovery) round with
+       that round's shard payloads, returning ``(outcomes, failures)``.
+       It must never raise for a shard failure: the driver applies the
+       recovery policy.  The driver passes the per-row progress callback
+       ``on_row`` only to backends that are not :attr:`parallel`;
     3. :meth:`is_worker_loss` to triage each failure (worker death, which
        recovery reassigns, vs a named cell error, which aborts);
     4. :meth:`close` exactly once, however the sweep ends.
 
-    ``run_round`` must never raise for a shard failure: it returns
-    ``(outcomes, failures)`` and lets the driver apply the recovery policy.
+    Each backend defines ``run_round`` itself; there is no default.
     """
 
     #: registry name; also reported in ``SweepResult.backend``
     name: str = "base"
     #: shard fan-out of a parallel round (1 for serial backends)
     width: int = 1
-    capabilities = ExecutorCapabilities(
-        parallel=False, separate_process=False, supports_on_row=True
-    )
+    #: the backend runs a round's shards concurrently; ``False`` makes the
+    #: driver hand it one shard at a time, with the per-row callback
+    parallel: bool = False
+    #: shards execute in their own OS process.  Only then may the fault
+    #: injector arm the *real* ``SIGKILL`` for ``kill-worker`` faults;
+    #: in-process backends degrade the kill to a raised
+    #: :class:`~repro.engine.faults.InjectedWorkerError`, which exercises the
+    #: same recovery path without shooting the test process
+    separate_process: bool = False
 
-    def start(self, ctx: "ExecutorContext") -> None:
+    def start(self) -> None:
         """Lifecycle hook: acquire backend resources before the first round."""
-
-    def submit_shard(self, payload: dict, ctx: "ExecutorContext") -> ShardOutcome:
-        """Execute one shard payload and return its outcome.
-
-        The base implementation runs the shared shard runtime in-process,
-        forwarding the progress callback when the capabilities allow it.
-        """
-        on_row = ctx.on_row if self.capabilities.supports_on_row else None
-        return run_shard(payload, on_row)
-
-    def run_round(
-        self, payloads: List[dict], ctx: "ExecutorContext"
-    ) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
-        """Execute one round of shards; never raises on shard failure."""
-        outcomes: List[ShardOutcome] = []
-        failures: List[ShardFailure] = []
-        for payload in payloads:
-            try:
-                outcomes.append(self.submit_shard(payload, ctx))
-            except BaseException as exc:  # noqa: BLE001 - triaged by the driver
-                failures.append((payload, exc))
-        return outcomes, failures
 
     def is_worker_loss(self, exc: BaseException) -> bool:
         """Whether a shard failure means the worker itself died."""
@@ -138,19 +81,6 @@ class SweepExecutor:
 
     def close(self) -> None:
         """Lifecycle hook: release backend resources; idempotent."""
-
-
-@dataclass(frozen=True)
-class ExecutorContext:
-    """Per-round driver context handed to executor calls.
-
-    ``on_row`` is the sweep's per-row progress callback (``None`` on rounds
-    observed by the polling monitor); ``workers`` is the requested worker
-    count, which backends may use to size their pools.
-    """
-
-    workers: int = 0
-    on_row: Optional[Callable[[dict, object], None]] = None
 
 
 @dataclass(frozen=True)
@@ -214,23 +144,21 @@ class ExecutionOptions:
         return kwargs
 
 
-def _make_inline(workers: int, hosts, memory_budget) -> SweepExecutor:
+def _make_inline(workers: int, hosts) -> SweepExecutor:
     from .inline import InlineExecutor
 
     return InlineExecutor()
 
 
-def _make_process(workers: int, hosts, memory_budget) -> SweepExecutor:
+def _make_process(workers: int, hosts) -> SweepExecutor:
     from .process import ProcessExecutor
 
     return ProcessExecutor(workers=workers)
 
 
-def _make_socket(workers: int, hosts, memory_budget) -> SweepExecutor:
+def _make_socket(workers: int, hosts) -> SweepExecutor:
     from .sockets import SocketExecutor
 
-    if memory_budget is not None:
-        return SocketExecutor(workers=workers, hosts=hosts, memory_budget=memory_budget)
     return SocketExecutor(workers=workers, hosts=hosts)
 
 
@@ -242,13 +170,7 @@ BACKENDS = {
 }
 
 
-def as_executor(
-    backend,
-    *,
-    workers: int = 0,
-    hosts=None,
-    memory_budget=None,
-) -> SweepExecutor:
+def as_executor(backend, *, workers: int = 0, hosts=None) -> SweepExecutor:
     """Resolve ``backend`` (name, instance or ``None``) to an executor.
 
     ``None`` keeps the historical behaviour: ``workers >= 2`` selects the
@@ -261,8 +183,4 @@ def as_executor(
         return backend
     options = ExecutionOptions(workers=workers or 1, backend=backend, hosts=hosts)
     name = options.backend or ("process" if workers >= 2 else "inline")
-    if memory_budget is not None and name != "socket":
-        raise ValueError(
-            f"memory_budget only applies to the socket backend, not {name!r}"
-        )
-    return BACKENDS[name](workers, options.hosts, memory_budget)
+    return BACKENDS[name](workers, options.hosts)

@@ -1,31 +1,25 @@
-"""The in-process backend: shards on an asyncio loop, zero spawn.
+"""The in-process backend: shards one after another, zero spawn.
 
 ``InlineExecutor`` is the serial baseline every other backend must
 reproduce byte-identically, and the default backend for smoke grids and
 the fault-harness unit tests — no process spawn, no sockets, nothing to
 clean up, full per-row progress callbacks.
 
-Each round's shards run as tasks on a private event loop, awaited in
-submission order.  The shard runtime itself never awaits, so execution is
-strictly sequential and deterministic; the loop buys structure (a place to
-hang cancellation and async fault hooks later) rather than concurrency —
-the ambient tracer/fault hooks are process-global, so in-process shards
-must not overlap anyway (:mod:`repro.engine.executors.shard` serialises
-them).
-
-``asyncio`` is not a worker-spawn primitive — the determinism lint's
-worker check covers ``multiprocessing``/``concurrent.futures``/
-``threading`` — so this module needs no sanction: it cannot leak
-interpreter state across any boundary because there is no boundary.
+A round is a plain loop over its shards in submission order.  The ambient
+tracer/fault hooks are process-global, so in-process shards must not
+overlap anyway (:mod:`repro.engine.executors.shard` serialises them).
+Only the three engine failures a shard can raise — an injected worker
+error, a cell that failed every retry, a cell timeout — become shard
+failures for the driver to triage; anything else (a cancelled service
+job raised from the progress hook, say) unwinds the sweep.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import List, Tuple
 
 from ..faults import InjectedWorkerError
-from .base import ExecutorCapabilities, ExecutorContext, ShardFailure, ShardOutcome, SweepExecutor
+from .base import ShardFailure, ShardOutcome, SweepExecutor
 from .shard import CellExecutionError, CellTimeout, run_shard
 
 __all__ = ["InlineExecutor"]
@@ -35,36 +29,15 @@ class InlineExecutor(SweepExecutor):
     """Run every shard in this process, one after another."""
 
     name = "inline"
-    width = 1
-    capabilities = ExecutorCapabilities(
-        parallel=False,
-        separate_process=False,
-        supports_on_row=True,
-    )
 
     def run_round(
-        self, payloads: List[dict], ctx: ExecutorContext
-    ) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
-        loop = asyncio.new_event_loop()
-        try:
-            return loop.run_until_complete(self._drain(payloads, ctx))
-        finally:
-            loop.close()
-
-    async def _drain(
-        self, payloads: List[dict], ctx: ExecutorContext
+        self, payloads: List[dict], on_row=None
     ) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
         outcomes: List[ShardOutcome] = []
         failures: List[ShardFailure] = []
         for payload in payloads:
             try:
-                outcomes.append(await self._submit(payload, ctx))
+                outcomes.append(run_shard(payload, on_row))
             except (InjectedWorkerError, CellExecutionError, CellTimeout) as exc:
                 failures.append((payload, exc))
         return outcomes, failures
-
-    async def _submit(self, payload: dict, ctx: ExecutorContext) -> ShardOutcome:
-        return self.submit_shard(payload, ctx)
-
-    def submit_shard(self, payload: dict, ctx: ExecutorContext) -> ShardOutcome:
-        return run_shard(payload, ctx.on_row)

@@ -19,7 +19,7 @@ import multiprocessing
 from typing import List, Tuple
 
 from ..faults import InjectedWorkerError
-from .base import ExecutorCapabilities, ExecutorContext, ShardFailure, ShardOutcome, SweepExecutor
+from .base import ShardFailure, ShardOutcome, SweepExecutor
 from .shard import run_shard
 
 __all__ = ["ProcessExecutor"]
@@ -29,11 +29,8 @@ class ProcessExecutor(SweepExecutor):
     """Ship each shard to a spawned pool worker."""
 
     name = "process"
-    capabilities = ExecutorCapabilities(
-        parallel=True,
-        separate_process=True,
-        supports_on_row=False,
-    )
+    parallel = True
+    separate_process = True
 
     def __init__(self, workers: int = 2):
         #: pool width; an explicitly requested process backend always gets
@@ -41,7 +38,7 @@ class ProcessExecutor(SweepExecutor):
         self.width = max(2, workers)
 
     def run_round(
-        self, payloads: List[dict], ctx: ExecutorContext
+        self, payloads: List[dict], on_row=None
     ) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
         outcomes: List[ShardOutcome] = []
         failures: List[ShardFailure] = []

@@ -5,29 +5,16 @@
 round-robins a round's shards across its hosts, ships each as
 newline-delimited JSON, and raises the server's marshalled exception at
 the driver as if the shard had run locally.  With no hosts configured the
-executor self-hosts loopback servers on ephemeral ports — the "two-host"
-CI smoke runs entirely inside one process, which also means its
-``kill-worker`` faults degrade to raised
-:class:`~repro.engine.faults.InjectedWorkerError` (capabilities report
-``separate_process`` only for external hosts; see
-:mod:`repro.engine.executors.base`).
+executor self-hosts loopback servers on ephemeral ports, on threads of
+the sweeping process — how the conformance suite drives this backend —
+which also means its ``kill-worker`` faults degrade to raised
+:class:`~repro.engine.faults.InjectedWorkerError` (``separate_process``
+is true only for external hosts; see :mod:`repro.engine.executors.base`).
 
 Everything a payload carries is JSON-native and result rows carry only
 JSON-native scalars, so a row that crossed the wire serialises
 byte-identically to one computed in-process — the conformance suite
 asserts exactly that.
-
-Per-worker memory budgeting
----------------------------
-The adversary's resident set is dominated by the witness balls it unfolds:
-a degree-Δ cell touches rooted balls of radius up to Δ-2, whose node count
-grows like Δ(Δ-1)^(Δ-3) — exponential in Δ.  A shard that packs several
-Δ-large cells would hand one worker all of them at once, so the client
-splits each shard into sequential *batches* whose summed
-:func:`estimated_cell_volume` stays under ``memory_budget`` (a cell bigger
-than the whole budget travels alone).  Batching changes only how many
-requests a shard takes — rows are concatenated in cell order, so results
-are unchanged.
 
 This module is a sanctioned worker module (``LintConfig.worker_modules``):
 the loopback servers run on named background threads and the client fans
@@ -42,71 +29,17 @@ import socket
 import threading
 from typing import List, Optional, Sequence, Tuple
 
-from ...obs.export import merge_trace_documents
-from ..cache import CacheStats
 from ..faults import InjectedWorkerError
-from .base import ExecutorCapabilities, ExecutorContext, ShardFailure, ShardOutcome, SweepExecutor
+from .base import ShardFailure, ShardOutcome, SweepExecutor
 from .shard import CellExecutionError, CellTimeout, run_shard
 
 __all__ = [
-    "DEFAULT_MEMORY_BUDGET",
     "ShardServer",
     "SocketExecutor",
-    "batch_cells_by_volume",
-    "estimated_ball_volume",
-    "estimated_cell_volume",
     "parse_hosts",
 ]
 
-#: default per-request budget, in estimated resident ball nodes: generous
-#: enough that a whole smoke shard is one request, small enough that the
-#: E1 grid's Δ=8 cells (≈3·10⁵ nodes each) travel alone
-DEFAULT_MEMORY_BUDGET = 100_000
-
 _ENCODING = "utf-8"
-
-
-def estimated_ball_volume(delta: int) -> int:
-    """Nodes in a radius-(Δ-2) ball of a Δ-regular tree — the witness size.
-
-    The Section 4 adversary unfolds witness balls of radius up to Δ-2, so
-    this closed form — ``1 + Δ·Σ_{r<Δ-2} (Δ-1)^r`` — upper-bounds the
-    largest rooted graph a cell materialises.  It is a *proxy* for bytes
-    (nodes, not bytes), but it is monotone and exponential in Δ, which is
-    the property budgeting needs.
-    """
-    if delta < 2:
-        return 1
-    return 1 + delta * sum((delta - 1) ** r for r in range(max(delta - 2, 0)))
-
-
-def estimated_cell_volume(cell: dict) -> int:
-    """Budget cost of one cell payload dict: both witness balls of its Δ."""
-    return 2 * estimated_ball_volume(int(cell.get("delta", 2)))
-
-
-def batch_cells_by_volume(cells: Sequence[dict], budget: int) -> List[List[dict]]:
-    """Greedy in-order packing of cell dicts under ``budget`` volume.
-
-    Deterministic (order-preserving, no reordering) so batching can never
-    change result rows.  A batch always holds at least one cell: a cell
-    whose own volume exceeds the budget still has to run somewhere.
-    """
-    if budget <= 0:
-        raise ValueError(f"memory_budget must be positive, got {budget}")
-    batches: List[List[dict]] = []
-    current: List[dict] = []
-    used = 0
-    for cell in cells:
-        cost = estimated_cell_volume(cell)
-        if current and used + cost > budget:
-            batches.append(current)
-            current, used = [], 0
-        current.append(cell)
-        used += cost
-    if current:
-        batches.append(current)
-    return batches
 
 
 def parse_hosts(spec) -> List[Tuple[str, int]]:
@@ -193,9 +126,7 @@ class ShardServer:
 
     plus ``{"op": "ping"}`` for liveness.  Requests execute strictly
     sequentially — the server is one worker, and in-process shard
-    execution is serialised by the shard runtime anyway — so a host's
-    memory high-water mark is one batch, which is what the client's
-    volume budgeting bounds.
+    execution is serialised by the shard runtime anyway.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
@@ -273,16 +204,9 @@ class SocketExecutor(SweepExecutor):
     """Fan a round's shards out over shard servers reached by socket."""
 
     name = "socket"
+    parallel = True
 
-    def __init__(
-        self,
-        workers: int = 0,
-        hosts: Sequence[Tuple[str, int]] = (),
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    ):
-        if memory_budget <= 0:
-            raise ValueError(f"memory_budget must be positive, got {memory_budget}")
-        self.memory_budget = memory_budget
+    def __init__(self, workers: int = 0, hosts: Sequence[Tuple[str, int]] = ()):
         #: ``(host, port)`` pairs, as :class:`ExecutionOptions` parses them
         self._external = list(hosts)
         #: fan-out: the configured hosts, or a self-hosted loopback pair
@@ -291,13 +215,9 @@ class SocketExecutor(SweepExecutor):
         self._hosts: List[Tuple[str, int]] = list(self._external)
         # kill-worker only arms the real SIGKILL on external hosts — a
         # loopback "worker" is a thread of this very process
-        self.capabilities = ExecutorCapabilities(
-            parallel=True,
-            separate_process=bool(self._external),
-            supports_on_row=False,
-        )
+        self.separate_process = bool(self._external)
 
-    def start(self, ctx: ExecutorContext) -> None:
+    def start(self) -> None:
         if self._external or self._local_servers:
             return
         for _ in range(self.width):
@@ -307,14 +227,14 @@ class SocketExecutor(SweepExecutor):
         self._hosts = [server.address for server in self._local_servers]
 
     def run_round(
-        self, payloads: List[dict], ctx: ExecutorContext
+        self, payloads: List[dict], on_row=None
     ) -> Tuple[List[ShardOutcome], List[ShardFailure]]:
         outcomes: List[ShardOutcome] = []
         failures: List[ShardFailure] = []
         if not payloads:
             return outcomes, failures
         if not self._hosts:
-            self.start(ctx)
+            self.start()
         from concurrent.futures import ThreadPoolExecutor
 
         assigned = [
@@ -336,37 +256,17 @@ class SocketExecutor(SweepExecutor):
                     failures.append((payload, exc))
         return outcomes, failures
 
-    def submit_shard(self, payload: dict, ctx: ExecutorContext) -> ShardOutcome:
-        if not self._hosts:
-            self.start(ctx)
-        return self._run_on_host(payload, self._hosts[payload["shard"] % len(self._hosts)])
-
     def _run_on_host(self, payload: dict, address: Tuple[str, int]) -> ShardOutcome:
-        """Ship one shard to one host, batched under the memory budget."""
-        shard_index = payload["shard"]
-        batches = batch_cells_by_volume(payload["cells"], self.memory_budget)
-        rows: List[dict] = []
-        docs: List[dict] = []
-        stats_dicts: List[dict] = []
+        """Ship one shard to one host as one request; return its outcome."""
         with socket.create_connection(address, timeout=None) as conn:
             fh = conn.makefile("rw", encoding=_ENCODING, newline="\n")
             with fh:
-                for batch in batches:
-                    request = {"op": "run_shard", "payload": {**payload, "cells": batch}}
-                    _send_line(fh, request)
-                    reply = _recv_line(fh)
-                    if not reply.get("ok"):
-                        _raise_remote(reply.get("error", {}))
-                    _, batch_rows, doc, stats = reply["result"]
-                    rows.extend(batch_rows)
-                    docs.append(doc)
-                    stats_dicts.append(stats)
-        if len(docs) == 1:
-            doc = docs[0]
-        else:
-            doc = merge_trace_documents(docs, command=f"sweep shard {shard_index}")
-        merged_stats = CacheStats.merged(stats_dicts).as_dict()
-        return shard_index, rows, doc, merged_stats
+                _send_line(fh, {"op": "run_shard", "payload": payload})
+                reply = _recv_line(fh)
+        if not reply.get("ok"):
+            _raise_remote(reply.get("error", {}))
+        shard_index, rows, doc, stats = reply["result"]
+        return shard_index, rows, doc, stats
 
     def is_worker_loss(self, exc: BaseException) -> bool:
         # a vanished server (connection refused, reset, or torn mid-reply)

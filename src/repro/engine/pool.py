@@ -5,8 +5,8 @@ splitting pending cells round-robin into shards, the
 :class:`~repro.engine.store.ResultStore`, progress emission, resume/dedup
 bookkeeping, and the dead-worker recovery policy.  *Where* a shard runs is
 delegated to a :class:`~repro.engine.executors.SweepExecutor` backend
-(``backend=``): ``inline`` executes in-process on an asyncio loop (the
-serial baseline), ``process`` maps shards over a spawn-context pool, and
+(``backend=``): ``inline`` executes in-process, one shard after another
+(the serial baseline), ``process`` maps shards over a spawn-context pool, and
 ``socket`` ships them to shard servers over JSON framing — see
 :mod:`repro.engine.executors` and ``docs/engine.md``.
 
@@ -56,7 +56,7 @@ from ..obs.export import merge_trace_documents
 from ..obs.progress import NULL_PROGRESS, NullProgressEmitter
 from ..obs.tracer import current_tracer
 from .cache import CacheStats
-from .executors.base import ExecutionOptions, ExecutorContext, SweepExecutor, as_executor
+from .executors.base import ExecutionOptions, SweepExecutor, as_executor
 from .executors.shard import (
     CellExecutionError,
     CellTimeout,
@@ -121,7 +121,6 @@ def run_sweep(
     workers: int = 0,
     backend: Union[str, SweepExecutor, None] = None,
     hosts=None,
-    memory_budget: Optional[int] = None,
     out_dir=None,
     cache_dir=None,
     cache_tenant: Optional[str] = None,
@@ -158,11 +157,6 @@ def run_sweep(
         Socket backend only: shard servers to dispatch to, as
         ``"host:port,host:port"`` or a list of ``(host, port)`` pairs.
         Without hosts the socket backend self-hosts loopback servers.
-    memory_budget:
-        Socket backend only: per-request budget in estimated ball-volume
-        units (:mod:`repro.engine.executors.sockets`); Δ-large shards are
-        split into sequential batches under this budget so one worker is
-        never handed more resident witness balls than it can hold.
     out_dir:
         Results directory (JSONL shards, ``summary.json``, ``trace.json``).
         ``None`` keeps everything in memory — such a sweep cannot resume,
@@ -205,8 +199,8 @@ def run_sweep(
         cells the lost shards had not yet persisted (default 2).
     progress:
         A :class:`repro.obs.progress.ProgressEmitter` fed heartbeat events
-        while the sweep runs (rounds on a backend with per-row callbacks
-        report per row; other rounds are polled from the result store).
+        while the sweep runs (serial rounds report per row; parallel
+        rounds are polled from the result store).
         The emitter only observes the sweep — rows are byte-identical with
         or without it.  ``None`` (default) uses the shared no-op emitter.
     """
@@ -214,7 +208,7 @@ def run_sweep(
     # as_executor checks a named backend with its workers and hosts (an
     # executor instance brings its own), and the retry policy is checked
     # here; workers=0 is the serial spelling
-    executor = as_executor(backend, workers=workers, hosts=hosts, memory_budget=memory_budget)
+    executor = as_executor(backend, workers=workers, hosts=hosts)
     ExecutionOptions(
         workers=workers or 1,
         cell_timeout=cell_timeout,
@@ -233,7 +227,7 @@ def run_sweep(
     cell_keys = {cell.key for cell in cells}
     store = ResultStore(out_dir) if out_dir else None
 
-    parallel = executor.capabilities.parallel
+    parallel = executor.parallel
     # the serial fallback executor: used for every round of a non-parallel
     # backend and for the last recovery round of a parallel one
     if parallel:
@@ -260,7 +254,7 @@ def run_sweep(
     live = {"done": len(done)}
 
     def _note_row(row, cache_stats) -> None:
-        # per-row-capable rounds only: exact heartbeats (closure-local state)
+        # serial rounds only: exact heartbeats (closure-local state)
         live["done"] += 1
         progress.update(
             live["done"],
@@ -272,11 +266,11 @@ def run_sweep(
     if parallel and store is not None and not isinstance(progress, NullProgressEmitter):
         monitor = _ProgressMonitor(progress, store, total=len(cells))
 
-    progress.start(total=len(cells), resumed=len(done))
-    if monitor is not None:
-        monitor.start()
-    executor.start(ExecutorContext(workers=workers))
     try:
+        progress.start(total=len(cells), resumed=len(done))
+        if monitor is not None:
+            monitor.start()
+        executor.start()
         with tracer.span(
             "engine.sweep",
             cells=len(cells),
@@ -302,16 +296,15 @@ def run_sweep(
                     payloads = shard_payloads(
                         shards, store, cache_dir, use_cache, plan, round_,
                         cell_timeout, retries,
-                        in_worker=parallel_round and active.capabilities.separate_process,
+                        in_worker=parallel_round and active.separate_process,
                         cache_tenant=cache_tenant,
                         shared_cache_dir=cache_shared_dir,
                         cache_disk_budget=cache_disk_budget,
                     )
-                    ctx = ExecutorContext(
-                        workers=workers,
-                        on_row=_note_row if active.capabilities.supports_on_row else None,
+                    # serial rounds report per row; the monitor polls parallel ones
+                    outcomes, failures = active.run_round(
+                        payloads, None if parallel_round else _note_row
                     )
-                    outcomes, failures = active.run_round(payloads, ctx)
                     for _, rows, doc, stats in sorted(outcomes, key=lambda item: item[0]):
                         for row in rows:
                             collected.setdefault(row["key"], row)
@@ -448,7 +441,8 @@ class _ProgressMonitor:
 
     def stop(self) -> None:
         self._stop_event.set()
-        self._thread.join(timeout=2.0)
+        if self._thread.is_alive():
+            self._thread.join(timeout=2.0)
 
 
 def _merged_counter_total(merged_doc: dict, name: str) -> int:

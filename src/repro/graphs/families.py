@@ -106,6 +106,8 @@ def star_graph(k: int) -> ECGraph:
 
 def complete_graph(n: int) -> ECGraph:
     """Complete graph ``K_n`` with a proper edge colouring (round-robin, n-1 or n colours)."""
+    if n < 1:
+        raise ValueError(f"a complete graph needs at least 1 node, got {n}")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return ec_from_simple_edges(edges, nodes=range(n))
 
@@ -116,13 +118,19 @@ def caterpillar(spine: int, legs: int) -> ECGraph:
     Maximum degree is ``legs + 2`` for interior spine nodes.  Spine nodes are
     ``("s", i)`` and leaves ``("l", i, j)``.
     """
+    if spine < 1:
+        raise ValueError(f"a caterpillar needs at least 1 spine node, got {spine}")
+    if legs < 0:
+        raise ValueError(f"a caterpillar needs legs >= 0, got {legs}")
     edges: List[Tuple[Node, Node]] = []
     for i in range(spine - 1):
         edges.append((("s", i), ("s", i + 1)))
     for i in range(spine):
         for j in range(legs):
             edges.append((("s", i), ("l", i, j)))
-    return ec_from_simple_edges(edges)
+    # the spine is listed in the order its edges add it: a lone leg-less
+    # spine node still exists, and no other node moves
+    return ec_from_simple_edges(edges, nodes=[("s", i) for i in range(spine)])
 
 
 def random_bounded_degree_graph(n: int, max_degree: int, seed: int) -> ECGraph:
@@ -155,6 +163,8 @@ def random_bounded_degree_graph(n: int, max_degree: int, seed: int) -> ECGraph:
 
 def random_regular_graph(n: int, d: int, seed: int) -> ECGraph:
     """Random ``d``-regular simple graph (via networkx), properly edge-coloured."""
+    if not 1 <= d < n:
+        raise ValueError(f"a random d-regular graph needs 1 <= d < n, got d={d}, n={n}")
     nxg = nx.random_regular_graph(d, n, seed=seed)
     return ec_from_simple_edges(sorted(nxg.edges()), nodes=range(n))
 
@@ -173,6 +183,10 @@ def random_loopy_tree(
     (P2).  Loop colours ``1 .. loops_per_node`` are shared by all nodes; tree
     edges use colours ``>= tree_colors_offset`` so they never clash.
     """
+    if n < 1:
+        raise ValueError(f"a loopy tree needs at least 1 node, got {n}")
+    if loops_per_node < 0:
+        raise ValueError(f"a loopy tree needs loops_per_node >= 0, got {loops_per_node}")
     rng = random.Random(seed)
     edges: List[Tuple[Node, Node]] = []
     for v in range(1, n):

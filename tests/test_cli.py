@@ -540,6 +540,10 @@ class TestErrorBoundary:
             ["order", "--radius", "-1"],
             ["solve", "--family", "star", "--delta", "0"],
             ["trace", "demo", "--delta", "0"],
+            ["solve", "--family", "complete", "--n", "0"],
+            ["solve", "--family", "loopy-tree", "--n", "0"],
+            ["solve", "--family", "regular", "--delta", "0"],
+            ["solve", "--family", "caterpillar", "--n", "0"],
         ],
     )
     def test_bad_input_exits_with_one_line(self, argv):

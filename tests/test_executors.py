@@ -2,11 +2,11 @@
 
 Every backend — ``inline``, ``process``, ``socket`` — must satisfy the same
 contract: merged sweep rows serialise byte-identically to the serial
-baseline, every fault kind the backend's capabilities declare is survived
-with byte-identical rows (the PR 5 chaos matrix), a torn result store
-resumes cleanly, and the progress stream's ``final`` event agrees with the
-persisted summary.  The suite is parameterized so a fourth backend only
-needs a new entry in ``BACKEND_PARAMS``.
+baseline, every fault kind is survived with byte-identical rows (the chaos
+matrix), a torn result store resumes cleanly, and the progress stream's
+``final`` event agrees with the persisted summary.  The suite is
+parameterized so a fourth backend only needs a new entry in
+``BACKEND_PARAMS``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 from repro.engine import Fault, FaultPlan, run_sweep, smoke_grid
 from repro.engine.executors import (
     BACKENDS,
-    DEFAULT_MEMORY_BUDGET,
     ExecutionOptions,
     InlineExecutor,
     ProcessExecutor,
@@ -28,9 +27,6 @@ from repro.engine.executors import (
     SocketExecutor,
     SweepExecutor,
     as_executor,
-    batch_cells_by_volume,
-    estimated_ball_volume,
-    estimated_cell_volume,
     parse_hosts,
 )
 from repro.engine.faults import FAULT_KINDS
@@ -87,10 +83,8 @@ class TestChaosMatrix:
     def test_all_declared_fault_kinds_in_one_sweep(
         self, backend_opts, serial_baseline, tmp_path
     ):
-        """One sweep hit by every fault kind the backend declares survivable."""
+        """One sweep hit by every fault kind there is."""
         base, keys = serial_baseline
-        declared = as_executor(**backend_opts).capabilities.fault_kinds
-        assert declared == frozenset(FAULT_KINDS)
         plan = FaultPlan(
             faults=(
                 Fault(kind="raise-worker", cell=keys[0]),
@@ -101,6 +95,7 @@ class TestChaosMatrix:
                 Fault(kind="cache-io-error", op="read"),
             )
         )
+        assert {fault.kind for fault in plan.faults} == set(FAULT_KINDS)
         result = run_sweep(
             smoke_grid(),
             out_dir=tmp_path / "out",
@@ -204,25 +199,22 @@ class TestRegistry:
         ]:
             message = self.same_error_from_both_entry_points(backend=backend, hosts=hosts)
             assert message == f"hosts only apply to the socket backend, not backend={backend!r}"
-        with pytest.raises(ValueError, match="memory_budget only applies"):
-            as_executor("process", workers=2, memory_budget=10)
 
 
 class TestCapabilities:
     def test_inline_capabilities(self):
-        caps = InlineExecutor().capabilities
-        assert not caps.parallel and not caps.separate_process
-        assert caps.supports_on_row
+        executor = InlineExecutor()
+        assert not executor.parallel and not executor.separate_process
 
     def test_process_capabilities(self):
-        caps = ProcessExecutor(workers=2).capabilities
-        assert caps.parallel and caps.separate_process
-        assert not caps.supports_on_row
+        executor = ProcessExecutor(workers=2)
+        assert executor.parallel and executor.separate_process
 
     def test_socket_loopback_never_arms_real_sigkill(self):
         """Self-hosted loopback servers share our process: kill-worker must
         degrade to a raised InjectedWorkerError, not a real SIGKILL."""
-        assert not SocketExecutor(workers=2).capabilities.separate_process
+        executor = SocketExecutor(workers=2)
+        assert executor.parallel and not executor.separate_process
 
     def test_socket_external_hosts_are_separate_processes(self):
         for executor in (
@@ -230,12 +222,12 @@ class TestCapabilities:
             # a HOST:PORT spec is parsed once, by ExecutionOptions
             as_executor("socket", hosts="127.0.0.1:7641, 127.0.0.1:7642"),
         ):
-            assert executor.capabilities.separate_process
+            assert executor.separate_process
             assert executor.width == 2
 
     def test_base_executor_is_the_serial_contract(self):
-        caps = SweepExecutor.capabilities
-        assert not caps.parallel and caps.fault_kinds == frozenset(FAULT_KINDS)
+        assert not SweepExecutor.parallel and not SweepExecutor.separate_process
+        assert SweepExecutor.width == 1
 
 
 class TestExecutionOptions:
@@ -267,49 +259,6 @@ class TestExecutionOptions:
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionOptions().workers = 4
-
-
-class TestVolumeBudgeting:
-    def test_ball_volume_closed_form(self):
-        # 1 + Δ·Σ_{r<Δ-2} (Δ-1)^r, the Section 4 witness-ball bound
-        assert estimated_ball_volume(1) == 1
-        assert estimated_ball_volume(2) == 1  # radius 0: the root alone
-        assert estimated_ball_volume(3) == 1 + 3 * 1
-        assert estimated_ball_volume(4) == 1 + 4 * (1 + 3)
-        assert estimated_ball_volume(8) == 1 + 8 * sum(7**r for r in range(6))
-
-    def test_ball_volume_monotone_in_delta(self):
-        volumes = [estimated_ball_volume(d) for d in range(2, 12)]
-        assert volumes == sorted(volumes)
-
-    def test_cell_volume_counts_both_witness_balls(self):
-        assert estimated_cell_volume({"delta": 4}) == 2 * estimated_ball_volume(4)
-
-    def test_batching_preserves_order_and_respects_budget(self):
-        cells = [{"key": f"c{i}", "delta": 3} for i in range(5)]
-        cost = estimated_cell_volume(cells[0])
-        batches = batch_cells_by_volume(cells, budget=2 * cost)
-        assert [len(batch) for batch in batches] == [2, 2, 1]
-        flattened = [cell["key"] for batch in batches for cell in batch]
-        assert flattened == [cell["key"] for cell in cells]
-
-    def test_oversized_cell_still_ships_alone(self):
-        cells = [{"key": "big", "delta": 8}, {"key": "small", "delta": 3}]
-        batches = batch_cells_by_volume(cells, budget=1)
-        assert [len(batch) for batch in batches] == [1, 1]
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(ValueError, match="memory_budget must be positive"):
-            batch_cells_by_volume([{"delta": 3}], budget=0)
-
-    def test_default_budget_keeps_smoke_shard_in_one_request(self):
-        cells = [{"delta": 3}, {"delta": 4}, {"delta": 3}, {"delta": 4}]
-        assert len(batch_cells_by_volume(cells, DEFAULT_MEMORY_BUDGET)) == 1
-
-    def test_default_budget_isolates_e1_largest_delta(self):
-        # a Δ=8 cell is ~3·10⁵ resident nodes: it must travel alone
-        cells = [{"delta": 8}, {"delta": 8}]
-        assert len(batch_cells_by_volume(cells, DEFAULT_MEMORY_BUDGET)) == 2
 
 
 class TestParseHosts:

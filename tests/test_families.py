@@ -108,3 +108,27 @@ class TestRandomFamilies:
     def test_ec_from_simple_edges_with_isolated_nodes(self):
         g = ec_from_simple_edges([(0, 1)], nodes=[0, 1, 2])
         assert g.has_node(2) and g.degree(2) == 0
+
+
+class TestMeaninglessSizes:
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda: complete_graph(0), "at least 1 node"),
+            (lambda: caterpillar(0, 2), "at least 1 spine node"),
+            (lambda: caterpillar(3, -1), "legs >= 0"),
+            (lambda: random_regular_graph(20, 0, seed=0), "1 <= d < n"),
+            (lambda: random_regular_graph(4, 4, seed=0), "1 <= d < n"),
+            (lambda: random_loopy_tree(0, 2, seed=0), "at least 1 node"),
+            (lambda: random_loopy_tree(5, -1, seed=0), "loops_per_node >= 0"),
+        ],
+    )
+    def test_rejected_with_a_value_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_smallest_meaningful_sizes_build(self):
+        assert complete_graph(1).num_nodes() == 1
+        assert caterpillar(1, 0).num_nodes() == 1
+        assert random_regular_graph(2, 1, seed=0).num_edges() == 1
+        assert random_loopy_tree(1, 0, seed=0).num_nodes() == 1

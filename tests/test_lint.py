@@ -300,8 +300,8 @@ class TestWorkerExemption:
     def test_shipped_executors_are_the_only_spawners_in_src(self):
         # the driver (monitor thread), the shard runtime (watchdog thread),
         # the process/socket backends, and the sweep service (queue-drain
-        # workers + the threading HTTP front-end); the inline backend runs
-        # on asyncio and needs no sanction at all
+        # workers + the threading HTTP front-end); the inline backend is a
+        # plain loop in the calling thread and needs no sanction at all
         from dataclasses import replace
 
         strict = replace(DEFAULT_CONFIG, worker_modules=frozenset())

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 
-from repro.engine import CellExecutionError, Fault, FaultPlan, GridSpec, run_sweep
+from repro.engine import CellExecutionError, Fault, FaultPlan, GridSpec, ProcessExecutor, run_sweep
 from repro.obs import NULL_PROGRESS, ProgressEmitter
 from repro.obs.progress import (
     PROGRESS_SCHEMA_VERSION,
@@ -231,6 +232,24 @@ class TestSweepProgress:
         assert final["failed"] == final["total"] == 4
         terminal = [e for e in events if e["event"] in ("final", "aborted")]
         assert len(terminal) == 1
+
+    def test_backend_start_failure_stops_the_monitor_and_aborts_the_stream(self, tmp_path):
+        # a parallel backend that cannot acquire its workers: the sweep
+        # raises, and must leave no polling thread behind and a closed
+        # stream — in a long-running service each such job once leaked one
+        class CannotStart(ProcessExecutor):
+            def start(self, *args):
+                raise OSError("no workers to start")
+
+        path = tmp_path / "progress.jsonl"
+        emitter = ProgressEmitter(path=path, interval=0.05)
+        with pytest.raises(OSError, match="no workers to start"):
+            run_sweep(
+                tiny_grid(), backend=CannotStart(), out_dir=tmp_path / "out", progress=emitter
+            )
+        alive = [t for t in threading.enumerate() if t.name == "sweep-progress"]
+        assert alive == []
+        assert read_progress_events(path)[-1]["event"] == "aborted"
 
 
 class TestProgressMonitorClamp:
