@@ -18,7 +18,7 @@ fully fledged message-passing state machines in :mod:`repro.local`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 Node = Hashable
 

@@ -12,7 +12,7 @@ matching baseline in :mod:`repro.matching.integral` uses this module.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Hashable, Set, Tuple
 
 import networkx as nx
 

@@ -42,7 +42,7 @@ from ..graphs.neighborhoods import ball
 from ..local.algorithm import ECWeightAlgorithm
 from ..matching.fm import InconsistentOutputError, fm_from_node_outputs
 from ..obs.tracer import current_tracer
-from .propagation import disagreement_walk, node_load_of_output
+from .propagation import disagreement_walk
 from .saturation import figure4_certificate, unsaturated_nodes
 from .witness import AlgorithmFailure, LowerBoundWitness, StepWitness
 

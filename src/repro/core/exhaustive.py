@@ -30,10 +30,10 @@ already clash), matching the paper's base-case intuition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.families import single_node_with_loops
 from ..graphs.multigraph import ECGraph

@@ -17,7 +17,7 @@ relates graphs that share a node set but not an edge-id space (a loop of
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Hashable, List, Mapping, Tuple
 
 from ..graphs.multigraph import ECGraph
 

@@ -22,10 +22,8 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..graphs.lifts import is_covering_map_ec, random_two_lift, unfold_loop
-from ..graphs.loopy import is_loopy
 from ..graphs.multigraph import ECGraph
 from ..local.algorithm import ECWeightAlgorithm
-from ..matching.fm import FractionalMatching, fm_from_node_outputs
 from .propagation import node_load_of_output
 
 Node = Hashable

@@ -22,7 +22,7 @@ Both halves are used by the Section 2.1 tests and benches.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 from ..graphs.digraph import POGraph
 from ..graphs.multigraph import ECGraph

@@ -23,7 +23,7 @@ contradicting the claimed run-time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..local.algorithm import DistributedAlgorithm, ECWeightAlgorithm, POWeightAlgorithm
 from ..obs.tracer import current_tracer

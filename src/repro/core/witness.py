@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional
+from typing import Hashable, List, Mapping, Optional
 
 from ..graphs.multigraph import ECGraph
 

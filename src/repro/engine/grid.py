@@ -15,7 +15,7 @@ Cells are deliberately tiny value objects (round-trippable through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
 
 from ..core.adversary import run_adversary
 from ..core.witness import AlgorithmFailure

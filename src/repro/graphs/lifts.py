@@ -22,7 +22,7 @@ This module provides:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Hashable, Tuple
+from typing import Dict, Hashable, Tuple
 
 from .digraph import POGraph
 from .kernel import GraphBuilder

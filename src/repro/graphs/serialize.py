@@ -69,11 +69,6 @@ def decode_label(data: Any) -> Any:
     return data
 
 
-# backwards-compatible aliases (pre-v2 private names)
-_encode_label = encode_label
-_decode_label = decode_label
-
-
 def _graph_payload(g, kind: str, directed: bool) -> Dict[str, Any]:
     return {
         "format": GRAPH_FORMAT_V2,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path, PurePath
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .engine import Finding
 

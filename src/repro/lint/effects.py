@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .callgraph import MODULE_BODY, CallGraph, FunctionInfo
 from .engine import LintConfig, ModuleUnderLint

@@ -12,12 +12,13 @@ paper and mirrored here:
   by :class:`ECWeightAlgorithm`: a deterministic, lift-invariant assignment
   of a weight to every incident colour of every node.
 
-:class:`SimulatedECWeights` adapts the former to the latter by running the
-simulator.  Message-passing algorithms that consult only ports, messages and
-declared globals are automatically lift-invariant — a loop's echo semantics
-equals running on any simple lift (the neighbour across a loop is a
-symmetric copy of oneself); the property-based tests verify this against
-random 2-lifts.
+:class:`SimulatedECWeights` and :class:`SimulatedPOWeights` adapt the former
+to the latter by running the simulator; they differ only in the model and
+the network class.  Message-passing algorithms that consult only ports,
+messages and declared globals are automatically lift-invariant — a loop's
+echo semantics equals running on any simple lift (the neighbour across a
+loop is a symmetric copy of oneself); the property-based tests verify this
+against random 2-lifts.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from fractions import Fraction
 from typing import Any, Dict, Hashable, Optional
 
 from ..graphs.multigraph import ECGraph
+from ..obs.tracer import current_tracer
 from .context import NodeContext, Port
+from .runtime import ECNetwork, PONetwork, run
 
 Node = Hashable
 Color = Hashable
@@ -115,55 +118,6 @@ class ECWeightAlgorithm(ABC):
         return None
 
 
-class SimulatedECWeights(ECWeightAlgorithm):
-    """Adapter: run a :class:`DistributedAlgorithm` in the simulator.
-
-    Parameters
-    ----------
-    algorithm:
-        An EC-model state-machine algorithm whose node outputs are mappings
-        ``{colour: weight}``.
-    globals_factory:
-        Optional callable ``g -> dict`` producing the globally known
-        parameters for a run (e.g. the number of edge colours).
-    max_rounds_factory:
-        Optional callable ``g -> int`` bounding the run length.
-    """
-
-    def __init__(self, algorithm: DistributedAlgorithm, globals_factory=None, max_rounds_factory=None, name: Optional[str] = None):
-        if algorithm.model != "EC":
-            raise ValueError("SimulatedECWeights requires an EC-model algorithm")
-        self.algorithm = algorithm
-        self.globals_factory = globals_factory or (lambda g: {})
-        self.max_rounds_factory = max_rounds_factory or (lambda g: 4 * (len(g.colors()) + g.num_nodes() + 1))
-        self.name = name or type(algorithm).__name__
-        self._last_rounds: Optional[int] = None
-        #: total messages delivered in the most recent run (all rounds)
-        self.last_message_total: Optional[int] = None
-
-    def run_on(self, g: ECGraph) -> Dict[Node, Dict[Color, Fraction]]:
-        from ..obs.tracer import current_tracer
-        from .runtime import ECNetwork, run
-
-        with current_tracer().span(
-            "algorithm.run_on", algorithm=self.name, model="EC", nodes=g.num_nodes()
-        ) as span:
-            network = ECNetwork(g, globals_=self.globals_factory(g))
-            result = run(network, self.algorithm, max_rounds=self.max_rounds_factory(g))
-            if not result.halted:
-                raise RuntimeError(
-                    f"{self.name} did not halt within {self.max_rounds_factory(g)} rounds"
-                )
-            self._last_rounds = result.rounds
-            self.last_message_total = sum(result.message_counts)
-            span.set(rounds=result.rounds, messages=self.last_message_total)
-        return {v: dict(out) for v, out in result.outputs.items()}
-
-    def rounds_used(self, g: ECGraph) -> Optional[int]:
-        """Rounds consumed by the most recent :meth:`run_on` call."""
-        return self._last_rounds
-
-
 class POWeightAlgorithm(ABC):
     """A deterministic PO-model algorithm producing per-slot arc weights.
 
@@ -186,35 +140,60 @@ class POWeightAlgorithm(ABC):
         return None
 
 
-class SimulatedPOWeights(POWeightAlgorithm):
-    """Adapter: run a PO-model :class:`DistributedAlgorithm` in the simulator."""
+class _SimulatedWeights:
+    """The adapters' one body: run a :class:`DistributedAlgorithm` in the simulator.
+
+    A subclass sets ``model`` and ``network``, the matching network class of
+    :mod:`repro.local.runtime`.  ``algorithm`` is a state machine of that
+    model whose node outputs are mappings ``{port: weight}``;
+    ``globals_factory`` (``g -> dict``) gives a run's globally known
+    parameters (e.g. the number of edge colours) and ``max_rounds_factory``
+    (``g -> int``) bounds its length.
+    """
+
+    model: str
+    network: type
 
     def __init__(self, algorithm: DistributedAlgorithm, globals_factory=None, max_rounds_factory=None, name: Optional[str] = None):
-        if algorithm.model != "PO":
-            raise ValueError("SimulatedPOWeights requires a PO-model algorithm")
+        if algorithm.model != self.model:
+            raise ValueError(f"{type(self).__name__} requires {self.model}-model algorithms")
         self.algorithm = algorithm
         self.globals_factory = globals_factory or (lambda g: {})
         self.max_rounds_factory = max_rounds_factory or (lambda g: 4 * (len(g.colors()) + g.num_nodes() + 1))
         self.name = name or type(algorithm).__name__
         self._last_rounds: Optional[int] = None
+        #: total messages delivered in the most recent run (all rounds)
+        self.last_message_total: Optional[int] = None
 
     def run_on(self, g) -> Dict[Node, Dict[Any, Fraction]]:
-        from ..obs.tracer import current_tracer
-        from .runtime import PONetwork, run
-
         with current_tracer().span(
-            "algorithm.run_on", algorithm=self.name, model="PO", nodes=g.num_nodes()
+            "algorithm.run_on", algorithm=self.name, model=self.model, nodes=g.num_nodes()
         ) as span:
-            network = PONetwork(g, globals_=self.globals_factory(g))
+            network = self.network(g, globals_=self.globals_factory(g))
             result = run(network, self.algorithm, max_rounds=self.max_rounds_factory(g))
             if not result.halted:
                 raise RuntimeError(
                     f"{self.name} did not halt within {self.max_rounds_factory(g)} rounds"
                 )
             self._last_rounds = result.rounds
-            span.set(rounds=result.rounds)
+            self.last_message_total = sum(result.message_counts)
+            span.set(rounds=result.rounds, messages=self.last_message_total)
         return {v: dict(out) for v, out in result.outputs.items()}
 
     def rounds_used(self, g) -> Optional[int]:
         """Rounds consumed by the most recent :meth:`run_on` call."""
         return self._last_rounds
+
+
+class SimulatedECWeights(_SimulatedWeights, ECWeightAlgorithm):
+    """Adapter: run an EC-model :class:`DistributedAlgorithm` in the simulator."""
+
+    model = "EC"
+    network = ECNetwork
+
+
+class SimulatedPOWeights(_SimulatedWeights, POWeightAlgorithm):
+    """Adapter: run a PO-model :class:`DistributedAlgorithm` in the simulator."""
+
+    model = "PO"
+    network = PONetwork

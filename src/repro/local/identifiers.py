@@ -12,7 +12,7 @@ identifiers there remain ``m`` unused ones to absorb single-node relabelings
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Sequence
 
 Node = Hashable
 

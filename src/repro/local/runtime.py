@@ -6,6 +6,9 @@ delivers them, every node updates its state; nodes announce outputs and the
 run stops once all have.  Message size and local computation are unbounded,
 exactly as in the LOCAL model.
 
+:func:`run` (until every node outputs) and :func:`run_rounds` (a fixed
+budget, then snapshots) share one round loop.
+
 Three network adapters realise the models:
 
 * :class:`ECNetwork` — ports are edge colours of an :class:`ECGraph`.  A
@@ -29,12 +32,12 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 import networkx as nx
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .algorithm import DistributedAlgorithm
     from .sanitize import AccessLog
 
 from ..graphs.digraph import POGraph
 from ..graphs.multigraph import ECGraph
 from ..obs.tracer import current_tracer
-from .algorithm import DistributedAlgorithm
 from .context import NodeContext, Port
 
 Node = Hashable
@@ -43,17 +46,21 @@ __all__ = ["Network", "ECNetwork", "PONetwork", "IDNetwork", "RunResult", "run",
 
 
 class Network:
-    """Abstract network: contexts plus message routing."""
+    """Abstract network: contexts plus message routing.
+
+    A subclass fills ``_contexts`` (node -> context) and defines :meth:`route`.
+    """
 
     model: str
+    _contexts: Dict[Node, NodeContext]
 
     def nodes(self) -> List[Node]:
         """All nodes of the network."""
-        raise NotImplementedError
+        return list(self._contexts)
 
     def context(self, v: Node) -> NodeContext:
         """The local context node ``v`` executes under."""
-        raise NotImplementedError
+        return self._contexts[v]
 
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         """Destination ``(node, port)`` of a message sent by ``v`` on ``port``."""
@@ -82,12 +89,6 @@ class ECNetwork(Network):
             for v in self.kernel.nodes()
         }
 
-    def nodes(self) -> List[Node]:
-        return list(self._contexts.keys())
-
-    def context(self, v: Node) -> NodeContext:
-        return self._contexts[v]
-
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         edge = self.kernel.edge_at(v, port)
         if edge is None:
@@ -114,12 +115,6 @@ class PONetwork(Network):
                 + [("in", c) for c in sorted(self.kernel.in_colors(v), key=repr)]
             )
             self._contexts[v] = NodeContext(node=v, model="PO", ports=ports, globals=self.globals_)
-
-    def nodes(self) -> List[Node]:
-        return list(self._contexts.keys())
-
-    def context(self, v: Node) -> NodeContext:
-        return self._contexts[v]
 
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         kind, color = port
@@ -157,12 +152,6 @@ class IDNetwork(Network):
             for v in g.nodes()
         }
 
-    def nodes(self) -> List[Node]:
-        return list(self._contexts.keys())
-
-    def context(self, v: Node) -> NodeContext:
-        return self._contexts[v]
-
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         if not self.graph.has_edge(v, port):
             raise KeyError(f"node {v!r} has no neighbour {port!r}")
@@ -176,11 +165,12 @@ class RunResult:
     Attributes
     ----------
     outputs:
-        Local output of each node (``None`` for nodes that never halted).
+        Local output of each node (``None`` for nodes that never halted;
+        under :func:`run_rounds`, their snapshot).
     rounds:
         Number of communication rounds executed.
     halted:
-        Whether every node announced an output.
+        Whether every node announced an output (a snapshot is not one).
     states:
         Final internal state of each node (useful for debugging/tests).
     message_counts:
@@ -196,29 +186,82 @@ class RunResult:
     access_log: Optional["AccessLog"] = None
 
 
-def _contexts_for(
-    network: Network,
-    algorithm: DistributedAlgorithm,
-    nodes: List[Node],
-    sanitize: bool,
-    sanitize_mode: str,
-):
-    """Context table for a run, optionally wrapped in the locality sanitizer."""
-    ctxs = {v: network.context(v) for v in nodes}
-    if not sanitize:
-        return ctxs, None
-    from .sanitize import wrap_contexts
+def _simulate(
+    network: Network, algorithm: DistributedAlgorithm, limit: int, limit_name: str, *,
+    snapshot: bool, sanitize: bool, sanitize_mode: str, tracer, span: str, **span_attrs: Any,
+) -> RunResult:
+    """The round loop behind :func:`run` and :func:`run_rounds`.
 
-    return wrap_contexts(ctxs, network.model, algorithm, mode=sanitize_mode)
-
-
-def _state_size_estimate(states: Dict[Node, Any]) -> int:
-    """Crude size proxy: total ``repr`` length of all node states.
-
-    Only computed when a real tracer is attached (``tracer.enabled``); the
-    repr walk is far too expensive for the untraced hot path.
+    Rounds execute while fewer than ``limit`` have and some node is still
+    running.  With ``snapshot=False`` (:func:`run`) that is decided by
+    polling every output under a ``local.poll`` span; with ``snapshot=True``
+    (:func:`run_rounds`) by a short-circuiting check, and nodes still running
+    at the end report ``algorithm.snapshot``, which ``halted`` ignores.
     """
-    return sum(len(repr(s)) for s in states.values())
+    if algorithm.model != network.model:
+        raise ValueError(
+            f"algorithm model {algorithm.model!r} does not match network model {network.model!r}"
+        )
+    if limit < 0:
+        raise ValueError(f"{limit_name} must be non-negative, got {limit}")
+    tracer = tracer if tracer is not None else current_tracer()
+    nodes = network.nodes()
+    ctxs = {v: network.context(v) for v in nodes}
+    access_log = None
+    if sanitize:
+        from .sanitize import wrap_contexts
+
+        ctxs, access_log = wrap_contexts(ctxs, network.model, algorithm, mode=sanitize_mode)
+    with tracer.span(
+        span, model=network.model, algorithm=type(algorithm).__name__, nodes=len(nodes), **span_attrs
+    ) as run_span:
+        states = {v: algorithm.initial_state(ctxs[v]) for v in nodes}
+        announced: Dict[Node, Any] = {}
+
+        def running() -> bool:
+            nonlocal announced
+            if snapshot:
+                return any(algorithm.output(states[v], ctxs[v]) is None for v in nodes)
+            with tracer.span("local.poll") as poll_span:
+                announced = {v: algorithm.output(states[v], ctxs[v]) for v in nodes}
+                pending = sum(1 for o in announced.values() if o is None)
+                poll_span.set(pending=pending)
+            return pending > 0
+
+        message_counts: List[int] = []
+        while len(message_counts) < limit and running():
+            with tracer.span("local.round", round=len(message_counts)) as round_span:
+                inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
+                count = 0
+                for v in nodes:
+                    for port, message in algorithm.send(states[v], ctxs[v]).items():
+                        target, tport = network.route(v, port, message)
+                        inboxes[target][tport] = message
+                        count += 1
+                for v in nodes:
+                    states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
+                message_counts.append(count)
+                round_span.set(messages=count)
+        rounds, messages = len(message_counts), sum(message_counts)
+        if snapshot:
+            outputs = {}
+            for v in nodes:
+                announced[v] = outputs[v] = algorithm.output(states[v], ctxs[v])
+                if announced[v] is None:
+                    outputs[v] = algorithm.snapshot(states[v], ctxs[v])
+        else:
+            if rounds == limit:
+                running()  # the limit, not a poll, ended the loop
+            outputs = announced
+        halted = all(o is not None for o in announced.values())
+        run_span.set(rounds=rounds, halted=halted, messages=messages)
+        tracer.metrics.counter("local.runs", model=network.model).inc()
+        tracer.metrics.counter("local.rounds", model=network.model).inc(rounds)
+        tracer.metrics.counter("local.messages", model=network.model).inc(messages)
+    return RunResult(
+        outputs=outputs, rounds=rounds, halted=halted, states=states,
+        message_counts=message_counts, access_log=access_log,
+    )
 
 
 def run(
@@ -235,7 +278,8 @@ def run(
     Outputs are polled *before* the first round (a 0-round algorithm halts
     immediately with only its context) and after every round.  The returned
     ``rounds`` is the number of communication rounds actually performed —
-    the quantity the paper's lower bound is about.
+    the quantity the paper's lower bound is about.  A negative
+    ``max_rounds`` raises :class:`ValueError`.
 
     With ``sanitize=True`` every context is wrapped in the locality
     sanitizer (:mod:`repro.local.sanitize`): out-of-model reads raise a
@@ -243,73 +287,16 @@ def run(
     and the returned result carries the full ``access_log``.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records one ``local.run`` span
-    with nested per-round ``local.round`` spans (message counts, state-size
-    estimates) and ``local.poll`` spans timing the output polls; it defaults
+    with nested per-round ``local.round`` spans (round number and message
+    count) and ``local.poll`` spans timing the output polls; it defaults
     to the ambient tracer, a no-op unless installed via
     :func:`repro.obs.use_tracer`.
 
-    All options are keyword-only; the deprecated positional spellings from
-    the pre-keyword API were removed after two majors of soak — passing
-    them now raises :class:`TypeError` like any other excess positional.
+    All options are keyword-only.
     """
-    if algorithm.model != network.model:
-        raise ValueError(
-            f"algorithm model {algorithm.model!r} does not match network model {network.model!r}"
-        )
-    tracer = tracer if tracer is not None else current_tracer()
-    nodes = network.nodes()
-    ctxs, access_log = _contexts_for(network, algorithm, nodes, sanitize, sanitize_mode)
-    with tracer.span(
-        "local.run",
-        model=network.model,
-        algorithm=type(algorithm).__name__,
-        nodes=len(nodes),
-    ) as run_span:
-        states = {v: algorithm.initial_state(ctxs[v]) for v in nodes}
-        message_counts: List[int] = []
-
-        def poll() -> Dict[Node, Any]:
-            with tracer.span("local.poll") as poll_span:
-                polled = {v: algorithm.output(states[v], ctxs[v]) for v in nodes}
-                poll_span.set(pending=sum(1 for o in polled.values() if o is None))
-            return polled
-
-        outputs = poll()
-        rounds = 0
-        while any(o is None for o in outputs.values()) and rounds < max_rounds:
-            with tracer.span("local.round", round=rounds) as round_span:
-                inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
-                count = 0
-                for v in nodes:
-                    sent = algorithm.send(states[v], ctxs[v])
-                    for port, message in sent.items():
-                        target, tport = network.route(v, port, message)
-                        inboxes[target][tport] = message
-                        count += 1
-                message_counts.append(count)
-                for v in nodes:
-                    states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
-                rounds += 1
-                if tracer.enabled:
-                    round_span.set(
-                        messages=count, state_size=_state_size_estimate(states)
-                    )
-            outputs = poll()
-
-        halted = all(o is not None for o in outputs.values())
-        run_span.set(rounds=rounds, halted=halted, messages=sum(message_counts))
-        tracer.metrics.counter("local.runs", model=network.model).inc()
-        tracer.metrics.counter("local.rounds", model=network.model).inc(rounds)
-        tracer.metrics.counter("local.messages", model=network.model).inc(
-            sum(message_counts)
-        )
-    return RunResult(
-        outputs=outputs,
-        rounds=rounds,
-        halted=halted,
-        states=states,
-        message_counts=message_counts,
-        access_log=access_log,
+    return _simulate(
+        network, algorithm, max_rounds, "max_rounds", snapshot=False,
+        sanitize=sanitize, sanitize_mode=sanitize_mode, tracer=tracer, span="local.run",
     )
 
 
@@ -330,69 +317,17 @@ def run_rounds(
     offers no snapshot).  This realises evaluating a ``t``-time algorithm on
     a radius-``t`` view: whatever the node's state holds after ``t`` rounds
     is, by locality, its final answer on any graph agreeing on that view.
+    ``halted`` is true only if every node announced an output; a negative
+    ``rounds`` raises :class:`ValueError`.
 
     Per-round message delivery counts are recorded in
     ``RunResult.message_counts`` exactly as in :func:`run`, and ``tracer``
-    behaves identically (``local.run_rounds`` / ``local.round`` spans).
+    behaves likewise (``local.run_rounds`` / ``local.round`` spans) except
+    that outputs are not polled, so no ``local.poll`` span occurs.
 
-    All options after ``rounds`` are keyword-only; the deprecated
-    positional spellings were removed after two majors of soak — passing
-    them now raises :class:`TypeError` like any other excess positional.
+    All options after ``rounds`` are keyword-only.
     """
-    if algorithm.model != network.model:
-        raise ValueError(
-            f"algorithm model {algorithm.model!r} does not match network model {network.model!r}"
-        )
-    tracer = tracer if tracer is not None else current_tracer()
-    nodes = network.nodes()
-    ctxs, access_log = _contexts_for(network, algorithm, nodes, sanitize, sanitize_mode)
-    with tracer.span(
-        "local.run_rounds",
-        model=network.model,
-        algorithm=type(algorithm).__name__,
-        nodes=len(nodes),
-        budget=rounds,
-    ) as run_span:
-        states = {v: algorithm.initial_state(ctxs[v]) for v in nodes}
-        message_counts: List[int] = []
-        executed = 0
-        for _ in range(rounds):
-            if all(algorithm.output(states[v], ctxs[v]) is not None for v in nodes):
-                break
-            with tracer.span("local.round", round=executed) as round_span:
-                inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
-                count = 0
-                for v in nodes:
-                    for port, message in algorithm.send(states[v], ctxs[v]).items():
-                        target, tport = network.route(v, port, message)
-                        inboxes[target][tport] = message
-                        count += 1
-                message_counts.append(count)
-                for v in nodes:
-                    states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
-                executed += 1
-                if tracer.enabled:
-                    round_span.set(
-                        messages=count, state_size=_state_size_estimate(states)
-                    )
-        outputs: Dict[Node, Any] = {}
-        for v in nodes:
-            out = algorithm.output(states[v], ctxs[v])
-            if out is None:
-                out = algorithm.snapshot(states[v], ctxs[v])
-            outputs[v] = out
-        halted = all(o is not None for o in outputs.values())
-        run_span.set(rounds=executed, halted=halted, messages=sum(message_counts))
-        tracer.metrics.counter("local.runs", model=network.model).inc()
-        tracer.metrics.counter("local.rounds", model=network.model).inc(executed)
-        tracer.metrics.counter("local.messages", model=network.model).inc(
-            sum(message_counts)
-        )
-    return RunResult(
-        outputs=outputs,
-        rounds=executed,
-        halted=halted,
-        states=states,
-        message_counts=message_counts,
-        access_log=access_log,
+    return _simulate(
+        network, algorithm, rounds, "rounds", snapshot=True, sanitize=sanitize,
+        sanitize_mode=sanitize_mode, tracer=tracer, span="local.run_rounds", budget=rounds,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping
 
 from ..graphs.digraph import POGraph
 from ..graphs.multigraph import ECGraph

@@ -23,9 +23,8 @@ oneself.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Optional
 
-from ..graphs.multigraph import ECGraph
 from ..local.algorithm import DistributedAlgorithm, SimulatedECWeights
 from ..local.context import NodeContext
 

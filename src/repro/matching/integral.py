@@ -21,7 +21,7 @@ Three algorithms with measured round counts:
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 import networkx as nx
 

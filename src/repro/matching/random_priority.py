@@ -36,7 +36,6 @@ from ..local.algorithm import DistributedAlgorithm, ECWeightAlgorithm
 from ..local.context import NodeContext
 from ..local.randomized import RandomTape, my_coins, tape_globals, uniform_tape
 from ..local.runtime import ECNetwork, IDNetwork, run
-from .fm import FractionalMatching, fm_from_node_outputs
 
 Node = Hashable
 

@@ -9,10 +9,10 @@ these trivially correct sequential counterparts, and the classical
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Set
 
 from ..graphs.multigraph import ECGraph
-from .fm import FractionalMatching, ONE, ZERO
+from .fm import FractionalMatching, ONE
 
 Node = Hashable
 EdgeId = int

@@ -15,8 +15,7 @@ approximation ratio — making the paper's motivating application runnable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Hashable, List, Set, Tuple
+from typing import Hashable, Set, Tuple
 
 from ..graphs.multigraph import ECGraph
 from .fm import FractionalMatching, ONE

@@ -14,9 +14,10 @@ parameter defaults to the ambient tracer (:func:`current_tracer`), which is
 the shared no-op :data:`NULL_TRACER` unless a caller installed a real one
 with :func:`use_tracer`.  The no-op tracer returns one preallocated span
 object that ignores everything, so the disabled hot path costs a dict-free
-method call and a ``with`` block — nothing measurable.  Expensive
-observations (state-size estimates and the like) must additionally be
-guarded by ``if tracer.enabled:``.
+method call and a ``with`` block — nothing measurable.  Guarding an
+expensive observation with ``if tracer.enabled:`` does not keep it out of a
+sweep, whose shards run under an enabled tracer: record only what
+something reads.
 
 Determinism contract
 --------------------

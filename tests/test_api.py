@@ -35,6 +35,10 @@ class TestApiRun:
         assert bounded.rounds <= 1
         assert all(out is not None for out in bounded.outputs.values())
 
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValueError, match="^rounds must be non-negative, got -1$"):
+            api.run(ProposalFM("EC"), path_graph(4), rounds=-1)
+
     def test_run_on_prebuilt_network(self):
         network = ECNetwork(path_graph(3), globals_={"delta": 2})
         assert api.run(ProposalFM("EC"), network).halted

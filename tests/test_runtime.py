@@ -54,10 +54,9 @@ class NeverHalts(DistributedAlgorithm):
 class CountsRounds(DistributedAlgorithm):
     """Halts after a fixed number of rounds, outputting the count."""
 
-    model = "EC"
-
-    def __init__(self, rounds: int):
+    def __init__(self, rounds: int, model: str = "EC"):
         self.rounds = rounds
+        self.model = model
 
     def initial_state(self, ctx):
         return 0
@@ -167,11 +166,13 @@ class TestRunRounds:
         result = run_rounds(ECNetwork(cycle_graph(4)), CountsRounds(10), rounds=3)
         assert result.rounds == 3
         assert all(v == ("partial", 3) for v in result.outputs.values())
+        assert result.halted is False  # a snapshot is not an announced output
 
     def test_stops_early_when_all_halt(self):
         result = run_rounds(ECNetwork(cycle_graph(4)), CountsRounds(2), rounds=10)
         assert result.rounds == 2
         assert all(v == 2 for v in result.outputs.values())
+        assert result.halted is True
 
     def test_zero_rounds(self):
         result = run_rounds(ECNetwork(cycle_graph(4)), CountsRounds(5), rounds=0)
@@ -191,6 +192,64 @@ class TestRunRounds:
     def test_message_counts_empty_for_zero_rounds(self):
         result = run_rounds(ECNetwork(cycle_graph(4)), CountsRounds(5), rounds=0)
         assert result.message_counts == []
+
+
+@pytest.mark.parametrize("budget", [-1, -3])
+@pytest.mark.parametrize(
+    "execute, option",
+    [
+        (lambda network, alg, budget: run(network, alg, max_rounds=budget), "max_rounds"),
+        (lambda network, alg, budget: run_rounds(network, alg, rounds=budget), "rounds"),
+    ],
+    ids=["run", "run_rounds"],
+)
+def test_negative_round_budget_rejected(execute, option, budget):
+    with pytest.raises(ValueError, match=rf"^{option} must be non-negative, got {budget}$"):
+        execute(ECNetwork(cycle_graph(4)), CountsRounds(2), budget)
+
+
+class TestOneLoopTwoEntryPoints:
+    """``run`` and ``run_rounds`` agree on every budget; only the outputs of
+    nodes still running differ (``None`` against a snapshot)."""
+
+    HALTS_AFTER = 3
+
+    NETWORKS = {
+        "EC": lambda: ECNetwork(star_graph(3)),
+        "PO": lambda: PONetwork(po_double_from_ec(cycle_graph(3))),
+        "ID": lambda: IDNetwork(nx.path_graph(4)),
+    }
+
+    @pytest.mark.parametrize("model", sorted(NETWORKS))
+    @pytest.mark.parametrize("budget", range(HALTS_AFTER + 2))
+    def test_results_agree(self, model, budget):
+        algorithm = CountsRounds(self.HALTS_AFTER, model)
+        polled = run(self.NETWORKS[model](), algorithm, max_rounds=budget)
+        bounded = run_rounds(self.NETWORKS[model](), algorithm, rounds=budget)
+        assert polled.rounds == bounded.rounds == min(budget, self.HALTS_AFTER)
+        assert polled.message_counts == bounded.message_counts
+        assert polled.states == bounded.states
+        assert polled.halted is bounded.halted is (budget >= self.HALTS_AFTER)
+        snapshot = ("partial", bounded.rounds)
+        assert {v: snapshot if o is None else o for v, o in polled.outputs.items()} == bounded.outputs
+
+    @pytest.mark.parametrize("model", sorted(NETWORKS))
+    @pytest.mark.parametrize("budget", range(HALTS_AFTER + 2))
+    def test_round_spans_agree(self, model, budget):
+        """Both number their rounds alike; only ``run`` polls, once before
+        the first round and once after each."""
+        from repro.obs import Tracer
+
+        for execute, polls_per_round in (
+            (lambda network, alg, tracer: run(network, alg, max_rounds=budget, tracer=tracer), 1),
+            (lambda network, alg, tracer: run_rounds(network, alg, rounds=budget, tracer=tracer), 0),
+        ):
+            tracer = Tracer()
+            result = execute(self.NETWORKS[model](), CountsRounds(self.HALTS_AFTER, model), tracer)
+            assert [s.attrs for s in tracer.find("local.round")] == [
+                {"round": i, "messages": count} for i, count in enumerate(result.message_counts)
+            ]
+            assert len(tracer.find("local.poll")) == polls_per_round * (result.rounds + 1)
 
 
 class TestTracing:
@@ -216,9 +275,10 @@ class TestTracing:
         (span,) = tracer.find("local.run_rounds")
         assert span.attrs["budget"] == 3
         assert span.attrs["rounds"] == 3
+        assert span.attrs["halted"] is False
         assert len(tracer.find("local.round")) == 3
 
-    def test_round_spans_carry_message_and_state_observations(self):
+    def test_round_spans_carry_round_and_message_count(self):
         from repro.obs import Tracer
 
         tracer = Tracer()
@@ -226,7 +286,6 @@ class TestTracing:
         rounds = tracer.find("local.round")
         assert [s.attrs["round"] for s in rounds] == [0, 1]
         assert all(s.attrs["messages"] == 8 for s in rounds)
-        assert all(s.attrs["state_size"] > 0 for s in rounds)
 
     def test_metrics_counters_accumulate(self):
         from repro.obs import Tracer
