@@ -188,10 +188,6 @@ def sweep(
     backend: Optional[str] = None,
     hosts=None,
     out: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    cache_tenant: Optional[str] = None,
-    cache_shared_dir: Optional[str] = None,
-    cache_disk_budget: Optional[int] = None,
     use_cache: bool = True,
     resume: bool = False,
     tracer=None,
@@ -214,13 +210,6 @@ def sweep(
     process pool, anything less runs inline).  ``hosts`` names the socket
     backend's shard servers.
 
-    ``cache_tenant``/``cache_shared_dir``/``cache_disk_budget`` configure
-    the multi-tenant canonical-form cache the sweep service uses: a
-    namespaced per-tenant disk tier under ``cache_dir``, a read-through
-    shared tier deduping canonicalisation across tenants, and a byte
-    budget past which oldest-used disk entries are evicted — see
-    ``docs/service.md``.
-
     ``faults`` replays a deterministic failure scenario (a
     :class:`repro.engine.FaultPlan`, its dict form, or a path to its JSON
     file); ``cell_timeout``/``retries``/``max_restarts`` bound the per-cell
@@ -237,10 +226,6 @@ def sweep(
         backend=backend,
         hosts=hosts,
         out_dir=out,
-        cache_dir=cache_dir,
-        cache_tenant=cache_tenant,
-        cache_shared_dir=cache_shared_dir,
-        cache_disk_budget=cache_disk_budget,
         use_cache=use_cache,
         resume=resume,
         tracer=tracer,

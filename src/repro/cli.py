@@ -334,11 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common_options(sweep, json_flag=True, chain="ec", out=True, execution=True)
     sweep.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="on-disk canonical-form cache (default: $REPRO_CACHE_DIR)",
-    )
-    sweep.add_argument(
         "--no-cache", action="store_true", help="disable the canonical-form cache"
     )
     sweep.add_argument(
@@ -401,28 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--data-dir",
         default="service-data",
         metavar="DIR",
-        help="root for job artifacts (jobs/<id>/ stores, progress JSONL) "
-        "and, unless --cache-dir is set, the tenant caches "
-        "(default service-data)",
-    )
-    serve_api.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="base of the multi-tenant canonical-form cache "
-        "(tenants/<name>/ + shared/; default DATA_DIR/cache)",
-    )
-    serve_api.add_argument(
-        "--no-shared-cache",
-        action="store_true",
-        help="disable the read-through shared cache tier (tenants stay "
-        "fully isolated, no cross-tenant dedup)",
-    )
-    serve_api.add_argument(
-        "--disk-budget",
-        type=int,
-        metavar="BYTES",
-        help="byte budget per cache tier directory; oldest-used entries "
-        "are evicted past it (default: never evict)",
+        help="root for job artifacts (jobs/<id>/ stores, progress JSONL; "
+        "default service-data)",
     )
     serve_api.add_argument(
         "--queue-size",
@@ -739,9 +714,6 @@ def _cmd_serve_api(args) -> int:
 
     config = ServiceConfig(
         data_dir=Path(args.data_dir),
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        shared_cache=not args.no_shared_cache,
-        disk_budget=args.disk_budget,
         queue_size=args.queue_size,
         job_workers=args.job_workers,
         rate=args.rate,
@@ -789,7 +761,6 @@ def _cmd_sweep(args) -> int:
         result = api.sweep(
             grid,
             out=args.out,
-            cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             resume=args.resume,
             faults=args.faults,

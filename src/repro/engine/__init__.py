@@ -7,7 +7,7 @@ process-parallel sweep:
   chain × seed) expanded into deterministic :class:`~repro.engine.grid.Cell`
   jobs;
 * :mod:`repro.engine.cache` — a content-addressed canonical-form cache
-  (process-wide memory tier + optional on-disk store under ``$REPRO_CACHE_DIR``)
+  (one process-wide memory tier, the memo :data:`repro.graphs.memo.FORMS`)
   installed into :mod:`repro.graphs.isomorphism` for the duration of a run;
 * :mod:`repro.engine.store` — resumable JSONL result shards plus the merged
   ``summary.json``;
@@ -21,9 +21,9 @@ process-parallel sweep:
   (the spawn-context pool) and ``socket`` (multi-host shard servers over
   JSON framing);
 * :mod:`repro.engine.faults` — a deterministic fault-injection layer (seeded
-  :class:`~repro.engine.faults.FaultPlan`) that replays worker kills, shard
-  truncation, cache corruption, stalls and transient I/O errors so every
-  recovery path is mechanically exercised.
+  :class:`~repro.engine.faults.FaultPlan`) that replays worker kills and
+  crashes, shard truncation and cell stalls so every recovery path is
+  mechanically exercised.
 
 Entry points: :func:`run_sweep` (or ``python -m repro sweep`` /
 :func:`repro.api.sweep`).  See ``docs/engine.md``.

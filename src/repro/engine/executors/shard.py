@@ -207,14 +207,7 @@ def run_shard(payload: dict, on_row=None) -> Tuple[int, List[dict], dict, dict]:
         else None
     )
     tracer = Tracer()
-    # tenancy keys read through .get(): payloads from older coordinators
-    # (or replayed fixtures) without them still execute unchanged
-    cache = CanonicalFormCache(
-        directory=payload["cache_dir"],
-        tenant=payload.get("cache_tenant"),
-        shared_dir=payload.get("shared_cache_dir"),
-        disk_budget=payload.get("cache_disk_budget"),
-    )
+    cache = CanonicalFormCache()
     rows: List[dict] = []
     with _AMBIENT_LOCK:
         with use_tracer(tracer), use_faults(injector):
@@ -248,16 +241,12 @@ def run_shard(payload: dict, on_row=None) -> Tuple[int, List[dict], dict, dict]:
 def shard_payloads(
     shards: List[List[Cell]],
     store: Optional[ResultStore],
-    cache_dir,
     use_cache: bool,
     plan: Optional[FaultPlan],
     round_: int,
     cell_timeout: Optional[float],
     retries: int,
     in_worker: bool,
-    cache_tenant: Optional[str] = None,
-    shared_cache_dir=None,
-    cache_disk_budget: Optional[int] = None,
 ) -> List[dict]:
     """JSON-ready payload dicts for one round of shards.
 
@@ -269,16 +258,12 @@ def shard_payloads(
             "shard": index,
             "cells": [cell.as_dict() for cell in bucket],
             "out_dir": str(store.directory) if store else None,
-            "cache_dir": str(cache_dir) if cache_dir else None,
             "use_cache": use_cache,
             "plan": plan.as_dict() if plan is not None else None,
             "round": round_,
             "cell_timeout": cell_timeout,
             "retries": retries,
             "in_worker": in_worker,
-            "cache_tenant": cache_tenant,
-            "shared_cache_dir": str(shared_cache_dir) if shared_cache_dir else None,
-            "cache_disk_budget": cache_disk_budget,
         }
         for index, bucket in enumerate(shards)
     ]

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from .labels import LABELS
 
@@ -63,8 +63,8 @@ __all__ = [
     "GraphBuilder",
 ]
 
-#: version string folded into every digest; bump on any encoding change so
-#: stale on-disk cache entries can never alias fresh ones
+#: version string folded into every digest; bump it on any encoding change
+#: (no digest outlives its process, so a bump only re-pins golden digests)
 KERNEL_DIGEST_VERSION = "repro-graph-kernel-v1"
 
 _MASK = (1 << 256) - 1
@@ -245,10 +245,6 @@ class GraphKernel:
     def degree(self, v: Node) -> int:
         """Number of occupied slots at ``v`` (EC: loops +1; PO: loops +2)."""
         return len(self._slots[v])
-
-    def slot_map(self, v: Node) -> Mapping[Any, EdgeId]:
-        """The raw slot map of ``v`` — treat as read-only (it is shared)."""
-        return self._slots[v]
 
     def edge_at(self, v: Node, color: Color):
         """Undirected read: the unique colour-``color`` edge at ``v`` or ``None``."""

@@ -102,9 +102,8 @@ BALLS = Memo(8192)
 #: the labelled graph, which the digest identifies.
 RUNS = Memo(4096)
 
-#: ``CanonicalFormCache``: ``(read scope, rooted digest)`` -> canonical
-#: rooted form.  The digest determines the form; the scope only decides
-#: which caches may read the entry.
+#: ``CanonicalFormCache``: rooted digest -> canonical rooted form, the
+#: cache's one tier.  The digest determines the form.
 FORMS = Memo(4096)
 
 

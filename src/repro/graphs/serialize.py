@@ -52,8 +52,7 @@ def encode_label(label: Any) -> Any:
     """Encode a node label (nested tuples of str/int) as tagged JSON.
 
     Tuples become ``{"t": [...]}``; the int/str/bool/``None`` leaves pass
-    through.  The same scheme encodes canonical-form trees in the engine's
-    cache, so the two layers stay byte-compatible.
+    through.
     """
     if isinstance(label, tuple):
         return {"t": [encode_label(x) for x in label]}

@@ -448,10 +448,3 @@ class CallGraph:
             for site in self.calls.get(caller, [])
             if site.resolution.kind == "project" and site.resolution.target == callee
         ]
-
-    def functions_in(self, module: str) -> List[FunctionInfo]:
-        """All function infos of one module, module body included."""
-        return sorted(
-            (f for f in self.functions.values() if f.module == module),
-            key=lambda f: (f.lineno, f.qualname),
-        )

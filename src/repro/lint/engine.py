@@ -386,19 +386,6 @@ class ModuleUnderLint:
             for scope in self.config.exact_scopes
         )
 
-    @property
-    def in_model_packages(self) -> bool:
-        """Whether the module is model code (``LintConfig.model_packages``)."""
-        return any(
-            self.module == scope or self.module.startswith(scope + ".")
-            for scope in self.config.model_packages
-        )
-
-    @property
-    def is_package_init(self) -> bool:
-        """Whether this module is a package ``__init__.py``."""
-        return Path(self.path).name == "__init__.py"
-
     def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
         """A finding anchored at ``node``'s source position."""
         return Finding(

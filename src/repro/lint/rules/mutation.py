@@ -53,10 +53,6 @@ _MUTATORS = {
 }
 
 
-def _tracked_roots(func: ast.AST) -> Set[str]:
-    return _TRACKED_NAMES | ctx_param_names(func)
-
-
 def _is_tracked_store(node: ast.AST, roots: Set[str]) -> bool:
     """An Attribute/Subscript store/del reaching *into* a tracked object."""
     if not isinstance(node, (ast.Attribute, ast.Subscript)):

@@ -21,7 +21,6 @@ from typing import Dict, Hashable, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
 
 from ..graphs.lifts import bipartite_double_cover
 from ..graphs.multigraph import ECGraph
@@ -41,6 +40,8 @@ def max_weight_fm_lp(g: ECGraph) -> Tuple[float, Dict[EdgeId, float]]:
     :func:`fractional_matching_number_exact` for an exact value on loop-free
     graphs.
     """
+    from scipy.optimize import linprog  # loading scipy costs about 0.5 s
+
     edges = g.edges()
     if not edges:
         return 0.0, {}
@@ -70,6 +71,8 @@ def min_fractional_vertex_cover_lp(g: ECGraph) -> Tuple[float, Dict[Node, float]
     approximation landscape and the [3] vertex-cover application; the tests
     confirm it numerically against :func:`max_weight_fm_lp`.
     """
+    from scipy.optimize import linprog  # loading scipy costs about 0.5 s
+
     nodes = g.nodes()
     edges = g.edges()
     if not edges:

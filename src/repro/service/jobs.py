@@ -15,11 +15,10 @@ rows is reading the store's summary: the service adds queueing, tenancy
 and backpressure, never a second result format, which is what keeps job
 rows byte-identical to the equivalent CLI sweep.
 
-Tenancy rides on the multi-tenant :class:`~repro.engine.cache.
-CanonicalFormCache`: each job sweeps with its tenant's namespaced cache
-directory plus a read-through shared tier, so concurrent tenants dedupe
-canonicalisation globally without being able to read or evict each other's
-private entries (``docs/service.md``).
+A tenant owns its jobs and its rate budget.  Every job thread shares the
+process-wide memos (:mod:`repro.graphs.memo`), the canonical-form tier
+among them, so a form or a verified run computed for one job serves every
+later job, whoever submitted it (``docs/service.md``).
 
 Backpressure follows the engine's bounded-retry vocabulary: a full queue
 or an exhausted per-tenant token bucket raises :class:`Backpressure` with
@@ -36,6 +35,7 @@ the queue-wait and run-time histograms of :meth:`SweepService.stats` read
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from collections import deque
@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 
 from .. import api
-from ..engine.cache import validate_tenant
 from ..engine.faults import as_plan
 from ..engine.grid import GridSpec, expand
 from ..engine.store import ResultStore
@@ -63,6 +62,16 @@ __all__ = [
 ]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: tenant names arrive from clients; keep them boring on purpose
+_TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+
+def validate_tenant(name: str) -> str:
+    """Return ``name`` if it is a safe tenant identifier, else raise."""
+    if not _TENANT_RE.match(name):
+        raise ValueError(f"invalid tenant {name!r}: want {_TENANT_RE.pattern}")
+    return name
 
 
 class JobCancelled(RuntimeError):
@@ -116,13 +125,11 @@ class ServiceConfig:
     ``sweep_options`` are engine execution options (``workers``,
     ``backend``, ``cell_timeout``, …) forwarded verbatim to every job's
     :func:`repro.api.sweep` call; ``rate == 0`` disables per-tenant rate
-    limiting; ``disk_budget`` bounds each cache tier directory in bytes.
+    limiting.  A size that cannot work, or a default tenant no client
+    could name, raises ``ValueError``.
     """
 
     data_dir: Path = Path("service-data")
-    cache_dir: Optional[Path] = None
-    shared_cache: bool = True
-    disk_budget: Optional[int] = None
     queue_size: int = 16
     job_workers: int = 1
     rate: float = 0.0
@@ -130,6 +137,21 @@ class ServiceConfig:
     progress_interval: float = 0.2
     default_tenant: str = "public"
     sweep_options: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.queue_size < 1:
+            raise ValueError(f"queue_size must be at least 1, got {self.queue_size}")
+        if self.job_workers < 1:
+            raise ValueError(f"job_workers must be at least 1, got {self.job_workers}")
+        if self.rate < 0:
+            raise ValueError(f"rate must be non-negative, got {self.rate}")
+        if self.burst < 1:
+            raise ValueError(f"burst must be at least 1, got {self.burst}")
+        if self.progress_interval < 0:
+            raise ValueError(
+                f"progress_interval must be non-negative, got {self.progress_interval}"
+            )
+        validate_tenant(self.default_tenant)
 
 
 @dataclass
@@ -231,8 +253,6 @@ class SweepService:
         self.data_dir = Path(self.config.data_dir)
         self.jobs_dir = self.data_dir / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        self.cache_dir = Path(self.config.cache_dir or self.data_dir / "cache")
-        self.shared_dir = self.cache_dir / "shared" if self.config.shared_cache else None
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._queue: Deque[Job] = deque()
@@ -259,7 +279,7 @@ class SweepService:
         if self._threads:
             return
         self._stop.clear()
-        for index in range(max(1, self.config.job_workers)):
+        for index in range(self.config.job_workers):
             thread = threading.Thread(
                 target=self._drain_loop, daemon=True, name=f"sweep-service-{index}"
             )
@@ -380,9 +400,6 @@ class SweepService:
                 "jobs": states,
                 "tenants": sorted({job.tenant for job in self._jobs.values()}),
                 "workers": len(self._threads),
-                "cache_dir": str(self.cache_dir),
-                "shared_cache": self.shared_dir is not None,
-                "disk_budget": self.config.disk_budget,
                 "queue_wait_s": _summary(self._queue_wait),
                 "run_s": _summary(self._run_time),
                 "rejected": dict(self._rejected),
@@ -435,10 +452,6 @@ class SweepService:
         report = api.sweep(
             job.grid,
             out=str(job.directory),
-            cache_dir=str(self.cache_dir),
-            cache_tenant=job.tenant,
-            cache_shared_dir=str(self.shared_dir) if self.shared_dir else None,
-            cache_disk_budget=self.config.disk_budget,
             faults=job.faults,
             progress=progress,
             **dict(self.config.sweep_options),

@@ -8,7 +8,7 @@ one JSON document, every route lives under ``/v1/``.
 Route                                 Meaning
 ====================================  =========================================
 ``GET /v1/healthz``                   liveness + service stats
-``GET /v1/stats``                     queue/job/tenant/cache accounting,
+``GET /v1/stats``                     queue/job/tenant accounting,
                                       queue-wait and run-time percentiles,
                                       ``429`` counts, memory-tier size
 ``POST /v1/jobs``                     submit ``{"grid": {...}}``; tenant from

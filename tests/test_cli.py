@@ -52,9 +52,6 @@ SURFACE = {
         (("--host",), "127.0.0.1", None),
         (("--port",), 0, None),
         (("--data-dir",), "service-data", None),
-        (("--cache-dir",), None, None),
-        (("--no-shared-cache",), False, None),
-        (("--disk-budget",), None, None),
         (("--queue-size",), 16, None),
         (("--job-workers",), 1, None),
         (("--rate",), 0.0, None),
@@ -86,7 +83,6 @@ SURFACE = {
         (("--cell-timeout",), None, None),
         (("--retries",), 1, None),
         (("--max-restarts",), 2, None),
-        (("--cache-dir",), None, None),
         (("--no-cache",), False, None),
         (("--resume",), False, None),
         (("--smoke",), False, None),
@@ -544,6 +540,10 @@ class TestErrorBoundary:
             ["solve", "--family", "loopy-tree", "--n", "0"],
             ["solve", "--family", "regular", "--delta", "0"],
             ["solve", "--family", "caterpillar", "--n", "0"],
+            ["serve-api", "--queue-size", "0"],
+            ["serve-api", "--job-workers", "0"],
+            ["serve-api", "--rate", "-1"],
+            ["serve-api", "--rate", "1", "--burst", "0"],
         ],
     )
     def test_bad_input_exits_with_one_line(self, argv):

@@ -184,7 +184,7 @@ class Differential:
         self.comparisons = 0
         self.both_raised = 0
         self.divergences = []
-        self.cache = CanonicalFormCache(use_disk=False)
+        self.cache = CanonicalFormCache()
 
     def check(self, what: str, production, oracle) -> None:
         self.comparisons += 1

@@ -19,12 +19,6 @@ from repro.engine import (
     run_sweep,
     smoke_grid,
 )
-from repro.engine.cache import (
-    CACHE_FORMAT,
-    decode_form,
-    encode_form,
-    validate_tenant,
-)
 from repro.graphs.families import path_graph
 from repro.graphs.isomorphism import canonical_rooted_form, use_canonical_cache
 from repro.graphs.memo import FORMS, reset_memos
@@ -60,16 +54,12 @@ class TestGraphDigest:
         g3.add_edge("b", "b", 2)
         assert graph_digest(g1, "a") != graph_digest(g3, "a")
 
-    def test_form_roundtrip(self):
-        g1, _ = loopy_pair()
-        form = canonical_rooted_form(g1, "a")
-        assert decode_form(json.loads(json.dumps(encode_form(form)))) == form
-
 
 class TestCanonicalFormCache:
     def test_hit_and_miss_counting(self):
+        reset_memos()
         g1, g2 = loopy_pair()
-        cache = CanonicalFormCache(use_disk=False)
+        cache = CanonicalFormCache()
         f1 = cache.canonical_form(g1, "a")
         f2 = cache.canonical_form(g2, "a")
         assert f1 == f2 == canonical_rooted_form(g1, "a")
@@ -79,60 +69,30 @@ class TestCanonicalFormCache:
     def test_lru_eviction(self, monkeypatch):
         reset_memos()
         monkeypatch.setattr(FORMS, "limit", 2)
-        cache = CanonicalFormCache(use_disk=False)
+        cache = CanonicalFormCache()
         for n in (2, 3, 4):
             cache.canonical_form(path_graph(n), 0)
-        assert len(cache) == 2
+        assert len(FORMS) == 2
         assert cache.stats.evictions == 1
         # the evicted entry (n=2, least recently used) misses again
         cache.canonical_form(path_graph(2), 0)
         assert cache.stats.misses == 4
         assert cache.stats.hits == 0
 
-    def test_disk_roundtrip_across_instances(self, tmp_path):
-        g1, _ = loopy_pair()
-        first = CanonicalFormCache(directory=tmp_path)
-        first.canonical_form(g1, "a")
-        reset_memos()  # the second instance stands for a new process
-        second = CanonicalFormCache(directory=tmp_path)
-        second.canonical_form(g1, "a")
-        assert second.stats.hits == 1
-        assert second.stats.disk_hits == 1
-
-    def test_corrupt_disk_entry_recomputed(self, tmp_path):
-        g1, _ = loopy_pair()
-        cache = CanonicalFormCache(directory=tmp_path)
-        key = graph_digest(g1, "a")
-        (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
-        form = cache.canonical_form(g1, "a")
-        assert form == canonical_rooted_form(g1, "a")
-        assert cache.stats.disk_corrupt == 1
-        assert cache.stats.misses == 1
-        # the recomputation rewrote a valid entry
-        payload = json.loads((tmp_path / f"{key}.json").read_text(encoding="utf-8"))
-        assert payload["format"] == CACHE_FORMAT
-
-    def test_foreign_format_treated_as_corrupt(self, tmp_path):
-        g1, _ = loopy_pair()
-        cache = CanonicalFormCache(directory=tmp_path)
-        key = graph_digest(g1, "a")
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps({"format": "something-else", "key": key, "form": None}),
-            encoding="utf-8",
-        )
-        cache.canonical_form(g1, "a")
-        assert cache.stats.disk_corrupt == 1
-
-    def test_env_dir_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        cache = CanonicalFormCache()
-        assert cache.directory == tmp_path / "envcache"
-        memory_only = CanonicalFormCache(use_disk=False)
-        assert memory_only.directory is None
+    def test_instances_share_one_tier(self):
+        reset_memos()
+        g1, g2 = loopy_pair()
+        first = CanonicalFormCache()
+        form = first.canonical_form(g1, "a")
+        second = CanonicalFormCache()
+        assert second.canonical_form(g2, "a") == form
+        assert (second.stats.hits, second.stats.misses) == (1, 0)
+        assert list(FORMS.keys()) == [graph_digest(g1, "a")]
 
     def test_installed_cache_serves_isomorphism(self):
+        reset_memos()
         g1, g2 = loopy_pair()
-        cache = CanonicalFormCache(use_disk=False)
+        cache = CanonicalFormCache()
         with use_canonical_cache(cache):
             from repro.graphs.isomorphism import canonical_form_of
 
@@ -140,109 +100,10 @@ class TestCanonicalFormCache:
             canonical_form_of(g2, "a")
         assert cache.stats.hits == 1
 
-
-class TestFormTier:
-    """The process-wide memory tier's read scopes."""
-
-    def test_scopes_isolate_readers(self, tmp_path):
-        g1, _ = loopy_pair()
-        alice = CanonicalFormCache(directory=tmp_path / "alice")
-        alice.canonical_form(g1, "a")
-        bob = CanonicalFormCache(directory=tmp_path / "bob")
-        assert len(alice) == 1 and len(bob) == 0
-        assert len(CanonicalFormCache(directory=tmp_path / "alice")) == 1
-
-
-class TestMultiTenantCache:
-    """Tenant namespacing, the read-through shared tier, disk budgets."""
-
-    def test_tenant_namespaces_the_disk_tier(self, tmp_path):
-        g1, _ = loopy_pair()
-        cache = CanonicalFormCache(directory=tmp_path, tenant="alice")
-        cache.canonical_form(g1, "a")
-        key = graph_digest(g1, "a")
-        assert (tmp_path / "tenants" / "alice" / f"{key}.json").exists()
-        assert not (tmp_path / f"{key}.json").exists()
-
-    def test_tenants_do_not_see_each_other(self, tmp_path):
-        g1, _ = loopy_pair()
-        alice = CanonicalFormCache(directory=tmp_path, tenant="alice")
-        alice.canonical_form(g1, "a")
-        bob = CanonicalFormCache(directory=tmp_path, tenant="bob")
-        bob.canonical_form(g1, "a")
-        assert bob.stats.misses == 1
-        assert bob.stats.disk_hits == 0 and bob.stats.shared_hits == 0
-
-    def test_bad_tenant_name_rejected(self, tmp_path):
-        for name in ("", "../escape", "a/b", ".hidden", "x" * 65):
-            with pytest.raises(ValueError):
-                validate_tenant(name)
-            with pytest.raises(ValueError):
-                CanonicalFormCache(directory=tmp_path, tenant=name)
-
-    def test_shared_tier_read_through(self, tmp_path):
-        g1, _ = loopy_pair()
-        shared = tmp_path / "shared"
-        alice = CanonicalFormCache(directory=tmp_path, tenant="alice", shared_dir=shared)
-        alice.canonical_form(g1, "a")
-        key = graph_digest(g1, "a")
-        # alice's miss populated both her tier and the shared tier
-        assert (shared / f"{key}.json").exists()
-        reset_memos()  # bob's cache stands for another process
-        bob = CanonicalFormCache(directory=tmp_path, tenant="bob", shared_dir=shared)
-        bob.canonical_form(g1, "a")
-        assert bob.stats.hits == 1 and bob.stats.shared_hits == 1
-        # read-through: the shared hit was promoted into bob's tenant tier
-        assert (tmp_path / "tenants" / "bob" / f"{key}.json").exists()
-        reset_memos()  # and bob's next process
-        third = CanonicalFormCache(directory=tmp_path, tenant="bob", shared_dir=shared)
-        third.canonical_form(g1, "a")
-        assert third.stats.disk_hits == 1 and third.stats.shared_hits == 0
-
-    def test_disk_budget_evicts_oldest_used(self, tmp_path):
-        import os
-
-        cache = CanonicalFormCache(directory=tmp_path, disk_budget=1)
-        for n in (2, 3, 4):
-            cache.canonical_form(path_graph(n), 0)
-            # distinct mtimes even on coarse-grained filesystems
-            for index, path in enumerate(sorted(tmp_path.glob("*.json"))):
-                os.utime(path, (index, index))
-        # a 1-byte budget keeps only the just-written entry per put
-        assert len(list(tmp_path.glob("*.json"))) == 1
-        assert cache.stats.disk_evictions == 2
-        stats = cache.stats.as_dict()
-        assert stats["disk_evictions"] == 2 and "shared_hits" in stats
-
-    def test_disk_budget_never_evicts_the_fresh_write(self, tmp_path):
-        g1, _ = loopy_pair()
-        cache = CanonicalFormCache(directory=tmp_path, disk_budget=1)
-        cache.canonical_form(g1, "a")
-        key = graph_digest(g1, "a")
-        # the single entry exceeds the budget yet survives
-        assert (tmp_path / f"{key}.json").exists()
-        assert cache.stats.disk_evictions == 0
-
-    def test_budget_requires_positive_bytes(self, tmp_path):
-        with pytest.raises(ValueError):
-            CanonicalFormCache(directory=tmp_path, disk_budget=0)
-
-    def test_sweep_second_tenant_hits_shared_tier(self, tmp_path):
-        grid = GridSpec(algorithms=("greedy",), deltas=(3,))
-        base = tmp_path / "cache"
-        shared = base / "shared"
-        first = run_sweep(
-            grid, cache_dir=base, cache_tenant="alice", cache_shared_dir=shared
-        )
-        reset_memos()  # the second tenant sweeps in another process
-        second = run_sweep(
-            grid, cache_dir=base, cache_tenant="bob", cache_shared_dir=shared
-        )
-        assert first.cache.shared_hits == 0
-        assert second.cache.shared_hits > 0
-        assert json.dumps(first.rows, sort_keys=True) == json.dumps(
-            second.rows, sort_keys=True
-        )
+    def test_stats_keep_the_disk_keys_at_zero(self):
+        stats = CacheStats(hits=2, misses=1).as_dict()
+        assert stats["disk_hits"] == stats["shared_hits"] == 0
+        assert stats["lookups"] == 3
 
 
 class TestCacheStatsMerge:
@@ -264,9 +125,9 @@ class TestCacheStatsMerge:
             assert getattr(merged, f.name) == getattr(one, f.name) + getattr(two, f.name)
 
     def test_merge_is_associative(self):
-        a = CacheStats(hits=5, misses=2, plan_hits=1, shared_hits=4)
+        a = CacheStats(hits=5, misses=2, plan_hits=1)
         b = {"hits": 1, "misses": 7}  # an older snapshot without new counters
-        c = CacheStats(disk_hits=3, disk_evictions=2, evictions=1)
+        c = CacheStats(plan_hits=3, evictions=1)
         left = CacheStats.merged([CacheStats.merged([a.as_dict(), b]).as_dict(), c.as_dict()])
         right = CacheStats.merged([a.as_dict(), CacheStats.merged([b, c.as_dict()]).as_dict()])
         flat = CacheStats.merged([a.as_dict(), b, c.as_dict()])
@@ -426,13 +287,6 @@ class TestRunSweep:
         assert summary["cells"] == 1
         assert summary["rows"][0]["key"] == "greedy/d3/ec/s0"
         assert (tmp_path / "trace.json").exists()
-
-    def test_shared_disk_cache_feeds_second_sweep(self, tmp_path):
-        grid = GridSpec(algorithms=("greedy",), deltas=(3, 4))
-        run_sweep(grid, workers=0, cache_dir=tmp_path)
-        reset_memos()  # the second sweep runs in another process
-        again = run_sweep(grid, workers=0, cache_dir=tmp_path)
-        assert again.cache.disk_hits > 0
 
     def test_no_cache_disables_memoization(self):
         result = run_sweep(GridSpec(algorithms=("greedy",), deltas=(3,)), use_cache=False)

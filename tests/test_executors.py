@@ -69,7 +69,6 @@ class TestByteIdentity:
         result = run_sweep(
             smoke_grid(),
             out_dir=tmp_path / "out",
-            cache_dir=tmp_path / "cache",
             **backend_opts,
         )
         assert rows_bytes(result.rows) == base
@@ -91,15 +90,12 @@ class TestChaosMatrix:
                 Fault(kind="stall-cell", cell=keys[1], seconds=0.5, attempt=0),
                 Fault(kind="kill-worker", cell=keys[2]),
                 Fault(kind="truncate-shard", cell=keys[3], offset=-5),
-                Fault(kind="corrupt-cache", offset=0, length=6),
-                Fault(kind="cache-io-error", op="read"),
             )
         )
         assert {fault.kind for fault in plan.faults} == set(FAULT_KINDS)
         result = run_sweep(
             smoke_grid(),
             out_dir=tmp_path / "out",
-            cache_dir=tmp_path / "cache",
             faults=plan,
             cell_timeout=0.2,
             retries=1,
@@ -115,7 +111,6 @@ class TestChaosMatrix:
         result = run_sweep(
             smoke_grid(),
             out_dir=tmp_path / f"out{seed}",
-            cache_dir=tmp_path / f"cache{seed}",
             faults=plan,
             **backend_opts,
         )

@@ -1,14 +1,16 @@
 """Golden values: the row and form checksums, and the hit-rate floors.
 
 Each value is computed on a grid small enough for tier-1 and compared
-exactly (checksums, counts) or against a floor (hit rates).  A change to
-any checksum is a change to what the program computes, not noise: if it
-is intended, re-pin the value here and say why in CHANGES.md.
+exactly (checksums, counts) or against a floor (hit rates).  Each hit
+rate starts from a cold canonical-form tier: the process-wide memos are
+reset before it, so no earlier test warms it.  A change to any checksum
+is a change to what the program computes, not noise: if it is intended,
+re-pin the value here and say why in CHANGES.md.
 
 * ``sweep.delta_scaling`` — the E1 rows (greedy-by-colour and proposal
   dynamics) for Δ = 3, 4 and 5, one serial sweep per Δ;
 * ``cache.hit_scaling`` — the canonical-form cache's hit rate on a cold
-  and then a warm on-disk tier;
+  and then a warm tier, two sweeps in one process;
 * ``canonical.microbench`` — the SoA canonicaliser's forms over a fixed
   batch of loopy trees, and the shape-plan cache's recognition rate.
 
@@ -25,7 +27,6 @@ import json
 import pytest
 
 from repro.engine import GridSpec, run_sweep
-from repro.engine.cache import ENV_CACHE_DIR
 from repro.graphs.families import random_loopy_tree
 from repro.graphs.isomorphism import canonical_form_of
 from repro.graphs.memo import reset_memos
@@ -46,19 +47,12 @@ def rows_sha256(rows) -> str:
     return sha256(json.dumps(list(rows), sort_keys=True, default=str))
 
 
-@pytest.fixture(scope="module", autouse=True)
-def no_ambient_cache():
-    """An ambient ``$REPRO_CACHE_DIR`` would warm the sweeps unpredictably."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(ENV_CACHE_DIR, raising=False)
-        yield
-
-
 class TestDeltaScaling:
     """The E1 grid for Δ = 3, 4, 5: the rows that witness Theorem 1."""
 
     @pytest.fixture(scope="class")
     def sweeps(self):
+        reset_memos()
         return [
             run_sweep(GridSpec(algorithms=ALGORITHMS, deltas=(delta,)))
             for delta in (3, 4, 5)
@@ -82,12 +76,13 @@ class TestDeltaScaling:
 
 
 class TestCacheHitScaling:
-    """Two sweeps over Δ = 3, 4 against one fresh on-disk tier."""
+    """Two sweeps over Δ = 3, 4 in one process, from a cold tier."""
 
-    def test_cold_and_warm_hit_rate_floors(self, tmp_path):
+    def test_cold_and_warm_hit_rate_floors(self):
         grid = GridSpec(algorithms=ALGORITHMS, deltas=(3, 4))
-        cold = run_sweep(grid, cache_dir=tmp_path)
-        warm = run_sweep(grid, cache_dir=tmp_path)
+        reset_memos()
+        cold = run_sweep(grid)
+        warm = run_sweep(grid)
         assert cold.cache.hit_rate >= 13 / 20 - HIT_RATE_SLACK
         assert warm.cache.hit_rate >= 1.0 - HIT_RATE_SLACK
         assert rows_sha256(warm.rows) == rows_sha256(cold.rows)

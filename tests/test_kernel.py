@@ -25,6 +25,7 @@ from repro.graphs.kernel import (
     GraphKernel,
     ImproperColoringError,
 )
+from repro.graphs.memo import FORMS, reset_memos
 from repro.graphs.multigraph import ECGraph
 from repro.graphs.neighborhoods import ball
 from repro.graphs.ports import po_double_from_ec
@@ -229,20 +230,20 @@ class TestJsonRoundTrips:
 
 
 class TestSweepKeying:
-    def test_parallel_sweep_byte_identical_under_kernel_keys(self, tmp_path):
+    def test_parallel_sweep_byte_identical_under_kernel_keys(self):
         grid = GridSpec(algorithms=("greedy",), deltas=(3, 4))
-        serial = run_sweep(grid, workers=0, cache_dir=tmp_path / "serial")
-        parallel = run_sweep(grid, workers=2, cache_dir=tmp_path / "parallel")
+        serial = run_sweep(grid, workers=0)
+        parallel = run_sweep(grid, workers=2)
         assert json.dumps(serial.rows, sort_keys=True) == json.dumps(
             parallel.rows, sort_keys=True
         )
         assert serial.cache.hits > 0
         assert parallel.cache.hits > 0
 
-    def test_disk_entries_are_keyed_by_rooted_kernel_digest(self, tmp_path):
-        grid = GridSpec(algorithms=("greedy",), deltas=(3,))
-        run_sweep(grid, workers=0, cache_dir=tmp_path)
-        keys = {p.stem for p in tmp_path.glob("*.json")}
-        assert keys  # something was persisted
+    def test_tier_entries_are_keyed_by_rooted_kernel_digest(self):
+        reset_memos()
+        run_sweep(GridSpec(algorithms=("greedy",), deltas=(3,)), workers=0)
+        keys = FORMS.keys()
+        assert keys  # something was memoized
         # every key is a rooted kernel digest: 64 lowercase hex chars
         assert all(len(k) == 64 and set(k) <= set("0123456789abcdef") for k in keys)

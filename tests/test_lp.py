@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +131,22 @@ class TestDuality:
 
         tau, _ = min_fractional_vertex_cover_lp(ECGraph())
         assert tau == 0.0
+
+
+def test_importing_the_package_loads_no_scipy():
+    """Only the LP baselines need scipy, so only calling them loads it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys\n"
+        "import repro, repro.cli, repro.service\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

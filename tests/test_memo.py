@@ -38,7 +38,7 @@ class TestMemo:
 class TestResetMemos:
     def test_empties_every_memo_and_the_plan_cache(self):
         reset_memos()
-        with use_canonical_cache(CanonicalFormCache(use_disk=False)):
+        with use_canonical_cache(CanonicalFormCache()):
             run_adversary(greedy_color_algorithm(), 4)
         assert all(len(memo) > 0 for memo in MEMOS)
         assert soa._PLANS.cons

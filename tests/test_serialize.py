@@ -8,8 +8,15 @@ import pytest
 
 from repro.core.adversary import run_adversary
 from repro.graphs.families import cycle_graph, random_loopy_tree, single_node_with_loops
-from repro.graphs.isomorphism import ec_isomorphic
-from repro.graphs.serialize import graph_from_json, graph_to_json, witness_step_to_json
+from repro.graphs.isomorphism import canonical_rooted_form, ec_isomorphic
+from repro.graphs.multigraph import ECGraph
+from repro.graphs.serialize import (
+    decode_label,
+    encode_label,
+    graph_from_json,
+    graph_to_json,
+    witness_step_to_json,
+)
 from repro.matching.greedy_color import greedy_color_algorithm
 
 
@@ -51,12 +58,20 @@ class TestGraphRoundTrip:
             graph_from_json(json.dumps({"format": "something-else"}))
 
     def test_unserialisable_label_rejected(self):
-        from repro.graphs.multigraph import ECGraph
-
         g = ECGraph()
         g.add_node(frozenset([1]))
         with pytest.raises(TypeError):
             graph_to_json(g)
+
+
+class TestLabelCodec:
+    def test_canonical_form_roundtrip(self):
+        """A canonical form nests tuples deeper than any label, with str leaves."""
+        g = ECGraph()
+        g.add_edge("a", "b", 1)
+        g.add_edge("b", "b", 2)
+        form = canonical_rooted_form(g, "a")
+        assert decode_label(json.loads(json.dumps(encode_label(form)))) == form
 
 
 class TestWitnessStep:

@@ -21,6 +21,7 @@ from repro.service import (
     SweepService,
     TokenBucket,
 )
+from repro.service.jobs import validate_tenant
 
 
 class FakeClock:
@@ -77,6 +78,28 @@ class TestTokenBucket:
             TokenBucket(rate=1.0, burst=0)
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("queue_size", 0),
+            ("queue_size", -3),
+            ("job_workers", 0),
+            ("job_workers", -2),
+            ("rate", -1.0),
+            ("burst", 0),
+            ("progress_interval", -0.5),
+        ],
+    )
+    def test_meaningless_sizes_rejected(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(data_dir=tmp_path, **{field: value})
+
+    def test_bad_default_tenant_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="invalid tenant"):
+            ServiceConfig(data_dir=tmp_path, default_tenant="../x")
+
+
 class TestSubmission:
     def test_submit_validates_grid_and_tenant(self, tmp_path):
         service = make_service(tmp_path)
@@ -84,6 +107,12 @@ class TestSubmission:
             service.submit({"algorithms": ["no-such-algorithm"]})
         with pytest.raises(ValueError):
             service.submit(tiny_grid(), tenant="../escape")
+
+    def test_bad_tenant_name_rejected(self):
+        for name in ("", "-x", "../escape", "a/b", ".hidden", "x" * 65):
+            with pytest.raises(ValueError, match="invalid tenant"):
+                validate_tenant(name)
+        assert validate_tenant("alice.b-2_c") == "alice.b-2_c"
 
     def test_submit_counts_cells_and_assigns_ids(self, tmp_path):
         service = make_service(tmp_path)
@@ -129,7 +158,7 @@ class TestJobLifecycle:
             service.stop()
         assert job.state == "done", job.error
         assert job.rows == job.cells == 1
-        assert job.cache is not None and "disk_evictions" in job.cache
+        assert job.cache is not None and "plan_hits" in job.cache
         rows = service.rows(job.id)
         serial = api.sweep(GridSpec.from_mapping(tiny_grid()))
         assert json.dumps(rows, sort_keys=True) == json.dumps(
@@ -192,6 +221,29 @@ class TestJobLifecycle:
         assert kinds.count("aborted") == 1
         assert kinds[-1] == "aborted"
         assert "final" not in kinds
+
+
+class TestConcurrentJobs:
+    def test_job_threads_compute_each_form_once(self, tmp_path):
+        # four job threads drain eight jobs from four tenants: every job
+        # reproduces the serial rows, and the shared process tier computes
+        # each canonical form once, whichever thread asks first
+        reset_memos()
+        serial = api.sweep(smoke_grid())
+        baseline = json.dumps([dict(r) for r in serial.rows], sort_keys=True)
+        reset_memos()
+        service = make_service(tmp_path, job_workers=4)
+        tenants = ("alice", "bob", "carol", "dave")
+        jobs = [service.submit(smoke_grid(), tenant=tenants[i % 4]) for i in range(8)]
+        service.start()
+        try:
+            wait_for(lambda: all(job.state in ("done", "failed") for job in jobs))
+        finally:
+            service.stop()
+        assert [job.state for job in jobs] == ["done"] * 8, [job.error for job in jobs]
+        for job in jobs:
+            assert json.dumps(service.rows(job.id), sort_keys=True) == baseline
+        assert sum(job.cache["misses"] for job in jobs) == serial.cache.misses > 0
 
 
 class TestStats:
@@ -287,11 +339,11 @@ class TestHTTPService:
                     return b"".join(chunks)
                 chunks.append(chunk)
 
-    def test_two_concurrent_tenants_byte_identical_with_shared_hits(self, server):
+    def test_two_concurrent_tenants_byte_identical_second_computes_nothing(self, server):
         # the acceptance scenario: the same smoke grid submitted by two
         # tenants concurrently over HTTP; both must reproduce the serial
         # CLI sweep byte-for-byte, and the later tenant's sweep must have
-        # deduped canonicalisation through the shared cache tier
+        # found every form in the process tier the first job filled
         grid = smoke_grid().as_dict()
         submitted = {}
 
@@ -338,8 +390,8 @@ class TestHTTPService:
             jobs[tenant] = self.request(server, "GET", f"/v1/jobs/{job_id}")[2]
 
         # one worker thread drains the queue in order, so whichever job ran
-        # second was served from the memory tier the first job filled under
-        # the shared read scope: it computed nothing
+        # second was served from the process tier the first job filled: it
+        # computed nothing
         second = jobs[max(submitted, key=lambda t: submitted[t])]
         assert second["cache"]["misses"] == 0
         assert second["cache"]["hits"] > 0
@@ -417,7 +469,7 @@ class TestHTTPService:
             conn.close()
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
 
-    def test_restart_serves_a_new_tenant_from_the_shared_disk_tier(self, tmp_path):
+    def test_restart_continues_job_ids_and_reproduces_rows(self, tmp_path):
         grid = smoke_grid().as_dict()
         first = ServiceServer(make_service(tmp_path))
         first.start()
@@ -434,23 +486,7 @@ class TestHTTPService:
         finally:
             second.stop()
         assert carol["id"] not in (alice["id"], bob["id"])
-        assert carol["cache"]["shared_hits"] > 0
         assert carol_rows == alice_rows == bob_rows
-
-    def test_no_shared_cache_keeps_tenant_reads_isolated(self, tmp_path):
-        server = ServiceServer(make_service(tmp_path, shared_cache=False))
-        server.start()
-        try:
-            alice, alice_rows = self.run_job(server, smoke_grid().as_dict(), "alice")
-            bob, bob_rows = self.run_job(server, smoke_grid().as_dict(), "bob")
-        finally:
-            server.stop()
-        # without a shared tier each tenant's memory scope is its own
-        # directory: alice's entries, still in the process tier, stay
-        # invisible to bob
-        assert alice["cache"]["misses"] > 0
-        assert bob["cache"]["misses"] == alice["cache"]["misses"]
-        assert bob_rows == alice_rows
 
     def test_rows_conflict_until_done(self, tmp_path):
         service = make_service(tmp_path)  # workers never started: job stays queued
