@@ -25,11 +25,26 @@ word ``x^{-1} y`` — the order is invariant under the free group's left
 action, which is exactly Lemma 4's homogeneity: all ordered neighbourhoods
 of ``T`` are pairwise isomorphic.  Antisymmetry, totality (brackets of
 non-trivial words are odd) and transitivity are property-tested.
+
+The slot order is :func:`slot_key`'s: colours by ``repr`` (so colour 10
+sorts before colour 2), the outgoing slot first.  :func:`bracket` and
+:func:`compare_words` are the definition, kept as the oracle; sorting uses
+:func:`tree_sort_key`, the closed form ``(bracket(w), seq(w))``.  ``seq``
+ranks each step's slot in the slot order rotated to start just above the
+slot the path entered by, and ends with END, which sits between the slots
+above the entering slot and those below it.  The key is exact:
+
+* Split ``x = p.a`` and ``y = p.b`` at node ``p``.  With ``B`` the bracket,
+  ``[[x ~> y]] = B(y) - B(x) + C``, where ``C = +-1`` comes from ``p`` alone.
+* If ``a`` and ``b`` are non-empty, ``C = +1`` iff ``a``'s first slot comes
+  first in the rotated order.  If ``x = p``, ``C = -1`` when ``b``'s first
+  slot is above the entering slot and ``+1`` when below: where END sits.
+* Brackets of non-empty words are odd and ``B(epsilon) = 0``, so ``C``
+  decides only ties, and the empty word never ties.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Hashable, List, Sequence, Tuple
 
 Color = Hashable
@@ -64,7 +79,7 @@ def reduce_word(steps: Sequence[Step]) -> Word:
 def tree_ball(d: int, radius: int) -> List[Word]:
     """The nodes of ``T`` within ``radius`` of the identity: the reduced words
     of length ``<= radius`` over colours ``1 .. d``, in tuple order (sort by
-    :data:`tree_sort_key` for the homogeneous order)."""
+    :func:`tree_sort_key` for the homogeneous order)."""
     if d < 1:
         raise ValueError(f"T needs at least 1 generator, got {d}")
     if radius < 0:
@@ -138,5 +153,21 @@ def compare_words(x: Sequence[Step], y: Sequence[Step]) -> int:
     return -1 if value > 0 else 1
 
 
-#: sort key for ordering ``T``-nodes (reduced words) by the homogeneous order
-tree_sort_key = cmp_to_key(compare_words)
+def tree_sort_key(word: Sequence[Step]) -> Tuple[int, Tuple[tuple, ...]]:
+    """Sort key of the homogeneous order, in one pass: ``(bracket(w), seq(w))``
+    for the reduced form ``w`` of ``word`` (see the module docstring).  A bad
+    direction raises ``ValueError``, as in :func:`compare_words`."""
+    total = 0
+    seq: List[tuple] = []
+    entering = None  # the slot the path entered the current node by
+    for (c, d) in reduce_word(word):
+        leaving = slot_key((c, d))
+        group = 0
+        if entering is not None:  # an interior node: the bracket's slot term
+            group = 0 if entering < leaving else 2
+            total += 1 if group == 0 else -1
+        total += d  # the edge term
+        seq.append((group, leaving))
+        entering = slot_key((c, -d))
+    seq.append((1,))  # END: after the group-0 slots, before the group-2 ones
+    return total, tuple(seq)

@@ -36,9 +36,8 @@ from ..graphs.digraph import POGraph
 from ..local.algorithm import DistributedAlgorithm
 from ..local.identifiers import assign_ids_respecting_order, order_respecting_assignments
 from ..local.runtime import IDNetwork, run_rounds
-from .canonical_order import tree_sort_key
 from .ramsey import order_invariant_subset
-from .sim_po_oi import OIAlgorithm, cover_words
+from .sim_po_oi import OIAlgorithm, ordered_cover_nodes
 
 Node = Hashable
 Slot = Tuple[str, Any]
@@ -104,10 +103,8 @@ class LoopyNeighbourhood:
 def loopy_oi_neighbourhood(g: POGraph, v: Node, t: int) -> LoopyNeighbourhood:
     """Build ``tau_t(UG, <, v)`` with the canonical order inherited from ``T``."""
     cover = universal_cover_po(g, v, t)
-    words = cover_words(g, cover)
-    ordered = sorted(cover.tree.nodes(), key=lambda n: tree_sort_key(words[n]))
     return LoopyNeighbourhood(
-        base_graph=g, base_node=v, t=t, cover=cover, ordered_nodes=ordered
+        base_graph=g, base_node=v, t=t, cover=cover, ordered_nodes=ordered_cover_nodes(g, cover)
     )
 
 

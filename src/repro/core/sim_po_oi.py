@@ -34,7 +34,8 @@ from .canonical_order import Word, tree_sort_key
 Node = Hashable
 Slot = Tuple[str, Any]  # ("out", colour) / ("in", colour)
 
-__all__ = ["OIAlgorithm", "POFromOI", "po_algorithm_from_oi", "SymmetricOIAdapter", "cover_words"]
+__all__ = ["OIAlgorithm", "POFromOI", "po_algorithm_from_oi", "SymmetricOIAdapter", "cover_words",
+           "ordered_cover_nodes"]
 
 
 class OIAlgorithm(ABC):
@@ -70,6 +71,12 @@ def cover_words(g: POGraph, cover: TruncatedCoverPO) -> Dict[Node, Word]:
     return words
 
 
+def ordered_cover_nodes(g: POGraph, cover: TruncatedCoverPO) -> List[Node]:
+    """The cover's nodes in the homogeneous order their ``T``-words inherit."""
+    words = cover_words(g, cover)
+    return sorted(words, key=lambda n: tree_sort_key(words[n]))
+
+
 class POFromOI(POWeightAlgorithm):
     """PO-model wrapper around an OI-algorithm (the Section 5.3 simulation)."""
 
@@ -93,8 +100,7 @@ class POFromOI(POWeightAlgorithm):
         ) as span:
             for v in g.nodes():
                 cover = universal_cover_po(g, v, t)
-                words = cover_words(g, cover)
-                ordered = sorted(cover.tree.nodes(), key=lambda n: tree_sort_key(words[n]))
+                ordered = ordered_cover_nodes(g, cover)
                 outputs[v] = dict(
                     self.oi_algorithm.evaluate(cover.tree, cover.root, ordered)
                 )

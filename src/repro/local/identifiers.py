@@ -25,15 +25,24 @@ __all__ = [
 ]
 
 
+def _distinct_sorted(pool: Sequence[int]) -> List[int]:
+    """The pool in increasing order; a repeated identifier raises ``ValueError``."""
+    ids = sorted(pool)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"identifier {a!r} appears more than once in the pool")
+    return ids
+
+
 def assign_ids_respecting_order(ordered_nodes: Sequence[Node], pool: Sequence[int]) -> Dict[Node, int]:
     """Assign the ``i``-th smallest pool identifier to the ``i``-th node.
 
     ``ordered_nodes`` must list the nodes in increasing linear order; the
-    pool must contain at least as many identifiers.  The result respects the
-    order in the paper's sense: ``v`` before ``u`` implies
+    pool must hold at least as many identifiers, all distinct.  The result
+    respects the order in the paper's sense: ``v`` before ``u`` implies
     ``phi(v) < phi(u)``.
     """
-    ids = sorted(pool)
+    ids = _distinct_sorted(pool)
     if len(ids) < len(ordered_nodes):
         raise ValueError(
             f"pool has {len(ids)} identifiers for {len(ordered_nodes)} nodes"
@@ -49,7 +58,9 @@ def sparse_subset(identifiers: Sequence[int], m: int) -> List[int]:
     uses to move a single node's identifier without disturbing the order of
     the others.
     """
-    ids = sorted(identifiers)
+    if m < 0:
+        raise ValueError(f"sparsity m must be >= 0, got {m}")
+    ids = _distinct_sorted(identifiers)
     return ids[:: m + 1]
 
 
@@ -60,9 +71,10 @@ def order_respecting_assignments(
 
     Each assignment chooses ``len(ordered_nodes)`` identifiers from the pool
     (as a combination, since the order of images is forced) — exactly the
-    objects quantified over in Lemmas 6 and 7.
+    objects quantified over in Lemmas 6 and 7.  The pool's identifiers must
+    be distinct.
     """
-    ids = sorted(pool)
+    ids = _distinct_sorted(pool)
     k = len(ordered_nodes)
     produced = 0
     for combo in combinations(ids, k):

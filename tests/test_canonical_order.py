@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -104,6 +104,33 @@ class TestLinearOrder:
         ordered = sorted(words, key=tree_sort_key)
         for a, b in zip(ordered, ordered[1:]):
             assert compare_words(a, b) == -1
+
+
+class TestSortKey:
+    """``tree_sort_key`` against the oracle ``compare_words``."""
+
+    @pytest.mark.parametrize("d,radius", [(2, 4), (3, 3)])
+    def test_agrees_with_comparator_on_every_pair(self, d, radius):
+        keyed = [(w, tree_sort_key(w)) for w in tree_ball(d, radius)]
+        for (x, kx), (y, ky) in product(keyed, repeat=2):
+            assert (kx < ky) == (compare_words(x, y) == -1)
+
+    def test_key_is_a_tuple_led_by_the_bracket(self):
+        for w in tree_ball(3, 3):
+            key = tree_sort_key(w)
+            assert isinstance(key, tuple) and key[0] == bracket(w)
+
+    def test_bad_direction_rejected(self):
+        with pytest.raises(ValueError):
+            tree_sort_key([(1, 0)])
+        with pytest.raises(ValueError):
+            compare_words([(1, 0)], [(1, 1)])
+
+    def test_unreduced_word_keys_as_its_reduction(self):
+        for w in tree_ball(2, 3):
+            padded = ((2, -1), (2, 1)) + w + ((1, 1), (3, 1), (3, -1), (1, -1))
+            assert tree_sort_key(padded) == tree_sort_key(w)
+            assert compare_words(padded, w) == 0
 
 
 class TestHomogeneity:

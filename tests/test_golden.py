@@ -12,7 +12,11 @@ re-pin the value here and say why in CHANGES.md.
 * ``cache.hit_scaling`` — the canonical-form cache's hit rate on a cold
   and then a warm tier, two sweeps in one process;
 * ``canonical.microbench`` — the SoA canonicaliser's forms over a fixed
-  batch of loopy trees, and the shape-plan cache's recognition rate.
+  batch of loopy trees, and the shape-plan cache's recognition rate;
+* ``canonical.order`` — the Appendix A order: a sorted ``T``-ball and the
+  ordered cover words the PO <= OI and OI <= ID simulations hand to an
+  OI-algorithm.  The row checksum cannot see this order, because both
+  shipped OI machines ignore the order they are given.
 
 Worker-count byte identity (rows under ``workers=2`` equal the serial
 rows) is ``tests/test_executors.py::TestByteIdentity``.  Wall time is
@@ -26,10 +30,19 @@ import json
 
 import pytest
 
+from repro.core.canonical_order import tree_ball, tree_sort_key
+from repro.core.sim_po_oi import cover_words, ordered_cover_nodes
 from repro.engine import GridSpec, run_sweep
-from repro.graphs.families import random_loopy_tree
+from repro.graphs.cover import universal_cover_po
+from repro.graphs.families import (
+    cycle_graph,
+    random_loopy_tree,
+    random_regular_graph,
+    single_node_with_loops,
+)
 from repro.graphs.isomorphism import canonical_form_of
 from repro.graphs.memo import reset_memos
+from repro.graphs.ports import po_double_from_ec
 from repro.graphs.soa import plan_hit_count
 
 ALGORITHMS = ("greedy", "proposal")
@@ -103,3 +116,21 @@ class TestCanonicalMicrobench:
         before = plan_hit_count()
         assert [canonical_form_of(g, v) for g in graphs for v in g.nodes()] == forms
         assert (plan_hit_count() - before) / len(forms) >= 1.0 - HIT_RATE_SLACK
+
+
+class TestCanonicalOrder:
+    """A radius-3 ball of the 3-generator tree and every radius-3 cover of
+    three PO-doubled graphs, each listed in the homogeneous order."""
+
+    def test_order_sha256(self):
+        parts = [sorted(tree_ball(3, 3), key=tree_sort_key)]
+        for g in (single_node_with_loops(2), cycle_graph(4), random_regular_graph(8, 3, seed=1)):
+            d = po_double_from_ec(g)
+            for v in d.nodes():
+                cover = universal_cover_po(d, v, 3)
+                words = cover_words(d, cover)
+                parts.append([words[n] for n in ordered_cover_nodes(d, cover)])
+        assert sum(map(len, parts)) == 1948
+        assert sha256(repr(parts)) == (
+            "fe2c5a670947f52de6b6dd4c7f9f6a76a4b983e28dbb16d887ce3328b5d655e1"
+        )

@@ -21,6 +21,11 @@ class TestAssign:
         with pytest.raises(ValueError):
             assign_ids_respecting_order(["a", "b"], [1])
 
+    def test_repeated_identifier_rejected(self):
+        """Two nodes sharing an identifier would break phi(v) < phi(u)."""
+        with pytest.raises(ValueError, match="identifier 7 appears more than once"):
+            assign_ids_respecting_order(["a", "b", "c"], [7, 7, 9])
+
 
 class TestSparse:
     def test_every_mplus1th(self):
@@ -41,6 +46,16 @@ class TestSparse:
     def test_m_zero_keeps_all(self):
         assert sparse_subset([5, 1, 3], 0) == [1, 3, 5]
 
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_negative_m_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            sparse_subset(range(10), m)
+
+    def test_repeated_identifier_rejected(self):
+        """A repeat leaves no dropped identifier between two kept ones."""
+        with pytest.raises(ValueError, match="identifier 1 appears more than once"):
+            sparse_subset([1, 1, 2], 1)
+
 
 class TestEnumerate:
     def test_assignments_are_order_respecting(self):
@@ -56,6 +71,11 @@ class TestEnumerate:
         out = list(order_respecting_assignments(["a", "b"], range(6), limit=100))
         assert len(out) == 15  # C(6, 2)
         assert len({tuple(sorted(p.items())) for p in out}) == 15
+
+    def test_repeated_identifier_rejected(self):
+        """A repeat would yield non-injective and duplicate assignments."""
+        with pytest.raises(ValueError, match="identifier 3 appears more than once"):
+            list(order_respecting_assignments(["a", "b"], [3, 3, 4], limit=5))
 
 
 class TestRelabelSingle:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from repro.core.canonical_order import (
     concat,
     inverse_word,
     reduce_word,
+    tree_sort_key,
 )
 from repro.core.propagation import disagreeing_colors, next_disagreement
 from repro.graphs.families import random_bounded_degree_graph, random_loopy_tree
@@ -40,6 +42,9 @@ F = Fraction
 steps = st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from([1, -1]))
 words = st.lists(steps, max_size=8).map(tuple)
 reduced_words = words.map(reduce_word)
+# colours 10 and 11 sort before 2 and 3 in the slot order (by repr)
+order_steps = st.tuples(st.sampled_from([1, 2, 3, 10, 11]), st.sampled_from([1, -1]))
+order_words = st.lists(order_steps, max_size=6).map(tuple)
 
 
 class TestFreeGroup:
@@ -80,6 +85,17 @@ class TestFreeGroup:
     def test_transitivity(self, x, y, z):
         if compare_words(x, y) == -1 and compare_words(y, z) == -1:
             assert compare_words(x, z) == -1
+
+
+class TestOrderKey:
+    @given(order_words, st.lists(order_words, max_size=10))
+    @settings(max_examples=300)
+    def test_key_sorts_as_the_comparator(self, prefix, suffixes):
+        """The closed-form key and the paper's comparator give the same
+        sorted list; the shared prefix puts branch points below the root.
+        Words are unreduced as generated."""
+        ws = suffixes + [prefix + s for s in suffixes]
+        assert sorted(ws, key=tree_sort_key) == sorted(ws, key=cmp_to_key(compare_words))
 
 
 class TestLiftInvariance:

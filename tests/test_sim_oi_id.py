@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core.canonical_order import compare_words
 from repro.core.sim_oi_id import (
     OIFromID,
     ball_size_bound,
@@ -16,7 +17,7 @@ from repro.core.sim_oi_id import (
     loopy_oi_neighbourhood,
     saturation_of_root,
 )
-from repro.core.sim_po_oi import po_algorithm_from_oi
+from repro.core.sim_po_oi import cover_words, po_algorithm_from_oi
 from repro.core.sim_ec_po import ECFromPO
 from repro.graphs.families import cycle_graph, single_node_with_loops
 from repro.graphs.ports import po_double_from_ec
@@ -39,6 +40,17 @@ class TestNeighbourhoods:
         assert nbhd.ordered_nodes[0] is not None
         # canonical order sorts all cover nodes
         assert len(nbhd.ordered_nodes) == nbhd.size
+
+    @pytest.mark.parametrize("graph", [single_node_with_loops(2), cycle_graph(4)], ids=["loopy", "cycle"])
+    def test_ordered_nodes_strictly_increase(self, graph):
+        """The neighbourhood lists every cover node, ascending in the oracle order."""
+        d = po_double_from_ec(graph)
+        for t in (1, 2, 3):
+            nbhd = loopy_oi_neighbourhood(d, 0, t)
+            words = cover_words(d, nbhd.cover)
+            assert sorted(nbhd.ordered_nodes) == sorted(words)
+            for a, b in zip(nbhd.ordered_nodes, nbhd.ordered_nodes[1:]):
+                assert compare_words(words[a], words[b]) == -1
 
     def test_undirected_is_simple_tree(self):
         import networkx as nx
@@ -140,6 +152,14 @@ class TestOIFromID:
 
         with pytest.raises(ValueError, match="identifier pool"):
             POFromOI(oi).run_on(d)
+
+    def test_repeated_pool_identifier_rejected(self):
+        """Two cover nodes given one identifier would merge in the ID graph."""
+        pool = list(range(1000, 1400))
+        pool[14] = pool[13]
+        ec = ECFromPO(po_algorithm_from_oi(OIFromID(ProposalFM("ID"), t=3, id_pool=pool)))
+        with pytest.raises(ValueError, match="identifier 1013 appears more than once"):
+            ec.run_on(cycle_graph(6))
 
     def test_full_chain_produces_maximal_fm(self):
         oi = OIFromID(ProposalFM("ID"), t=3, id_pool=lambda n: [5 * i for i in range(n)])

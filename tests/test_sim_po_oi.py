@@ -44,8 +44,10 @@ class TestCoverWords:
 
 class TestOrderedEvaluation:
     def test_ordered_nodes_strictly_increase(self):
+        """The OI-algorithm gets every cover node, ascending in the oracle order."""
+
         class SpyOI(OIAlgorithm):
-            t = 2
+            t = 3
             name = "spy"
 
             def __init__(self):
@@ -62,9 +64,12 @@ class TestOrderedEvaluation:
         d = po_double_from_ec(cycle_graph(4))
         POFromOI(spy).run_on(d)
         assert len(spy.seen) == 4
-        for tree, ordered in spy.seen:
-            words = cover_words(d, universal_cover_po(d, 0, 0))  # unused; order checked via tree structure
+        for v, (tree, ordered) in zip(d.nodes(), spy.seen):
+            words = cover_words(d, universal_cover_po(d, v, spy.t))
             assert len(ordered) == tree.num_nodes()
+            assert sorted(ordered) == sorted(words)
+            for a, b in zip(ordered, ordered[1:]):
+                assert compare_words(words[a], words[b]) == -1
 
     def test_symmetric_adapter_produces_maximal_fm(self):
         """The full PO <= OI pipeline with an order-oblivious machine."""
