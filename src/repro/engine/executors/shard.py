@@ -29,14 +29,14 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...graphs.isomorphism import use_canonical_cache
 from ...obs.export import trace_document
 from ...obs.tracer import Tracer, use_tracer
 from ..cache import CanonicalFormCache
 from ..faults import FaultInjector, FaultPlan, InjectedWorkerError, use_faults
-from ..grid import Cell, run_cell
+from ..grid import Cell, build_cell_algorithm, run_cell
 from ..store import ResultStore
 
 __all__ = [
@@ -106,11 +106,46 @@ class CellTimeout(RuntimeError):
 
 
 def shard_cells(cells: List[Cell], shards: int) -> List[List[Cell]]:
-    """Deterministic round-robin split; empty shards are dropped."""
-    buckets: List[List[Cell]] = [[] for _ in range(max(shards, 1))]
-    for index, cell in enumerate(cells):
-        buckets[index % len(buckets)].append(cell)
-    return [bucket for bucket in buckets if bucket]
+    """Deal ``cells`` round-robin into at most ``shards`` shards by placement unit.
+
+    A placement unit is every seed of one ``(algorithm, delta, chain)``
+    family whose algorithm (:func:`~repro.engine.grid.build_cell_algorithm`)
+    declares a ``fingerprint``: the construction ignores the seed, so the
+    run memo (:data:`repro.graphs.memo.RUNS`) answers every replica after
+    the first, but only in the process that ran the first.  A cell whose
+    algorithm declares none is a unit of its own.  The run memo never
+    answers it; a replica in the same process still reuses the
+    content-keyed lifts, balls and canonical forms, but they save little
+    (on a 2-vCPU VM an ``oi`` chain cell at Δ = 4 takes 1.44 s cold and
+    1.25 s as a replica), so such replicas spread over the shards.
+
+    Units are dealt in sorted cell order, unit ``i`` to shard ``i mod n``
+    with ``n = min(shards, units)``, so no shard is empty and a grid of one
+    seed per family splits exactly as a round-robin over its cells.  Each
+    shard lists its cells sorted, and one shard is ``sorted(cells)``.
+    """
+    units = _placement_units(cells)
+    buckets: List[List[Cell]] = [[] for _ in range(min(max(shards, 1), len(units)))]
+    for index, unit in enumerate(units):
+        buckets[index % len(buckets)].extend(unit)
+    return buckets
+
+
+def _placement_units(cells: List[Cell]) -> List[List[Cell]]:
+    """The cells grouped into placement units, in sorted cell order.
+
+    A family is a prefix of the cell's sort key, so each unit is a run of
+    consecutive sorted cells and every shard built from them stays sorted.
+    """
+    fingerprinted: Dict[Tuple[str, int, str], bool] = {}
+    units: Dict[object, List[Cell]] = {}
+    for cell in sorted(cells):
+        family = (cell.algorithm, cell.delta, cell.chain)
+        if family not in fingerprinted:
+            algorithm = build_cell_algorithm(cell)
+            fingerprinted[family] = getattr(algorithm, "fingerprint", None) is not None
+        units.setdefault(family if fingerprinted[family] else cell, []).append(cell)
+    return list(units.values())
 
 
 def _execute_cell(

@@ -1,7 +1,7 @@
 """The backend-agnostic sweep driver: sharding, persistence, recovery.
 
 :func:`run_sweep` owns everything a sweep *means* — expanding the grid,
-splitting pending cells round-robin into shards, the
+splitting pending cells round-robin by placement unit into shards, the
 :class:`~repro.engine.store.ResultStore`, progress emission, resume/dedup
 bookkeeping, and the dead-worker recovery policy.  *Where* a shard runs is
 delegated to a :class:`~repro.engine.executors.SweepExecutor` backend
@@ -19,6 +19,27 @@ Rows carry no wall-clock data and are merged in cell-key order, so a sweep
 result is byte-for-byte identical whichever backend (and however many
 workers) produced it — and, by the same construction, however many faults
 it survived on the way.
+
+Sharding
+--------
+The driver splits the cells of every round, recovery rounds included and
+on every backend, with :func:`~repro.engine.executors.shard.shard_cells`:
+
+* a placement unit is every seed of one ``(algorithm, delta, chain)``
+  family whose algorithm declares a ``fingerprint``, because the seed
+  never enters the construction and the process-wide run memo answers a
+  replica whose first seed ran in the same process; a cell without a
+  fingerprint is a unit of its own: the run memo never answers it, and
+  the content-keyed graph memos a replica still reuses in the same
+  process save little of its cost, so its replicas spread out;
+* units are dealt round-robin in sorted cell order and each shard lists
+  its cells sorted, so a one-shard (serial) round runs the sorted cell
+  list and a grid of one seed per family splits as a round-robin over
+  its cells.
+
+Given up: greedy and proposal share graph memos (lifts, balls, canonical
+forms) only at small Δ, where cells are cheap, and a worker that runs
+only one of them loses that (``docs/engine.md``).
 
 Fault tolerance
 ---------------

@@ -13,11 +13,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import socket as socket_mod
 
 import pytest
 
-from repro.engine import Fault, FaultPlan, run_sweep, smoke_grid
+from repro.engine import (
+    Fault,
+    FaultPlan,
+    GridSpec,
+    e1_grid,
+    expand,
+    run_sweep,
+    smoke_grid,
+)
 from repro.engine.executors import (
     BACKENDS,
     ExecutionOptions,
@@ -28,8 +37,10 @@ from repro.engine.executors import (
     SweepExecutor,
     as_executor,
     parse_hosts,
+    shard_cells,
 )
 from repro.engine.faults import FAULT_KINDS
+from repro.graphs.memo import reset_memos
 
 #: the conformance matrix: how each backend is driven through run_sweep
 BACKEND_PARAMS = {
@@ -39,8 +50,25 @@ BACKEND_PARAMS = {
 }
 
 
+#: two seeds of each fingerprinted family: every replica can hit the run memo
+REPLICA_GRID = GridSpec(("greedy", "proposal"), (3, 4), seeds=(0, 1))
+
+#: the grid of the benchmark's two-worker workload (its seeds are 1 and 2)
+LADDER_W2_GRID = GridSpec(("greedy", "proposal"), (13,), seeds=(1, 2))
+
+
 def rows_bytes(rows) -> str:
     return json.dumps(list(rows), sort_keys=True, default=str)
+
+
+def run_memo_hits(trace: dict) -> int:
+    """The ``adversary.run_memo`` hits a (merged) trace document counted."""
+    return sum(
+        row["value"]
+        for row in trace["metrics"]["counters"]
+        if row["name"] == "adversary.run_memo"
+        and row.get("labels", {}).get("outcome") == "hit"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +76,16 @@ def serial_baseline():
     """The fault-free serial smoke sweep every backend must reproduce."""
     result = run_sweep(smoke_grid(), workers=0, use_cache=False)
     return rows_bytes(result.rows), [row["key"] for row in result.rows]
+
+
+@pytest.fixture(scope="module")
+def replica_baseline():
+    """The serial replica sweep from empty memos: rows and run-memo hits."""
+    reset_memos()
+    result = run_sweep(REPLICA_GRID, workers=0)
+    hits = run_memo_hits(result.trace)
+    assert hits > 0, "serial replicas never hit the run memo"
+    return rows_bytes(result.rows), hits
 
 
 @pytest.fixture(params=sorted(BACKEND_PARAMS))
@@ -74,6 +112,79 @@ class TestByteIdentity:
         assert rows_bytes(result.rows) == base
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["cells"] == len(result.rows)
+
+    def test_replica_seeds_hit_the_run_memo(self, backend_opts, replica_baseline):
+        """Every seed of a family runs in one process, so each replica is
+        answered by the run memo there, as it is in a serial sweep."""
+        base, hits = replica_baseline
+        reset_memos()
+        result = run_sweep(REPLICA_GRID, **backend_opts)
+        assert rows_bytes(result.rows) == base
+        assert run_memo_hits(result.trace) == hits
+
+
+def families(shard):
+    return {(cell.algorithm, cell.delta, cell.chain) for cell in shard}
+
+
+class TestShardSplit:
+    """The driver's memo-affinity split: pure functions, nothing spawned."""
+
+    @pytest.mark.parametrize(
+        "grid", [smoke_grid(), e1_grid(), LADDER_W2_GRID, REPLICA_GRID],
+        ids=["smoke", "e1", "ladder-w2", "replicas"],
+    )
+    def test_one_shard_is_the_expanded_grid(self, grid):
+        cells = expand(grid)
+        assert shard_cells(cells, 1) == [cells]
+
+    def test_every_seed_of_a_family_shares_a_shard(self):
+        cells = expand(GridSpec(("greedy", "proposal"), (3, 4, 5), seeds=(0, 1, 2)))
+        for width in (2, 3, 4):
+            shards = shard_cells(cells, width)
+            for index, shard in enumerate(shards):
+                others = [cell for other in shards[index + 1:] for cell in other]
+                assert not families(shard) & families(others)
+
+    def test_ladder_w2_gives_each_worker_one_family(self):
+        greedy, proposal = shard_cells(expand(LADDER_W2_GRID), 2)
+        assert families(greedy) == {("greedy", 13, "ec")} and len(greedy) == 2
+        assert families(proposal) == {("proposal", 13, "ec")} and len(proposal) == 2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(("zero",), (5,), seeds=(0, 1)),
+            GridSpec(("proposal",), (4,), ("po",), seeds=(0, 1)),
+        ],
+        ids=["zero", "proposal-po"],
+    )
+    def test_cells_without_a_fingerprint_are_units_of_their_own(self, grid):
+        first, second = expand(grid)
+        assert shard_cells([first, second], 2) == [[first], [second]]
+
+    @pytest.mark.parametrize("grid", [smoke_grid(), e1_grid()], ids=["smoke", "e1"])
+    def test_one_seed_per_family_deals_the_cells_round_robin(self, grid):
+        cells = expand(grid)
+        for width in (2, 3, 4):
+            assert shard_cells(cells, width) == [cells[i::width] for i in range(width)]
+
+    def test_no_empty_shard_and_no_more_shards_than_units(self):
+        cells = expand(REPLICA_GRID)  # four families, two seeds each
+        for width in (1, 2, 3, 4, 8):
+            shards = shard_cells(cells, width)
+            assert len(shards) == min(width, 4)
+            assert all(shards)
+            assert all(shard == sorted(shard) for shard in shards)
+            assert sorted(cell for shard in shards for cell in shard) == cells
+        assert shard_cells([], 2) == []
+
+    def test_shuffled_input_gives_the_same_split(self):
+        cells = expand(GridSpec(("greedy", "proposal", "zero"), (3, 4, 5, 6), seeds=(0, 1)))
+        shuffled = list(cells)
+        random.Random(7).shuffle(shuffled)
+        for width in (1, 2, 3, 5):
+            assert shard_cells(shuffled, width) == shard_cells(cells, width)
 
 
 class TestChaosMatrix:
