@@ -185,8 +185,6 @@ def sweep(
     grid=None,
     *,
     workers: int = 0,
-    backend: Optional[str] = None,
-    hosts=None,
     out: Optional[str] = None,
     use_cache: bool = True,
     resume: bool = False,
@@ -204,11 +202,9 @@ def sweep(
     Returns a frozen :class:`SweepReport`; see :mod:`repro.engine` for
     sharding, caching and resume semantics.
 
-    ``backend`` selects the :class:`~repro.engine.executors.SweepExecutor`
-    that runs the shards — ``"inline"``, ``"process"`` or ``"socket"``
-    (``None`` keeps the workers-based default: ``workers >= 2`` spawns the
-    process pool, anything less runs inline).  ``hosts`` names the socket
-    backend's shard servers.
+    ``workers`` picks where the shards run: ``workers >= 2`` spawns a
+    process pool of that width, anything less runs inline, one shard after
+    another.
 
     ``faults`` replays a deterministic failure scenario (a
     :class:`repro.engine.FaultPlan`, its dict form, or a path to its JSON
@@ -223,8 +219,6 @@ def sweep(
     result = run_sweep(
         grid,
         workers=workers,
-        backend=backend,
-        hosts=hosts,
         out_dir=out,
         use_cache=use_cache,
         resume=resume,

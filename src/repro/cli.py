@@ -21,7 +21,7 @@ from .core.canonical_order import tree_ball, tree_sort_key
 from .core.exhaustive import half_integral_grid, one_round_universe, search_view_function
 from .core.witness import AlgorithmFailure
 from .engine import CellExecutionError, GridSpec, e1_grid, smoke_grid, verify_store
-from .engine.executors import BACKENDS, ExecutionOptions, ShardServer
+from .engine.executors import ExecutionOptions
 from .engine.grid import CHAINS, make_algorithm
 from .graphs.families import (
     caterpillar,
@@ -91,30 +91,15 @@ def add_common_options(
         group = parser.add_argument_group(
             "execution control",
             "one vocabulary for every engine-driving subcommand; validated "
-            "together (workers >= 1, positive timeouts, known backend)",
+            "together (workers >= 1, positive timeouts)",
         )
         group.add_argument(
             "--workers",
             type=int,
             default=ExecutionOptions.workers,
             metavar="N",
-            help="shard fan-out for parallel backends (default 1: the serial "
-            "inline baseline; >= 2 selects the process pool unless "
-            "--backend says otherwise)",
-        )
-        group.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default=ExecutionOptions.backend,
-            help="sweep executor backend: inline (in-process, zero spawn), "
-            "process (spawn pool), socket (shard servers over TCP; see "
-            "the serve subcommand). Default: picked from --workers",
-        )
-        group.add_argument(
-            "--hosts",
-            metavar="HOST:PORT,...",
-            help="socket backend only: external shard servers to dispatch "
-            "to (default: self-hosted loopback servers)",
+            help="shard fan-out (default 1: the serial inline baseline; "
+            ">= 2 shards over a pool of N spawned worker processes)",
         )
         group.add_argument(
             "--cell-timeout",
@@ -145,8 +130,6 @@ def _execution_options(args) -> ExecutionOptions:
     """The execution-control flags, validated as one object."""
     return ExecutionOptions(
         workers=args.workers,
-        backend=args.backend,
-        hosts=args.hosts,
         cell_timeout=args.cell_timeout,
         retries=args.retries,
         max_restarts=args.max_restarts,
@@ -186,27 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # option groups two verbs share, declared once as argparse parents
+    # the option group two verbs share, declared once as an argparse parent
     graph = argparse.ArgumentParser(add_help=False)
     graph.add_argument("--family", default="random")
     graph.add_argument("--n", type=int, default=20)
     graph.add_argument("--delta", type=int, default=4)
     graph.add_argument("--seed", type=int, default=0)
     graph.add_argument("--algorithm", default="greedy")
-    bind = argparse.ArgumentParser(add_help=False)
-    bind.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default 127.0.0.1; 0.0.0.0 to serve other "
-        "hosts)",
-    )
-    bind.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="port to bind (default 0: an OS-assigned free port, printed "
-        "on startup)",
-    )
 
     sub.add_parser(
         "solve", parents=[graph], help="run a maximal-FM algorithm on a graph family"
@@ -370,28 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--out is set, else stderr only)",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        parents=[bind],
-        help="run one socket-backend shard server (pair with "
-        "sweep --backend socket --hosts HOST:PORT,...)",
-    )
-    serve.set_defaults(handler=_cmd_serve)
-    serve.add_argument(
-        "--max-requests",
-        type=int,
-        metavar="N",
-        help="exit after serving N shard requests (default: run until "
-        "interrupted)",
-    )
-
     serve_api = sub.add_parser(
         "serve-api",
-        parents=[bind],
         help="run the sweep-as-a-service HTTP/JSON job server "
         "(POST /v1/jobs; see docs/service.md)",
     )
     serve_api.set_defaults(handler=_cmd_serve_api)
+    serve_api.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="interface to bind (default 127.0.0.1; 0.0.0.0 to serve other "
+        "hosts)",
+    )
+    serve_api.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="port to bind (default 0: an OS-assigned free port, printed "
+        "on startup)",
+    )
     serve_api.add_argument(
         "--data-dir",
         default="service-data",
@@ -690,22 +656,6 @@ def _parse_ints(spec: str, flag: str) -> tuple:
         return tuple(int(part) for part in spec.split(","))
     except ValueError:
         raise ValueError(f"{flag}: bad value {spec!r} (want N,N,... or A..B)") from None
-
-
-def _cmd_serve(args) -> int:
-    """Run one socket-backend shard server until interrupted."""
-    server = ShardServer(host=args.host, port=args.port)
-    host, port = server.address
-    print(f"shard server listening on {host}:{port}", flush=True)
-    print(f"dispatch to it with: repro sweep --backend socket --hosts {host}:{port}", flush=True)
-    try:
-        server.serve_forever(max_requests=args.max_requests)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    print(f"shard server stopped after {server.requests_served} request(s)")
-    return 0
 
 
 def _cmd_serve_api(args) -> int:

@@ -15,11 +15,11 @@ process-parallel sweep:
   cells, merges per-shard traces into one document, and survives dead
   workers, hung cells and transient failures via bounded retries, per-cell
   watchdogs and shard reassignment (see ``docs/fault_injection.md``);
-* :mod:`repro.engine.executors` — the pluggable
+* :mod:`repro.engine.executors` — the two
   :class:`~repro.engine.executors.SweepExecutor` backends the driver
-  dispatches shards to: ``inline`` (in-process, zero spawn), ``process``
-  (the spawn-context pool) and ``socket`` (multi-host shard servers over
-  JSON framing);
+  dispatches shards to, picked by ``workers``: ``inline`` (in-process,
+  zero spawn) below two workers and ``process`` (the spawn-context pool)
+  from two;
 * :mod:`repro.engine.faults` — a deterministic fault-injection layer (seeded
   :class:`~repro.engine.faults.FaultPlan`) that replays worker kills and
   crashes, shard truncation and cell stalls so every recovery path is
@@ -31,12 +31,9 @@ Entry points: :func:`run_sweep` (or ``python -m repro sweep`` /
 
 from .cache import CacheStats, CanonicalFormCache, graph_digest
 from .executors import (
-    BACKENDS,
     ExecutionOptions,
     InlineExecutor,
     ProcessExecutor,
-    ShardServer,
-    SocketExecutor,
     SweepExecutor,
     as_executor,
 )
@@ -47,7 +44,6 @@ from .store import ResultStore
 
 __all__ = [
     "ALGORITHMS",
-    "BACKENDS",
     "CHAINS",
     "CacheStats",
     "CanonicalFormCache",
@@ -63,8 +59,6 @@ __all__ = [
     "InlineExecutor",
     "ProcessExecutor",
     "ResultStore",
-    "ShardServer",
-    "SocketExecutor",
     "SweepExecutor",
     "SweepResult",
     "as_executor",

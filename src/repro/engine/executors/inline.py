@@ -1,9 +1,9 @@
 """The in-process backend: shards one after another, zero spawn.
 
-``InlineExecutor`` is the serial baseline every other backend must
-reproduce byte-identically, and the default backend for smoke grids and
-the fault-harness unit tests — no process spawn, no sockets, nothing to
-clean up, full per-row progress callbacks.
+``InlineExecutor`` is the serial baseline the process backend must
+reproduce byte-identically, and the backend of every sweep below two
+workers — no process spawn, nothing to clean up, full per-row progress
+callbacks.
 
 A round is a plain loop over its shards in submission order.  The ambient
 tracer/fault hooks are process-global, so in-process shards must not

@@ -4,19 +4,18 @@ A *shard* is the unit of work a :class:`~repro.engine.executors.base.
 SweepExecutor` ships somewhere: a JSON-ready payload dict naming the cells
 to run, the result store and cache to use, and the fault/watchdog/retry
 discipline to apply.  :func:`run_shard` is the one function that executes
-it — in this process (inline backend), in a spawned pool worker (process
-backend) or inside a shard server reached over a socket (socket backend).
-Because every backend funnels through the same runtime, the byte-identity
-and fault-tolerance invariants are properties of the *payload*, not of any
-particular backend.
+it — in this process (inline backend) or in a spawned pool worker
+(process backend).  Because both backends funnel through the same
+runtime, the byte-identity and fault-tolerance invariants are properties
+of the *payload*, not of either backend.
 
 The runtime installs the ambient tracer/fault-injector/cache hooks for the
 duration of a shard.  Those hooks are deliberately plain module globals
 (:mod:`repro.obs.tracer`, :mod:`repro.engine.faults`), so two shards must
 never execute concurrently *inside one process*: :data:`_AMBIENT_LOCK`
 serialises them.  Process workers are unaffected (one shard per process);
-the lock is what makes in-process backends — inline rounds, loopback shard
-servers — safe without contextvar plumbing.
+the lock is what keeps in-process shards — inline rounds, concurrent
+service jobs — safe without contextvar plumbing.
 
 ``time.sleep`` here implements only the deterministic retry backoff and
 the watchdog join timeout and never feeds any model output; the module is
@@ -227,10 +226,9 @@ def run_shard(payload: dict, on_row=None) -> Tuple[int, List[dict], dict, dict]:
 
     Returns ``(shard_index, rows, trace_document, cache_stats)``.  Must stay
     a module-level function: the process backend's spawn context pickles it
-    by reference, and the socket backend's shard server dispatches to it by
-    name.  ``on_row`` is an in-process-only hook — serial rounds pass the
-    sweep's progress callback; remote backends always run with the default
-    ``None`` (a callback could not cross a process or socket boundary).
+    by reference.  ``on_row`` is an in-process-only hook — serial rounds
+    pass the sweep's progress callback; pool workers always run with the
+    default ``None`` (a callback could not cross the process boundary).
     """
     shard_index = payload["shard"]
     cells = [Cell.from_dict(d) for d in payload["cells"]]
@@ -283,10 +281,12 @@ def shard_payloads(
     retries: int,
     in_worker: bool,
 ) -> List[dict]:
-    """JSON-ready payload dicts for one round of shards.
+    """Payload dicts for one round of shards, plain data that pickles
+    unchanged into a pool worker.
 
-    Everything a payload carries survives ``json.dumps`` round-trips, which
-    is what lets the socket backend ship shards over the wire unchanged.
+    ``in_worker`` is true for a parallel round: only then do the shards run
+    in processes of their own, where a ``kill-worker`` fault may arm the
+    real ``SIGKILL``.
     """
     return [
         {

@@ -4,13 +4,12 @@
 splitting pending cells round-robin by placement unit into shards, the
 :class:`~repro.engine.store.ResultStore`, progress emission, resume/dedup
 bookkeeping, and the dead-worker recovery policy.  *Where* a shard runs is
-delegated to a :class:`~repro.engine.executors.SweepExecutor` backend
-(``backend=``): ``inline`` executes in-process, one shard after another
-(the serial baseline), ``process`` maps shards over a spawn-context pool, and
-``socket`` ships them to shard servers over JSON framing — see
-:mod:`repro.engine.executors` and ``docs/engine.md``.
+delegated to a :class:`~repro.engine.executors.SweepExecutor` backend that
+``workers`` picks: ``inline`` executes in-process, one shard after another
+(the serial baseline), and ``process`` maps shards over a spawn-context
+pool — see :mod:`repro.engine.executors` and ``docs/engine.md``.
 
-Every backend funnels through the same shard runtime
+Both backends funnel through the same shard runtime
 (:mod:`repro.engine.executors.shard`), so the invariants are uniform: each
 shard runs under its own :class:`repro.obs.Tracer` and an installed
 :class:`~repro.engine.cache.CanonicalFormCache`, appends rows to its store
@@ -49,7 +48,7 @@ The engine assumes workers can die, cells can hang, and shards can tear:
   a bounded, deterministically backed-off retry loop (``retries``); a cell
   whose error survives every retry surfaces as a :class:`CellExecutionError`
   that **names the failing cell** instead of a bare pool teardown;
-* a shard whose worker dies (SIGKILL, crash, vanished host) is detected by
+* a shard whose worker dies (SIGKILL, crash) is detected by
   the driver via the backend's ``is_worker_loss`` triage, which reads back
   whatever rows the dead worker had already flushed and **reassigns only
   the missing cells** to a fresh round (``max_restarts`` rounds,
@@ -110,7 +109,7 @@ class SweepResult:
     out_dir: Optional[str] = None
     #: restart/reassignment account: zeros on a fault-free run
     recovery: Dict[str, int] = field(default_factory=dict)
-    #: registry name of the executor that ran the parallel rounds
+    #: name of the executor that ran the parallel rounds
     backend: str = "inline"
 
     @property
@@ -140,8 +139,7 @@ def run_sweep(
     grid: Union[GridSpec, Mapping, None] = None,
     *,
     workers: int = 0,
-    backend: Union[str, SweepExecutor, None] = None,
-    hosts=None,
+    backend: Optional[SweepExecutor] = None,
     out_dir=None,
     use_cache: bool = True,
     resume: bool = False,
@@ -152,7 +150,7 @@ def run_sweep(
     max_restarts: int = 2,
     progress=None,
 ) -> SweepResult:
-    """Run every cell of ``grid``, sharded over the selected backend.
+    """Run every cell of ``grid``, sharded over the backend ``workers`` picks.
 
     Parameters
     ----------
@@ -160,20 +158,15 @@ def run_sweep(
         A :class:`GridSpec`, a plain mapping of axes, or ``None`` for the
         default E1 grid.
     workers:
-        Shard fan-out for parallel backends.  With the default
-        ``backend=None``, ``0`` or ``1`` selects the inline backend (the
-        serial baseline the parallel paths must reproduce byte-identically)
-        and ``n >= 2`` selects the process pool — the historical behaviour.
-        A negative count, like any value :class:`~repro.engine.executors.
-        ExecutionOptions` rejects, raises ``ValueError``.
+        ``0`` or ``1`` runs the inline backend (the serial baseline the
+        process pool must reproduce byte-identically); ``n >= 2`` shards
+        over a pool of ``n`` spawned workers.  A negative count, like any
+        value :class:`~repro.engine.executors.ExecutionOptions` rejects,
+        raises ``ValueError``.
     backend:
-        Which :class:`~repro.engine.executors.SweepExecutor` runs the
-        shards: ``"inline"``, ``"process"``, ``"socket"``, an executor
-        instance, or ``None`` for the workers-based default above.
-    hosts:
-        Socket backend only: shard servers to dispatch to, as
-        ``"host:port,host:port"`` or a list of ``(host, port)`` pairs.
-        Without hosts the socket backend self-hosts loopback servers.
+        A :class:`~repro.engine.executors.SweepExecutor` instance that runs
+        the shards instead of the one ``workers`` picks; ``None`` (default)
+        lets ``workers`` pick.  Any other value raises ``ValueError``.
     out_dir:
         Results directory (JSONL shards, ``summary.json``, ``trace.json``).
         ``None`` keeps everything in memory — such a sweep cannot resume,
@@ -207,17 +200,15 @@ def run_sweep(
         The emitter only observes the sweep — rows are byte-identical with
         or without it.  ``None`` (default) uses the shared no-op emitter.
     """
-    # the execution-control rules, worded once in ExecutionOptions:
-    # as_executor checks a named backend with its workers and hosts (an
-    # executor instance brings its own), and the retry policy is checked
-    # here; workers=0 is the serial spelling
-    executor = as_executor(backend, workers=workers, hosts=hosts)
+    # the execution-control rules, worded once in ExecutionOptions;
+    # workers=0 is the serial spelling
     ExecutionOptions(
         workers=workers or 1,
         cell_timeout=cell_timeout,
         retries=retries,
         max_restarts=max_restarts,
     )
+    executor = as_executor(backend, workers=workers)
     if grid is None:
         spec = GridSpec()
     elif isinstance(grid, GridSpec):
@@ -299,7 +290,7 @@ def run_sweep(
                     payloads = shard_payloads(
                         shards, store, use_cache, plan, round_,
                         cell_timeout, retries,
-                        in_worker=parallel_round and active.separate_process,
+                        in_worker=parallel_round,
                     )
                     # serial rounds report per row; the monitor polls parallel ones
                     outcomes, failures = active.run_round(
@@ -406,9 +397,10 @@ def run_sweep(
 class _ProgressMonitor:
     """Background poller feeding heartbeats while parallel shards run.
 
-    The driver cannot observe remote rows directly (shards only report
-    back when they finish), so parallel-round heartbeats poll the result
-    store's cheap line count — what the workers have flushed so far.  That
+    The driver cannot observe a pool worker's rows directly (shards only
+    report back when they finish), so parallel-round heartbeats poll the
+    result store's cheap line count — what the workers have flushed so
+    far.  That
     count can legitimately *exceed* the sweep's cell total (torn lines and
     duplicate cells from a recovered worker both count as lines), so the
     monitor clamps it to the cell total itself rather than trusting every

@@ -162,8 +162,6 @@ class LintConfig:
             "repro.engine.executors.shard",
             # the spawn-context pool backend
             "repro.engine.executors.process",
-            # loopback server threads + the per-host client fan-out
-            "repro.engine.executors.sockets",
             # the sweep service's queue-drain worker threads
             "repro.service.jobs",
             # the threading HTTP front-end over the sweep service

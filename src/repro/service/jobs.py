@@ -123,7 +123,7 @@ class ServiceConfig:
     """Static knobs of one :class:`SweepService` instance.
 
     ``sweep_options`` are engine execution options (``workers``,
-    ``backend``, ``cell_timeout``, …) forwarded verbatim to every job's
+    ``cell_timeout``, …) forwarded verbatim to every job's
     :func:`repro.api.sweep` call; ``rate == 0`` disables per-tenant rate
     limiting.  A size that cannot work, or a default tenant no client
     could name, raises ``ValueError``.

@@ -1,8 +1,7 @@
 """The stdlib HTTP/JSON front-end over :class:`~repro.service.jobs.SweepService`.
 
-A deliberately small, dependency-free API in the spirit of the socket
-backend's newline-JSON shard protocol: every request and response body is
-one JSON document, every route lives under ``/v1/``.
+A deliberately small, dependency-free API: every request and response
+body is one JSON document, every route lives under ``/v1/``.
 
 ====================================  =========================================
 Route                                 Meaning

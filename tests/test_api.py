@@ -89,7 +89,7 @@ class TestApiSweep:
     def test_returns_frozen_typed_report(self):
         import dataclasses
 
-        report = api.sweep({"algorithms": "greedy", "deltas": 3}, backend="inline")
+        report = api.sweep({"algorithms": "greedy", "deltas": 3})
         assert isinstance(report, api.SweepReport)
         assert isinstance(report.rows, tuple)
         assert report.backend == "inline"

@@ -43,11 +43,6 @@ SURFACE = {
         (("--generators",), 2, None),
         (("--radius",), 2, None),
     ],
-    "serve": [
-        (("--host",), "127.0.0.1", None),
-        (("--port",), 0, None),
-        (("--max-requests",), None, None),
-    ],
     "serve-api": [
         (("--host",), "127.0.0.1", None),
         (("--port",), 0, None),
@@ -57,8 +52,6 @@ SURFACE = {
         (("--rate",), 0.0, None),
         (("--burst",), 4, None),
         (("--workers",), 1, None),
-        (("--backend",), None, ["inline", "process", "socket"]),
-        (("--hosts",), None, None),
         (("--cell-timeout",), None, None),
         (("--retries",), 1, None),
         (("--max-restarts",), 2, None),
@@ -78,8 +71,6 @@ SURFACE = {
         (("--chain",), "ec", ["ec", "po", "oi", "id"]),
         (("--out",), None, None),
         (("--workers",), 1, None),
-        (("--backend",), None, ["inline", "process", "socket"]),
-        (("--hosts",), None, None),
         (("--cell-timeout",), None, None),
         (("--retries",), 1, None),
         (("--max-restarts",), 2, None),
@@ -386,48 +377,14 @@ class TestExecutionOptionsGroup:
         with pytest.raises(SystemExit, match="retries must be >= 0"):
             main([command, "--retries", "-1"])
 
-    @pytest.mark.parametrize("command", ["sweep", "serve-api"])
-    def test_hosts_require_socket_backend(self, command):
-        with pytest.raises(SystemExit, match="hosts only apply to the socket"):
-            main([command, "--hosts", "127.0.0.1:9"])
-
-    @pytest.mark.parametrize("command", ["sweep", "serve-api"])
-    def test_unknown_backend_rejected_by_argparse(self, command, capsys):
-        with pytest.raises(SystemExit):
-            main([command, "--backend", "carrier-pigeon"])
-        assert "invalid choice" in capsys.readouterr().err
-
     def test_sweep_inline_backend_reported(self, capsys):
-        code = main(["sweep", "--smoke", "--backend", "inline", "--json"])
+        code = main(["sweep", "--smoke", "--json"])
         out = capsys.readouterr().out
         assert code == 0
         assert "via the inline backend" in out
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["backend"] == "inline"
         assert len(payload["rows"]) == 4
-
-    def test_sweep_socket_backend_loopback(self, capsys):
-        code = main([
-            "sweep", "--smoke", "--backend", "socket", "--workers", "2", "--json",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads(out.strip().splitlines()[-1])
-        assert payload["backend"] == "socket"
-        assert [row["key"] for row in payload["rows"]] == sorted(
-            row["key"] for row in payload["rows"]
-        )
-
-
-class TestServe:
-    def test_serve_answers_then_exits(self, capsys):
-        # --max-requests lets the test run the real accept loop to completion
-        code = main(["serve", "--max-requests", "0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "shard server listening on 127.0.0.1:" in out
-        assert "stopped after 0 request(s)" in out
-
 
 class TestVerify:
     def test_refuted_claim_exit_zero(self, capsys):

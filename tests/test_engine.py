@@ -319,7 +319,6 @@ class TestRunSweep:
             ({"cell_timeout": -1.0}, "cell_timeout must be positive"),
             ({"cell_timeout": 0}, "cell_timeout must be positive"),
             ({"backend": "carrier-pigeon"}, "unknown backend"),
-            ({"backend": "inline", "hosts": "h:1"}, "hosts only apply to the socket backend"),
         ],
     )
     def test_execution_options_validated_once_for_every_caller(self, options, message):

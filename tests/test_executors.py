@@ -1,11 +1,11 @@
 """Conformance suite for sweep executor backends (repro.engine.executors).
 
-Every backend — ``inline``, ``process``, ``socket`` — must satisfy the same
-contract: merged sweep rows serialise byte-identically to the serial
-baseline, every fault kind is survived with byte-identical rows (the chaos
-matrix), a torn result store resumes cleanly, and the progress stream's
-``final`` event agrees with the persisted summary.  The suite is
-parameterized so a fourth backend only needs a new entry in
+Both backends — ``inline`` and ``process``, picked by ``workers`` — must
+satisfy the same contract: merged sweep rows serialise byte-identically to
+the serial baseline, every fault kind is survived with byte-identical rows
+(the chaos matrix), a torn result store resumes cleanly, and the progress
+stream's ``final`` event agrees with the persisted summary.  The suite is
+parameterized so a new backend only needs a new entry in
 ``BACKEND_PARAMS``.
 """
 
@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import random
-import socket as socket_mod
+import sys
+import types
 
 import pytest
 
@@ -28,25 +31,20 @@ from repro.engine import (
     smoke_grid,
 )
 from repro.engine.executors import (
-    BACKENDS,
     ExecutionOptions,
     InlineExecutor,
     ProcessExecutor,
-    ShardServer,
-    SocketExecutor,
     SweepExecutor,
     as_executor,
-    parse_hosts,
     shard_cells,
 )
 from repro.engine.faults import FAULT_KINDS
 from repro.graphs.memo import reset_memos
 
-#: the conformance matrix: how each backend is driven through run_sweep
+#: the conformance matrix: the run_sweep options that pick each backend
 BACKEND_PARAMS = {
-    "inline": {"backend": "inline", "workers": 1},
-    "process": {"backend": "process", "workers": 2},
-    "socket": {"backend": "socket", "workers": 2},
+    "inline": {"workers": 1},
+    "process": {"workers": 2},
 }
 
 
@@ -97,7 +95,7 @@ class TestByteIdentity:
     def test_rows_byte_identical_to_serial(self, backend_opts, serial_baseline):
         base, _ = serial_baseline
         result = run_sweep(smoke_grid(), use_cache=False, **backend_opts)
-        assert result.backend == backend_opts["backend"]
+        assert BACKEND_PARAMS[result.backend] == backend_opts
         assert rows_bytes(result.rows) == base
 
     def test_rows_identical_with_store_and_cache(
@@ -266,17 +264,29 @@ class TestProgressConformance:
 
 
 class TestRegistry:
+    """How a sweep gets its executor: ``workers`` picks one, or an
+    instance is passed in."""
+
     def test_backend_registry_is_exactly_the_shipped_set(self):
-        assert set(BACKENDS) == {"inline", "process", "socket"}
-        assert set(BACKEND_PARAMS) == set(BACKENDS), (
+        import repro.engine.executors as executors
+
+        shipped = {
+            value.name
+            for value in vars(executors).values()
+            if isinstance(value, type) and issubclass(value, SweepExecutor)
+            and value is not SweepExecutor
+        }
+        assert shipped == set(BACKEND_PARAMS), (
             "a new backend must join the conformance matrix"
         )
+        for name, options in BACKEND_PARAMS.items():
+            assert as_executor(None, **options).name == name
 
     def test_default_resolution_keeps_historical_workers_behaviour(self):
         assert isinstance(as_executor(None, workers=0), InlineExecutor)
         assert isinstance(as_executor(None, workers=1), InlineExecutor)
         assert isinstance(as_executor(None, workers=2), ProcessExecutor)
-        assert isinstance(as_executor("socket", workers=2), SocketExecutor)
+        assert as_executor(None, workers=3).width == 3
 
     def test_executor_instances_pass_through(self):
         executor = InlineExecutor()
@@ -293,122 +303,83 @@ class TestRegistry:
         return str(direct.value)
 
     def test_unknown_backend_rejected(self):
-        message = self.same_error_from_both_entry_points(backend="carrier-pigeon")
-        assert message.startswith("unknown backend 'carrier-pigeon'")
-
-    def test_socket_only_options_rejected_elsewhere(self):
-        for backend, hosts in [
-            ("inline", [("h", 1)]),
-            (None, [("h", 1)]),
-            (None, "h:1"),
-            ("process", "h:1,h:2"),
-        ]:
-            message = self.same_error_from_both_entry_points(backend=backend, hosts=hosts)
-            assert message == f"hosts only apply to the socket backend, not backend={backend!r}"
+        for name in ("carrier-pigeon", "process"):
+            message = self.same_error_from_both_entry_points(backend=name)
+            assert message.startswith(f"unknown backend {name!r}")
+            assert "\n" not in message
 
 
 class TestCapabilities:
     def test_inline_capabilities(self):
         executor = InlineExecutor()
-        assert not executor.parallel and not executor.separate_process
+        assert not executor.parallel
 
     def test_process_capabilities(self):
         executor = ProcessExecutor(workers=2)
-        assert executor.parallel and executor.separate_process
-
-    def test_socket_loopback_never_arms_real_sigkill(self):
-        """Self-hosted loopback servers share our process: kill-worker must
-        degrade to a raised InjectedWorkerError, not a real SIGKILL."""
-        executor = SocketExecutor(workers=2)
-        assert executor.parallel and not executor.separate_process
-
-    def test_socket_external_hosts_are_separate_processes(self):
-        for executor in (
-            SocketExecutor(hosts=[("127.0.0.1", 7641), ("127.0.0.1", 7642)]),
-            # a HOST:PORT spec is parsed once, by ExecutionOptions
-            as_executor("socket", hosts="127.0.0.1:7641, 127.0.0.1:7642"),
-        ):
-            assert executor.separate_process
-            assert executor.width == 2
+        assert executor.parallel and executor.width == 2
 
     def test_base_executor_is_the_serial_contract(self):
-        assert not SweepExecutor.parallel and not SweepExecutor.separate_process
+        assert not SweepExecutor.parallel
         assert SweepExecutor.width == 1
+
+
+def fake_main(**attributes) -> types.ModuleType:
+    module = types.ModuleType("__main__")
+    module.__spec__ = None
+    for name, value in attributes.items():
+        setattr(module, name, value)
+    return module
+
+
+class TestProcessStart:
+    """A spawned worker first re-runs the parent's ``__main__``."""
+
+    def test_stdin_main_refused_before_any_worker_starts(self, monkeypatch):
+        # every worker of a script piped on stdin died at start-up, and the
+        # sweep reported the pool as recovered worker losses
+        monkeypatch.setitem(sys.modules, "__main__", fake_main(__file__="<stdin>"))
+        with pytest.raises(ValueError) as refused:
+            run_sweep(smoke_grid(), workers=2)
+        message = str(refused.value)
+        assert "<stdin>" in message and "\n" not in message
+        assert message.endswith("run the script from a file, or use workers=1")
+        assert multiprocessing.active_children() == []
+
+    def test_mains_a_worker_can_rerun_start(self, monkeypatch, tmp_path):
+        script = tmp_path / "script.py"
+        script.write_text("")
+        origin = multiprocessing.process.ORIGINAL_DIR
+        for main in (
+            fake_main(),  # python -c, or an interactive session
+            fake_main(__file__=str(script)),
+            fake_main(__file__=os.path.relpath(script, origin)),
+            # python -m: imported by name, whatever its __file__ says
+            fake_main(__file__="<stdin>", __spec__=types.SimpleNamespace(name="pkg.__main__")),
+        ):
+            monkeypatch.setitem(sys.modules, "__main__", main)
+            ProcessExecutor().start()
 
 
 class TestExecutionOptions:
     def test_defaults_validate(self):
         options = ExecutionOptions()
-        assert options.workers == 1 and options.backend is None
-        kwargs = options.engine_kwargs()
-        assert kwargs["workers"] == 1 and "hosts" not in kwargs
+        assert options.engine_kwargs() == {
+            "workers": 1, "cell_timeout": None, "retries": 1, "max_restarts": 2,
+        }
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
         [
             ("workers", 0, "workers must be >= 1"),
-            ("backend", "smoke-signals", "unknown backend"),
             ("cell_timeout", -1.0, "cell_timeout must be positive"),
             ("retries", -1, "retries must be >= 0"),
             ("max_restarts", -1, "max_restarts must be >= 0"),
-            ("hosts", (("h", 1),), "hosts only apply to the socket backend"),
         ],
     )
     def test_bad_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ExecutionOptions(**{field: value})
 
-    def test_hosts_allowed_on_socket(self):
-        options = ExecutionOptions(backend="socket", hosts=(("h", 7641),))
-        assert options.engine_kwargs()["hosts"] == [("h", 7641)]
-
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionOptions().workers = 4
-
-
-class TestParseHosts:
-    def test_string_tuple_and_none_forms(self):
-        assert parse_hosts(None) == []
-        assert parse_hosts("h1:7641, h2:7642") == [("h1", 7641), ("h2", 7642)]
-        assert parse_hosts([("h1", 7641)]) == [("h1", 7641)]
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError, match="bad host spec"):
-            parse_hosts("no-port")
-        with pytest.raises(ValueError, match="bad port"):
-            parse_hosts("h:seven")
-
-
-class TestShardServerProtocol:
-    def test_ping_and_max_requests(self):
-        server = ShardServer()
-        server.start()
-        try:
-            host, port = server.address
-            with socket_mod.create_connection((host, port), timeout=5) as conn:
-                fh = conn.makefile("rw", encoding="utf-8", newline="\n")
-                fh.write(json.dumps({"op": "ping"}) + "\n")
-                fh.flush()
-                reply = json.loads(fh.readline())
-            assert reply == {"ok": True, "result": "pong"}
-        finally:
-            server.stop()
-
-    def test_external_host_round_trip(self, serial_baseline):
-        """A sweep dispatched to explicitly-addressed servers — the two-host
-        topology CI runs across real processes — stays byte-identical."""
-        base, _ = serial_baseline
-        servers = [ShardServer(), ShardServer()]
-        for server in servers:
-            server.start()
-        try:
-            hosts = [server.address for server in servers]
-            result = run_sweep(
-                smoke_grid(), backend="socket", hosts=hosts, use_cache=False
-            )
-            assert rows_bytes(result.rows) == base
-            assert sum(server.requests_served for server in servers) >= 2
-        finally:
-            for server in servers:
-                server.stop()

@@ -16,7 +16,10 @@ re-pin the value here and say why in CHANGES.md.
 * ``canonical.order`` — the Appendix A order: a sorted ``T``-ball and the
   ordered cover words the PO <= OI and OI <= ID simulations hand to an
   OI-algorithm.  The row checksum cannot see this order, because both
-  shipped OI machines ignore the order they are given.
+  shipped OI machines ignore the order they are given;
+* ``adversary.witness`` — the Section 4 construction itself, step by step.
+  A row records only the witness depth and verdict, so a change that
+  picked another disagreeing colour, side or loop would keep every row.
 
 Worker-count byte identity (rows under ``workers=2`` equal the serial
 rows) is ``tests/test_executors.py::TestByteIdentity``.  Wall time is
@@ -30,9 +33,11 @@ import json
 
 import pytest
 
+from repro.core.adversary import run_adversary
 from repro.core.canonical_order import tree_ball, tree_sort_key
 from repro.core.sim_po_oi import cover_words, ordered_cover_nodes
 from repro.engine import GridSpec, run_sweep
+from repro.engine.grid import make_algorithm
 from repro.graphs.cover import universal_cover_po
 from repro.graphs.families import (
     cycle_graph,
@@ -42,6 +47,7 @@ from repro.graphs.families import (
 )
 from repro.graphs.isomorphism import canonical_form_of
 from repro.graphs.memo import reset_memos
+from repro.graphs.neighborhoods import ball
 from repro.graphs.ports import po_double_from_ec
 from repro.graphs.soa import plan_hit_count
 
@@ -133,4 +139,30 @@ class TestCanonicalOrder:
         assert sum(map(len, parts)) == 1948
         assert sha256(repr(parts)) == (
             "fe2c5a670947f52de6b6dd4c7f9f6a76a4b983e28dbb16d887ce3328b5d655e1"
+        )
+
+
+class TestWitness:
+    """Every step of the construction against both algorithms, Δ = 3–8.
+
+    A step is hashed by what the paper defines, with no node label or edge
+    id: the side, the colour, both weights, both graph sizes and the
+    canonical form of the G-side witness ball.
+    """
+
+    def test_witness_sha256(self):
+        steps = [
+            (
+                name, delta, step.index, step.side, repr(step.color),
+                str(step.weight_g), str(step.weight_h),
+                step.graph_g.num_nodes(), step.graph_h.num_nodes(),
+                ball(step.graph_g, step.node_g, step.index).canonical_form(),
+            )
+            for name in ALGORITHMS
+            for delta in range(3, 9)
+            for step in run_adversary(make_algorithm(name), delta).steps
+        ]
+        assert len(steps) == 54
+        assert sha256(repr(steps)) == (
+            "ac3b3bfd0d52a347a4a3abf7bdb40f740af0c6224baa3678feca20eee9962688"
         )

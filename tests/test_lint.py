@@ -299,7 +299,7 @@ class TestWorkerExemption:
 
     def test_shipped_executors_are_the_only_spawners_in_src(self):
         # the driver (monitor thread), the shard runtime (watchdog thread),
-        # the process/socket backends, and the sweep service (queue-drain
+        # the process backend, and the sweep service (queue-drain
         # workers + the threading HTTP front-end); the inline backend is a
         # plain loop in the calling thread and needs no sanction at all
         from dataclasses import replace
@@ -311,7 +311,6 @@ class TestWorkerExemption:
             str(SRC / "repro" / "engine" / "pool.py"),
             str(SRC / "repro" / "engine" / "executors" / "shard.py"),
             str(SRC / "repro" / "engine" / "executors" / "process.py"),
-            str(SRC / "repro" / "engine" / "executors" / "sockets.py"),
             str(SRC / "repro" / "service" / "jobs.py"),
             str(SRC / "repro" / "service" / "server.py"),
         }
@@ -324,7 +323,6 @@ class TestWorkerExemption:
                 "repro.engine.pool",
                 "repro.engine.executors.shard",
                 "repro.engine.executors.process",
-                "repro.engine.executors.sockets",
                 "repro.service.jobs",
                 "repro.service.server",
             }
