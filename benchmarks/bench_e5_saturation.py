@@ -41,7 +41,7 @@ def test_correct_algorithms_saturate(benchmark, record, loops):
 def test_figure4_certificates(benchmark, record, seed):
     g = random_loopy_tree(4, 2, seed=seed)
     alg = ZeroFM()
-    bad = unsaturated_nodes(g, alg.run_on(g))
+    bad = unsaturated_nodes(fm_from_node_outputs(g, alg.run_on(g)))
     assert bad
     cert = benchmark.pedantic(
         lambda: figure4_certificate(g, bad[0], alg), rounds=1, iterations=1

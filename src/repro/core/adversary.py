@@ -23,7 +23,7 @@ The construction (Figures 5-7):
 Everything the paper claims is re-checked mechanically on every step:
 ball isomorphism ((P1), via canonical forms), loop budgets ((P2)),
 tree shape ((P3)), feasibility/maximality/saturation of every output
-(Lemma 2, with a Figure-4 refutation certificate on failure), and —
+(Lemma 2), and —
 optionally — lift invariance of ``A`` itself on the unfolded graphs.
 """
 
@@ -43,7 +43,7 @@ from ..local.algorithm import ECWeightAlgorithm
 from ..matching.fm import InconsistentOutputError, fm_from_node_outputs
 from ..obs.tracer import current_tracer
 from .propagation import disagreement_walk
-from .saturation import figure4_certificate, unsaturated_nodes
+from .saturation import unsaturated_nodes
 from .witness import AlgorithmFailure, LowerBoundWitness, StepWitness
 
 Node = Hashable
@@ -51,8 +51,6 @@ Color = Hashable
 NodeOutputs = Dict[Node, Dict[Color, Fraction]]
 
 __all__ = ["run_adversary", "checked_run", "hard_instance_pair"]
-
-ONE = Fraction(1)
 
 
 def checked_run(
@@ -67,8 +65,12 @@ def checked_run(
 
     Raises :class:`AlgorithmFailure` with a certificate if the output is
     inconsistent, infeasible, non-maximal, or (when ``require_saturation``,
-    for loopy inputs) leaves a node unsaturated — in the latter case the
-    Figure 4 refuting lift is attached when one exists.
+    for loopy inputs) leaves a node unsaturated.  The run builds one
+    :class:`~repro.matching.fm.FractionalMatching`, which sums every load
+    once; all three Lemma-2 verdicts read that one vector.  No Figure 4
+    lift is attached: a node with a loop that is unsaturated already fails
+    maximality, so an unsaturated node that gets this far has no loop to
+    unfold (:func:`~repro.core.saturation.figure4_certificate`).
 
     When the algorithm declares a :attr:`fingerprint`, verified runs are
     memoized process-wide keyed by the graph's content digest: a repeated
@@ -145,16 +147,13 @@ def checked_run(
                 detail=missing,
             )
         if require_saturation:
-            bad = unsaturated_nodes(g, outputs)
+            bad = unsaturated_nodes(fm)
             if bad:
                 span.set(verdict="unsaturated")
-                certificate = figure4_certificate(g, bad[0], algorithm)
                 raise AlgorithmFailure(
                     f"{algorithm.name} left node {bad[0]!r} unsaturated on a loopy "
-                    f"graph (Lemma 2); Figure-4 refutation "
-                    f"{'attached' if certificate else 'not constructible here'}",
+                    "graph (Lemma 2); Figure-4 refutation not constructible here",
                     graph=g,
-                    detail=certificate,
                 )
         span.set(verdict="ok")
         tracer.metrics.counter("adversary.checked_runs", algorithm=algorithm.name).inc()
@@ -242,7 +241,6 @@ def run_adversary(
             removed = positive[0]
             graph_h = graph_g.fork()
             graph_h.remove_edge(removed.eid)
-            _count_fork_sharing(tracer, algorithm.name, graph_g, graph_h)
             out_h = checked_run(algorithm, graph_h, tracer=tracer, delta=delta, level=0)
             node_h = node_g
             color = _first_disagreeing_color(
@@ -392,29 +390,6 @@ def hard_instance_pair(
     witness = run_adversary(algorithm, delta)
     top = witness.steps[-1]
     return top.graph_g, top.graph_h, top.node_g, top.node_h, top.color
-
-
-def _count_fork_sharing(tracer, algorithm: str, parent: ECGraph, child: ECGraph) -> None:
-    """Record how much structure a persistent fork reused instead of copying.
-
-    ``H_0 = G_0 - e`` used to be a full deep copy of ``G_0``; a kernel fork
-    shares every untouched per-node slot map and every surviving edge record
-    by identity.  The two counters make that saved work visible in merged
-    sweep traces (``adversary.fork_shared``, ``kind`` label) the same way
-    the canonical cache reports its hit rate.
-    """
-    pk, ck = parent.kernel, child.kernel
-    shared_slots = pk.shared_slot_maps(ck)
-    shared_edges = sum(
-        1 for e in ck.edges() if pk.has_edge_id(e.eid) and pk.edge(e.eid) is e
-    )
-    metrics = tracer.metrics
-    metrics.counter("adversary.fork_shared", algorithm=algorithm, kind="slot_maps").inc(
-        shared_slots
-    )
-    metrics.counter("adversary.fork_shared", algorithm=algorithm, kind="edges").inc(
-        shared_edges
-    )
 
 
 def _normalise(outputs: NodeOutputs):

@@ -11,6 +11,10 @@ explicitly, and :func:`simple_unfolding` goes further and produces a fully
 class at a time — so a failure is always witnessed on a legal simple input
 graph, exactly as Figure 4 demands.
 
+:func:`unsaturated_nodes` reads the loads an FM sums once when it is built.
+Maximality alone saturates every node that has a loop, so an unsaturated
+node of a maximal FM has no loop for Figure 4 to unfold.
+
 The module also hosts the generic lift-invariance checker used to validate
 that algorithms presented to the adversary really are anonymous.
 """
@@ -24,6 +28,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 from ..graphs.lifts import is_covering_map_ec, random_two_lift, unfold_loop
 from ..graphs.multigraph import ECGraph
 from ..local.algorithm import ECWeightAlgorithm
+from ..matching.fm import ONE, FractionalMatching
 from .propagation import node_load_of_output
 
 Node = Hashable
@@ -37,12 +42,10 @@ __all__ = [
     "check_lift_invariance",
 ]
 
-ONE = Fraction(1)
 
-
-def unsaturated_nodes(g: ECGraph, outputs: Mapping[Node, Mapping[Color, Fraction]]) -> List[Node]:
-    """Nodes whose announced incident weights sum to less than 1."""
-    return [v for v in g.nodes() if node_load_of_output(g, outputs, v) != ONE]
+def unsaturated_nodes(fm: FractionalMatching) -> List[Node]:
+    """Nodes of ``fm`` whose load ``y[v]`` is not 1, read off :attr:`FractionalMatching.loads`."""
+    return [v for v, load in fm.loads.items() if load != ONE]
 
 
 def saturation_indicator(

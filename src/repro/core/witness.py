@@ -31,8 +31,8 @@ class AlgorithmFailure(RuntimeError):
 
     Carries a machine-checkable certificate: the input graph and a
     description of the violated property (inconsistent endpoints,
-    infeasibility, an unsaturated node on a loopy graph together with the
-    Figure-4 refuting lift, or a lift-invariance breach).
+    infeasibility, non-maximality, an unsaturated node on a loopy graph, or
+    a lift-invariance breach).
     """
 
     def __init__(self, message: str, graph: Optional[ECGraph] = None, detail: Optional[object] = None):

@@ -190,14 +190,6 @@ class ECGraph:
         edges = self._b._edges
         return [edges[eid] for _, eid in sorted(self._b._slots[v].items())]
 
-    def incident_edge_ids(self, v: Node) -> List[EdgeId]:
-        """Ids of edges incident to ``v``, in slot (insertion) order.
-
-        The sort-free companion of :meth:`incident_edges` for order-independent
-        aggregations such as exact-:class:`~fractions.Fraction` load sums.
-        """
-        return list(self._b._slots[v].values())
-
     def edge_at(self, v: Node, color: Color) -> Optional[Edge]:
         """The unique colour-``color`` edge at ``v``, or ``None``."""
         eid = self._b._slots[v].get(color)

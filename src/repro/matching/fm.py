@@ -14,7 +14,7 @@ directed loop contributes **twice** (once as tail, once as head).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping
 
@@ -50,19 +50,31 @@ class FractionalMatching:
     """An edge-weight assignment on an EC-graph, with exact arithmetic.
 
     Missing edges weigh 0.  The class is a value object: it never mutates its
-    graph, and all predicates recompute from the stored weights.
+    graph, and ``weights`` is fixed when it is built.  Building it sums every
+    load ``y[v]`` once into :attr:`loads`, which every predicate reads.
     """
 
     graph: ECGraph
     weights: Dict[EdgeId, Fraction]
+    #: ``y[v]`` of every node, in ``graph.nodes()`` order
+    loads: Dict[Node, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        g = self.graph
         clean: Dict[EdgeId, Fraction] = {}
+        loads = dict.fromkeys(g.nodes(), ZERO)
         for eid, w in self.weights.items():
-            if not self.graph.has_edge_id(eid):
+            if not g.has_edge_id(eid):
                 raise KeyError(f"weight given for unknown edge id {eid}")
-            clean[eid] = w if type(w) is Fraction else Fraction(w)
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            clean[eid] = w
+            e = g.edge(eid)
+            loads[e.u] += w
+            if not e.is_loop:  # a loop counts once
+                loads[e.v] += w
         self.weights = clean
+        self.loads = loads
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -72,24 +84,16 @@ class FractionalMatching:
         return self.weights.get(eid, ZERO)
 
     def node_load(self, v: Node) -> Fraction:
-        """``y[v]``: the sum of incident edge weights (loops count once).
-
-        Sums over the node's slot ids (:meth:`ECGraph.incident_edge_ids`)
-        without sorting or fetching edge records — Fraction addition is
-        exact, so the order of the incident edges is irrelevant.
-        """
-        weights = self.weights
-        return sum(
-            (weights.get(eid, ZERO) for eid in self.graph.incident_edge_ids(v)), ZERO
-        )
+        """``y[v]``: the sum of incident edge weights (loops count once)."""
+        return self.loads[v]
 
     def is_saturated(self, v: Node) -> bool:
         """Whether ``y[v] = 1`` exactly."""
-        return self.node_load(v) == ONE
+        return self.loads[v] == ONE
 
     def saturated_nodes(self) -> List[Node]:
         """All saturated nodes."""
-        return [v for v in self.graph.nodes() if self.is_saturated(v)]
+        return [v for v, load in self.loads.items() if load == ONE]
 
     def total_weight(self) -> Fraction:
         """The FM's total weight ``sum_e y(e)``."""
@@ -107,8 +111,7 @@ class FractionalMatching:
             w = self.weight(e.eid)
             if not (ZERO <= w <= ONE):
                 problems.append(f"edge {e.eid} has weight {w} outside [0, 1]")
-        for v in self.graph.nodes():
-            load = self.node_load(v)
+        for v, load in self.loads.items():
             if load > ONE:
                 problems.append(f"node {v!r} is overloaded: y[v] = {load}")
         return problems
@@ -122,7 +125,7 @@ class FractionalMatching:
 
         For a loop the single endpoint must be saturated.
         """
-        saturated = {v for v in self.graph.nodes() if self.is_saturated(v)}
+        saturated = set(self.saturated_nodes())
         return [
             e.eid
             for e in self.graph.edges()
@@ -135,7 +138,7 @@ class FractionalMatching:
 
     def is_fully_saturated(self) -> bool:
         """Whether *every* node is saturated (Lemma 2's conclusion on loopy graphs)."""
-        return all(self.is_saturated(v) for v in self.graph.nodes())
+        return all(load == ONE for load in self.loads.values())
 
     # ------------------------------------------------------------------
     # comparison
@@ -177,11 +180,13 @@ def fm_from_node_outputs(
         out = outputs.get(v)
         if out is None:
             raise InconsistentOutputError(f"node {v!r} produced no output")
-        expected = set(map(repr, g.incident_colors(v)))
-        got = set(map(repr, out.keys()))
-        if expected != got:
+        colors = g.incident_colors(v)
+        # colours match by equality, as ``edge_at`` finds them; their reprs
+        # only word the message
+        if out.keys() != set(colors):
             raise InconsistentOutputError(
-                f"node {v!r} announced colours {sorted(got)} but has {sorted(expected)}"
+                f"node {v!r} announced colours {sorted(set(map(repr, out)))} "
+                f"but has {sorted(set(map(repr, colors)))}"
             )
         for color, w in out.items():
             e = g.edge_at(v, color)

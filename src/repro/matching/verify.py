@@ -52,8 +52,8 @@ class LocalFMVerifier(DistributedAlgorithm):
     (the problem's output encoding).  Round 1: each node sends its own
     saturation flag and its announced weight on every port; it then checks
 
-    * consistency — the neighbour announced the same weight for the shared
-      edge,
+    * consistency — it announced a weight for exactly its own colours, and
+      the neighbour announced the same weight for the shared edge,
     * feasibility — its own load is at most 1,
     * maximality — each incident edge has a saturated endpoint (for a loop
       the echo returns the node's own flag, which is exactly the Figure 4
@@ -72,7 +72,12 @@ class LocalFMVerifier(DistributedAlgorithm):
         self.proposal = {v: dict(cw) for v, cw in proposal.items()}
 
     def initial_state(self, ctx: NodeContext) -> Dict[str, Any]:
-        weights = {c: Fraction(self.proposal[ctx.node][c]) for c in ctx.ports}  # repro: noqa[locality]
+        announced = self.proposal.get(ctx.node)  # repro: noqa[locality]
+        if announced is None or announced.keys() != set(ctx.ports):
+            # announced nothing, or other colours than its own: reject, and
+            # send ``None`` weights so that every neighbour disagrees too
+            return {"weights": dict.fromkeys(ctx.ports), "load": None, "verdict": None}
+        weights = {c: Fraction(announced[c]) for c in ctx.ports}
         load = sum(weights.values(), Fraction(0))
         return {"weights": weights, "load": load, "verdict": None}
 
@@ -85,11 +90,12 @@ class LocalFMVerifier(DistributedAlgorithm):
     def receive(self, state: Dict[str, Any], ctx: NodeContext, inbox: Dict[Any, Any]) -> Dict[str, Any]:
         if state["verdict"] is not None:
             return state
-        feasible = Fraction(0) <= state["load"] <= ONE and all(
+        load = state["load"]
+        feasible = load is not None and Fraction(0) <= load <= ONE and all(
             Fraction(0) <= w <= ONE for w in state["weights"].values()
         )
         maximal = True
-        self_saturated = state["load"] == ONE
+        self_saturated = load == ONE
         for c in ctx.ports:
             their_saturated, their_weight = inbox[c]
             if their_weight != state["weights"][c]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Hashable, Set, Tuple
 
 from ..graphs.multigraph import ECGraph
-from .fm import FractionalMatching, ONE
+from .fm import FractionalMatching
 from .lp import max_weight_fm_lp
 
 Node = Hashable
@@ -38,7 +38,7 @@ def vertex_cover_from_fm(fm: FractionalMatching) -> Set[Node]:
     """
     if not fm.is_maximal():
         raise ValueError("the 2-approximation requires a *maximal* FM")
-    return {v for v in fm.graph.nodes() if fm.node_load(v) == ONE}
+    return set(fm.saturated_nodes())
 
 
 def is_vertex_cover(g: ECGraph, cover: Set[Node]) -> bool:

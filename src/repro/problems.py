@@ -19,6 +19,7 @@ from typing import Any, Dict, Hashable, List, Mapping, Set
 
 from .graphs.multigraph import ECGraph
 from .matching.fm import InconsistentOutputError, fm_from_node_outputs
+from .matching.verify import check_maximal_fm
 from .matching.vertex_cover import is_vertex_cover
 
 Node = Hashable
@@ -55,8 +56,9 @@ class LocallyCheckableProblem(ABC):
 class MaximalFractionalMatching(LocallyCheckableProblem):
     """Output encoding: per node, a mapping ``{incident colour: weight}``.
 
-    Checks endpoint consistency, feasibility (loads at most 1) and
-    maximality (every edge has a saturated endpoint) — Sections 1.2 and 2.
+    Checks endpoint consistency, then :func:`~repro.matching.verify.check_maximal_fm`:
+    feasibility (loads at most 1) and maximality (every edge has a saturated
+    endpoint) — Sections 1.2 and 2.
     """
 
     name = "maximal-fractional-matching"
@@ -66,11 +68,7 @@ class MaximalFractionalMatching(LocallyCheckableProblem):
             fm = fm_from_node_outputs(g, solution)
         except InconsistentOutputError as exc:
             return [f"inconsistent outputs: {exc}"]
-        problems = fm.feasibility_violations()
-        problems.extend(
-            f"edge {eid} has no saturated endpoint" for eid in fm.maximality_violations()
-        )
-        return problems
+        return check_maximal_fm(fm)
 
 
 class MaximalMatching(LocallyCheckableProblem):

@@ -46,6 +46,25 @@ class TestCheckedRun:
         g = path_graph(4)
         checked_run(greedy_color_algorithm(), g, require_saturation=False)
 
+    def test_colour_that_only_prints_like_its_own_is_inconsistent(self):
+        """Node 0 has ``Shade(1)`` and announces ``Shade(0)``: both print
+        ``Shade(0)``, yet the node has no such edge.  That is an inconsistent
+        output, refuted like any other, not a crash inside the check."""
+        from fractions import Fraction
+
+        from repro.graphs.families import path_graph
+        from repro.local.algorithm import ECWeightAlgorithm
+        from tests.test_differential import Shade, shaded
+
+        class Misnamed(ECWeightAlgorithm):
+            name = "misnamed"
+
+            def run_on(self, g):
+                return {0: {Shade(0): Fraction(1)}, 1: {Shade(1): Fraction(1)}}
+
+        with pytest.raises(AlgorithmFailure, match="inconsistent"):
+            checked_run(Misnamed(), shaded(path_graph(2)), require_saturation=False)
+
 
 class TestAdversaryDepth:
     @pytest.mark.parametrize("delta", [2, 3, 4, 5, 6, 7])

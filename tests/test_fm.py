@@ -145,6 +145,15 @@ class TestFromNodeOutputs:
         fm = fm_from_node_outputs(g, {0: {1: F(1)}})
         assert fm.is_fully_saturated()
 
+    def test_colours_match_by_equality(self):
+        """A colour is looked up as ``edge_at`` finds it, by equality: a node
+        may announce ``numpy.int64(1)`` for its colour-1 edge."""
+        np = pytest.importorskip("numpy")
+        g = path_graph(2)
+        fm = fm_from_node_outputs(g, {0: {np.int64(1): F(1)}, 1: {1: F(1)}})
+        assert fm.weight(0) == F(1)
+        assert fm.is_maximal()
+
 
 class TestPOLoad:
     def test_directed_loop_counts_twice(self):

@@ -20,6 +20,9 @@ re-pin the value here and say why in CHANGES.md.
 * ``adversary.witness`` — the Section 4 construction itself, step by step.
   A row records only the witness depth and verdict, so a change that
   picked another disagreeing colour, side or loop would keep every row.
+* ``adversary.refutation`` — what the checks say when an algorithm fails:
+  the rows of a sweep that refutes, and one ``checked_run`` message per
+  verdict.  The E1 rows are never refuted, so they pin no failure's words.
 
 Worker-count byte identity (rows under ``workers=2`` equal the serial
 rows) is ``tests/test_executors.py::TestByteIdentity``.  Wall time is
@@ -30,17 +33,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from repro.core.adversary import run_adversary
+from repro import api
+from repro.core.adversary import checked_run, run_adversary
 from repro.core.canonical_order import tree_ball, tree_sort_key
 from repro.core.sim_po_oi import cover_words, ordered_cover_nodes
+from repro.core.witness import AlgorithmFailure
 from repro.engine import GridSpec, run_sweep
 from repro.engine.grid import make_algorithm
 from repro.graphs.cover import universal_cover_po
 from repro.graphs.families import (
     cycle_graph,
+    path_graph,
     random_loopy_tree,
     random_regular_graph,
     single_node_with_loops,
@@ -50,6 +57,8 @@ from repro.graphs.memo import reset_memos
 from repro.graphs.neighborhoods import ball
 from repro.graphs.ports import po_double_from_ec
 from repro.graphs.soa import plan_hit_count
+from repro.local.algorithm import ECWeightAlgorithm
+from repro.matching.naive import DegreeSplitFM, SelfishFM, ZeroFM
 
 ALGORITHMS = ("greedy", "proposal")
 
@@ -165,4 +174,58 @@ class TestWitness:
         assert len(steps) == 54
         assert sha256(repr(steps)) == (
             "ac3b3bfd0d52a347a4a3abf7bdb40f740af0c6224baa3678feca20eee9962688"
+        )
+
+
+class Uniform(ECWeightAlgorithm):
+    """One weight on every colour slot of every node."""
+
+    def __init__(self, name, weight):
+        self.name = name
+        self.weight = weight
+
+    def run_on(self, g):
+        return {v: {c: self.weight for c in g.incident_colors(v)} for v in g.nodes()}
+
+
+class Crash(ECWeightAlgorithm):
+    name = "crash"
+
+    def run_on(self, g):
+        raise RuntimeError("boom")
+
+
+class TestRefutation:
+    """Every word of a failure: the refuted rows of a sweep, and the
+    ``checked_run`` message of each verdict (crashed, inconsistent,
+    infeasible, non-maximal and unsaturated)."""
+
+    def test_refuted_rows_sha256(self):
+        reset_memos()
+        grid = GridSpec(("zero", "degree-split"), tuple(range(2, 9)), ("ec",), (0,))
+        rows = api.sweep(grid).rows
+        assert [row["key"] for row in rows if row["status"] != "refuted"] == [
+            "degree-split/d2/ec/s0"
+        ]
+        assert len(rows) == 14
+        assert sha256(json.dumps(rows, sort_keys=True)) == (
+            "5e0b246c9f6041fc9db09e4d78f8a613d164f4d65b7ceafb8b2a71171e09644f"
+        )
+
+    def test_checked_run_messages_sha256(self):
+        runs = [
+            (ZeroFM(), single_node_with_loops(3), True),
+            (SelfishFM(), path_graph(3), False),
+            (DegreeSplitFM(), random_loopy_tree(5, 1, seed=2), True),
+            (Uniform("overload", Fraction(3, 4)), path_graph(3), True),
+            (Uniform("half", Fraction(1, 2)), path_graph(4), True),
+            (Crash(), path_graph(2), True),
+        ]
+        failures = []
+        for algorithm, g, require_saturation in runs:
+            with pytest.raises(AlgorithmFailure) as failure:
+                checked_run(algorithm, g, require_saturation=require_saturation)
+            failures.append(f"{algorithm.name}: {failure.value}")
+        assert sha256("\n".join(failures)) == (
+            "721bcb470a031db4a5810bba2e19cadf7f4df16777c0a038e73ca2e651af65a9"
         )

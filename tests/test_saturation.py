@@ -18,6 +18,7 @@ from repro.graphs.families import (
     single_node_with_loops,
 )
 from repro.graphs.lifts import is_covering_map_ec
+from repro.matching.fm import fm_from_node_outputs
 from repro.matching.greedy_color import greedy_color_algorithm
 from repro.matching.naive import DegreeSplitFM, ZeroFM
 
@@ -27,8 +28,8 @@ F = Fraction
 class TestIndicators:
     def test_unsaturated_nodes(self):
         g = single_node_with_loops(2)
-        assert unsaturated_nodes(g, {0: {1: F(1, 2), 2: F(1, 4)}}) == [0]
-        assert unsaturated_nodes(g, {0: {1: F(1, 2), 2: F(1, 2)}}) == []
+        assert unsaturated_nodes(fm_from_node_outputs(g, {0: {1: F(1, 2), 2: F(1, 4)}})) == [0]
+        assert unsaturated_nodes(fm_from_node_outputs(g, {0: {1: F(1, 2), 2: F(1, 2)}})) == []
 
     def test_saturation_indicator_binary(self):
         g = random_loopy_tree(4, 1, seed=0)
@@ -52,7 +53,7 @@ class TestFigure4:
     def test_certificate_for_degree_split_on_mixed_degrees(self):
         g = random_loopy_tree(3, 2, seed=1)
         alg = DegreeSplitFM()
-        bad = unsaturated_nodes(g, alg.run_on(g))
+        bad = unsaturated_nodes(fm_from_node_outputs(g, alg.run_on(g)))
         if bad:
             cert = figure4_certificate(g, bad[0], alg)
             assert cert is not None

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
+
+from repro.core.adversary import run_adversary
+from repro.core.propagation import node_load_of_output
+from repro.engine.grid import make_algorithm
 from repro.graphs.families import (
     cycle_graph,
     path_graph,
@@ -13,6 +19,7 @@ from repro.graphs.families import (
 from repro.matching.fm import fm_from_node_outputs
 from repro.matching.greedy_color import greedy_color_algorithm
 from repro.matching.verify import check_maximal_fm, verify_distributed
+from repro.problems import MaximalFractionalMatching
 
 F = Fraction
 
@@ -74,6 +81,26 @@ class TestDistributedChecker:
         ok, _, rounds = verify_distributed(g, outputs)
         assert ok and rounds == 1
 
+    def test_rejects_colour_the_node_lacks(self):
+        """The central check finds this inconsistent, and so must the node."""
+        g = path_graph(2)
+        ok, verdicts, _ = verify_distributed(g, {0: {1: F(1), 7: F(0)}, 1: {1: F(1)}})
+        assert not ok
+        assert not verdicts[0].feasible
+
+    def test_rejects_missing_colour_without_raising(self):
+        g = path_graph(2)
+        ok, verdicts, _ = verify_distributed(g, {0: {}, 1: {1: F(1)}})
+        assert not ok
+        assert not verdicts[0].feasible
+        assert not verdicts[1].feasible  # the neighbour sees the disagreement
+
+    def test_rejects_node_without_entry_without_raising(self):
+        g = path_graph(2)
+        ok, verdicts, _ = verify_distributed(g, {1: {1: F(1)}})
+        assert not ok
+        assert not verdicts[0].feasible
+
 
 class TestCentralChecker:
     def test_no_problems_on_valid(self):
@@ -87,3 +114,63 @@ class TestCentralChecker:
         problems = check_maximal_fm(fm)
         assert any("outside" in p for p in problems)
         assert any("saturated" in p for p in problems)
+
+
+def perturbations(g, out, rng):
+    """Five seeded ways to break ``out``, each on its own copy."""
+    edge = rng.choice(g.edges())
+    v = rng.choice(g.nodes())
+    c = rng.choice(sorted(out[v], key=repr))
+    kinds = ("bump", "zero", "negate", "add", "drop")
+    cases = {kind: {u: dict(weights) for u, weights in out.items()} for kind in kinds}
+    cases["bump"][v][c] += F(1, 7)  # at one end only
+    for u in {edge.u, edge.v}:
+        cases["zero"][u][edge.color] = F(0)
+        cases["negate"][u][edge.color] *= -1
+    cases["add"][v][max(g.colors()) + 1] = F(0)  # a colour v does not have
+    del cases["drop"][v][c]
+    return cases
+
+
+class TestDistributedOracle:
+    """The paper's 1-round checker (§2) is the oracle of the central check.
+
+    Inputs: every G and H of every witness step of the greedy and proposal
+    adversaries at Δ = 2–5 (40 graphs), each with its algorithm's output
+    and five seeded perturbations of it (240 proposals).
+    """
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        runs = []
+        for name in ("greedy", "proposal"):
+            for delta in range(2, 6):
+                algorithm = make_algorithm(name)
+                for step in run_adversary(algorithm, delta).steps:
+                    for side, g in (("G", step.graph_g), ("H", step.graph_h)):
+                        label = f"{name}/d{delta}/s{step.index}/{side}"
+                        runs.append((label, g, algorithm.run_on(g)))
+        assert len(runs) == 40
+        return runs
+
+    def test_verdicts_agree(self, runs):
+        rng = random.Random(5)
+        cases = []
+        for label, g, out in runs:
+            cases.append((label, g, out))
+            for kind, bad in perturbations(g, out, rng).items():
+                cases.append((f"{label}/{kind}", g, bad))
+        assert len(cases) == 240
+        disagree = [
+            label
+            for label, g, out in cases
+            if verify_distributed(g, out)[0]
+            != (MaximalFractionalMatching().violations(g, out) == [])
+        ]
+        assert disagree == []
+
+    def test_loads_are_the_raw_outputs_loads(self, runs):
+        for label, g, out in runs:
+            fm = fm_from_node_outputs(g, out)
+            assert check_maximal_fm(fm) == [], label
+            assert all(fm.loads[v] == node_load_of_output(g, out, v) for v in g.nodes()), label
