@@ -36,7 +36,6 @@ from ..graphs.families import single_node_with_loops
 from ..graphs.isomorphism import balls_isomorphic
 from ..graphs.lifts import mix, unfold_loop
 from ..graphs.loopy import min_direct_loops
-from ..graphs.memo import RUNS
 from ..graphs.multigraph import ECGraph
 from ..graphs.neighborhoods import ball
 from ..local.algorithm import ECWeightAlgorithm
@@ -72,12 +71,6 @@ def checked_run(
     maximality, so an unsaturated node that gets this far has no loop to
     unfold (:func:`~repro.core.saturation.figure4_certificate`).
 
-    When the algorithm declares a :attr:`fingerprint`, verified runs are
-    memoized process-wide keyed by the graph's content digest: a repeated
-    ``(algorithm, graph)`` pair returns the stored (already verified)
-    outputs without re-simulating.  The emitted span then carries
-    ``memo=True``.
-
     Emits one ``adversary.checked_run`` span (graph size, Lemma-2 verdict)
     on the given or ambient tracer.  When the run happens inside a
     construction, ``delta`` and ``level`` stamp the span with the
@@ -91,27 +84,6 @@ def checked_run(
         attribution["delta"] = delta
     if level is not None:
         attribution["level"] = level
-    fingerprint = getattr(algorithm, "fingerprint", None)
-    memo_key = None
-    if fingerprint is not None:
-        memo_key = (fingerprint, g.digest, require_saturation)
-        cached = RUNS.get(memo_key)
-        if cached is not None:
-            with tracer.span(
-                "adversary.checked_run",
-                algorithm=algorithm.name,
-                nodes=g.num_nodes(),
-                edges=g.num_edges(),
-                graph=g.digest[:12],
-                memo=True,
-                **attribution,
-            ) as span:
-                span.set(verdict="ok")
-                tracer.metrics.counter(
-                    "adversary.checked_runs", algorithm=algorithm.name
-                ).inc()
-                tracer.metrics.counter("adversary.run_memo", outcome="hit").inc()
-            return {v: dict(out) for v, out in cached.items()}
     with tracer.span(
         "adversary.checked_run",
         algorithm=algorithm.name,
@@ -157,10 +129,7 @@ def checked_run(
                 )
         span.set(verdict="ok")
         tracer.metrics.counter("adversary.checked_runs", algorithm=algorithm.name).inc()
-        if memo_key is not None:
-            RUNS.put(memo_key, {v: dict(out) for v, out in outputs.items()})
-            tracer.metrics.counter("adversary.run_memo", outcome="miss").inc()
-    return {v: dict(out) for v, out in outputs.items()}
+    return outputs
 
 
 def _lifted_outputs(base_outputs: NodeOutputs, lifted: ECGraph) -> NodeOutputs:
@@ -286,7 +255,7 @@ def run_adversary(
                     fresh = checked_run(
                         algorithm, gg, tracer=tracer, delta=delta, level=i + 1
                     )
-                    if _normalise(fresh) != _normalise(out_gg):
+                    if fresh != out_gg:
                         raise AlgorithmFailure(
                             f"{algorithm.name} is not lift-invariant: its outputs on the "
                             f"unfolded 2-lift differ from the base graph's",
@@ -320,7 +289,7 @@ def run_adversary(
                         fresh = checked_run(
                             algorithm, hh, tracer=tracer, delta=delta, level=i + 1
                         )
-                        if _normalise(fresh) != _normalise(out_hh):
+                        if fresh != out_hh:
                             raise AlgorithmFailure(
                                 f"{algorithm.name} is not lift-invariant on the unfolded "
                                 f"2-lift of H",
@@ -390,13 +359,6 @@ def hard_instance_pair(
     witness = run_adversary(algorithm, delta)
     top = witness.steps[-1]
     return top.graph_g, top.graph_h, top.node_g, top.node_h, top.color
-
-
-def _normalise(outputs: NodeOutputs):
-    return {
-        repr(v): {repr(c): Fraction(w) for c, w in out.items()}
-        for v, out in outputs.items()
-    }
 
 
 def _make_step(

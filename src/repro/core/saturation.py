@@ -144,9 +144,7 @@ def check_lift_invariance(
         lifted_outputs = algorithm.run_on(lifted)
         for w, out in lifted_outputs.items():
             expected = base_outputs[alpha[w]]
-            if {repr(k): v for k, v in out.items()} != {
-                repr(k): v for k, v in expected.items()
-            }:
+            if dict(out) != dict(expected):
                 problems.append(
                     f"trial {trial}: node {w!r} outputs {out} but its base "
                     f"image {alpha[w]!r} outputs {expected}"

@@ -111,12 +111,10 @@ def shard_cells(cells: List[Cell], shards: int) -> List[List[Cell]]:
     family whose algorithm (:func:`~repro.engine.grid.build_cell_algorithm`)
     declares a ``fingerprint``: the construction ignores the seed, so the
     run memo (:data:`repro.graphs.memo.RUNS`) answers every replica after
-    the first, but only in the process that ran the first.  A cell whose
-    algorithm declares none is a unit of its own.  The run memo never
-    answers it; a replica in the same process still reuses the
-    content-keyed lifts, balls and canonical forms, but they save little
-    (on a 2-vCPU VM an ``oi`` chain cell at Δ = 4 takes 1.44 s cold and
-    1.25 s as a replica), so such replicas spread over the shards.
+    the first in one lookup, but only in the process that ran the first.
+    A cell whose algorithm declares none is a unit of its own.  The run
+    memo never answers it, and a replica shares only canonical forms with
+    its first seed, so such replicas spread over the shards.
 
     Units are dealt in sorted cell order, unit ``i`` to shard ``i mod n``
     with ``n = min(shards, units)``, so no shard is empty and a grid of one
@@ -187,8 +185,9 @@ def _run_cell_watchdogged(
     """Run one cell, bounded by ``cell_timeout`` seconds when set.
 
     The timed path computes on a worker thread against a private tracer;
-    on success the finished spans are grafted back under the shard span, on
-    timeout the abandoned attempt's spans are discarded with it.  Without a
+    on success its finished spans are grafted back under the shard span
+    and its counters added to the shard's, on timeout the abandoned
+    attempt's spans and counters are discarded with it.  Without a
     timeout the cell runs inline — the exact pre-fault-hardening hot path.
     """
 
@@ -215,7 +214,7 @@ def _run_cell_watchdogged(
     watchdogged.join(cell_timeout)
     if watchdogged.is_alive():
         raise CellTimeout(cell.key, cell_timeout)
-    tracer.graft(sub.roots)
+    tracer.graft(sub)
     if failure:
         raise failure[0]
     return outcome[0]

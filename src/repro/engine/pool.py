@@ -28,17 +28,17 @@ on every backend, with :func:`~repro.engine.executors.shard.shard_cells`:
   family whose algorithm declares a ``fingerprint``, because the seed
   never enters the construction and the process-wide run memo answers a
   replica whose first seed ran in the same process; a cell without a
-  fingerprint is a unit of its own: the run memo never answers it, and
-  the content-keyed graph memos a replica still reuses in the same
-  process save little of its cost, so its replicas spread out;
+  fingerprint is a unit of its own: the run memo never answers it, and a
+  replica shares only canonical forms with its first seed, so its
+  replicas spread out;
 * units are dealt round-robin in sorted cell order and each shard lists
   its cells sorted, so a one-shard (serial) round runs the sorted cell
   list and a grid of one seed per family splits as a round-robin over
   its cells.
 
-Given up: greedy and proposal share graph memos (lifts, balls, canonical
-forms) only at small Δ, where cells are cheap, and a worker that runs
-only one of them loses that (``docs/engine.md``).
+Given up: greedy and proposal share canonical forms only at small Δ,
+where cells are cheap, and a worker that runs only one of them loses
+that (``docs/engine.md``).
 
 Fault tolerance
 ---------------
@@ -516,6 +516,11 @@ def verify_store(directory) -> dict:
     contains exactly what a fault-free serial sweep would have produced.
     Also cross-checks ``summary.json``'s rows against the shard rows when a
     summary is present.
+
+    Within one process the run memo answers a replica seed, and any
+    fingerprinted family the process already ran, from its stored verdict
+    (:func:`~repro.engine.grid.run_cell`); ``repro verify --store`` runs
+    in a fresh process, so there each family is recomputed once.
 
     Returns a JSON-ready report::
 

@@ -26,7 +26,6 @@ from typing import Dict, Hashable, Tuple
 
 from .digraph import POGraph
 from .kernel import GraphBuilder
-from .memo import MIXES, UNFOLDS
 from .multigraph import ECGraph
 
 Node = Hashable
@@ -108,11 +107,6 @@ def unfold_loop(g: ECGraph, loop_eid: int) -> Tuple[ECGraph, Dict[Node, Node], i
     e = g.edge(loop_eid)
     if not e.is_loop:
         raise ValueError(f"edge {loop_eid} is not a loop")
-    key = (g.kernel.digest, loop_eid)
-    hit = UNFOLDS.get(key)
-    if hit is not None:
-        kernel, alpha, new_eid = hit
-        return ECGraph.from_kernel(kernel), dict(alpha), new_eid
     anchor = e.u
     builder = GraphBuilder(directed=False)
     mappings = builder.double(g, tags=(0, 1), skip_eids=(loop_eid,))
@@ -120,9 +114,7 @@ def unfold_loop(g: ECGraph, loop_eid: int) -> Tuple[ECGraph, Dict[Node, Node], i
         tagged: v for mapping in mappings for v, tagged in mapping.items()
     }
     new_eid = builder.add_edge((0, anchor), (1, anchor), e.color)
-    lifted = ECGraph._wrap(builder)
-    UNFOLDS.put(key, (lifted.kernel, dict(alpha), new_eid))
-    return lifted, alpha, new_eid
+    return ECGraph._wrap(builder), alpha, new_eid
 
 
 def mix(
@@ -145,18 +137,11 @@ def mix(
         raise ValueError("both edges must be loops")
     if e.color != f.color:
         raise ValueError(f"loop colours differ: {e.color!r} vs {f.color!r}")
-    key = (g.kernel.digest, g_loop_eid, h.kernel.digest, h_loop_eid)
-    hit = MIXES.get(key)
-    if hit is not None:
-        kernel, new_eid = hit
-        return ECGraph.from_kernel(kernel), new_eid
     builder = GraphBuilder(directed=False)
     builder.merge(g, tag=0, skip_eids=(g_loop_eid,))
     builder.merge(h, tag=1, skip_eids=(h_loop_eid,))
     new_eid = builder.add_edge((0, e.u), (1, f.u), e.color)
-    mixed = ECGraph._wrap(builder)
-    MIXES.put(key, (mixed.kernel, new_eid))
-    return mixed, new_eid
+    return ECGraph._wrap(builder), new_eid
 
 
 def random_two_lift(g: ECGraph, rng: random.Random) -> Tuple[ECGraph, Dict[Node, Node]]:

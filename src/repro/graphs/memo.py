@@ -1,16 +1,22 @@
 """The process-wide memos and the one bounded table behind them.
 
-Every reuse the adversary ladder and the sweep engine lean on across a
-whole process — unfolded and mixed lifts, extracted balls, verified runs
-and canonical forms — is a :class:`Memo`: a least-recently-used table of
-at most ``limit`` entries.  The five memos are module constants, listed
-by hand in :func:`reset_memos`: a registry filled by ``Memo.__init__``
-would mutate module state, which the ``effect-escape`` lint rule forbids
-in model packages.  Each is keyed by content (a kernel digest, a loop id,
-a fingerprint), so an entry is a pure function of its key and can never
-go stale; a memo only ever saves recomputation.  :func:`reset_memos`
-empties them all, together with the SoA canonicalisation plan cache,
-which is how tests stand for a fresh process.
+Two reuses pay across a whole process, and each is a :class:`Memo`: a
+least-recently-used table of at most ``limit`` entries.  :data:`RUNS`
+answers a repeated sweep cell (a replica seed, a repeated sweep, a warm
+service job) with its stored verdict, and :data:`FORMS` holds canonical
+forms.  Both are module constants, listed by hand in :func:`reset_memos`:
+a registry filled by ``Memo.__init__`` would mutate module state, which
+the ``effect-escape`` lint rule forbids in model packages.  Each is keyed
+by content (an algorithm fingerprint, a kernel digest), so an entry is a
+pure function of its key and can never go stale; a memo only ever saves
+recomputation.  :func:`reset_memos` empties them both, together with the
+SoA canonicalisation plan cache, which is how tests stand for a fresh
+process.
+
+Lifts, mixes and balls are not memoized: within one construction they
+almost never repeat, and holding every one of them alive for the life of
+the process cost more memory than the recomputation it saved
+(``docs/graph_kernel.md``).
 
 Memos are shared by every thread in the process: the service's job
 threads and a watchdog-abandoned cell attempt still running beside its
@@ -28,7 +34,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable, List, Optional
 
-__all__ = ["Memo", "UNFOLDS", "MIXES", "BALLS", "RUNS", "FORMS", "reset_memos"]
+from .soa import _PLANS
+
+__all__ = ["Memo", "RUNS", "FORMS", "reset_memos"]
 
 
 class Memo:
@@ -82,24 +90,10 @@ class Memo:
         self._entries.clear()
 
 
-#: ``unfold_loop``: ``(graph digest, loop eid)`` -> ``(frozen kernel,
-#: covering map, new eid)``.  Loop ids are stable across rebuilds of the
-#: same graph, so the digest and the id name one 2-lift.
-UNFOLDS = Memo(4096)
-
-#: ``mix``: ``(G digest, G loop eid, H digest, H loop eid)`` -> ``(frozen
-#: kernel, new eid)``, a pure function of both inputs and both loop ids.
-MIXES = Memo(4096)
-
-#: ``soa.extract_ball``: ``(parent digest, root, radius)`` -> ``(frozen
-#: sub-kernel, BFS distances)``; a ball is a pure function of the parent's
-#: labelled structure, the root label and the radius.
-BALLS = Memo(8192)
-
-#: ``adversary.checked_run``: ``(algorithm fingerprint, graph digest,
-#: require_saturation)`` -> node outputs of a run that passed Lemma-2
-#: verification.  A fingerprinted algorithm is a deterministic function of
-#: the labelled graph, which the digest identifies.
+#: ``engine.grid.run_cell``: ``(algorithm fingerprint, delta)`` -> the
+#: verdict fields of an ``ok`` row.  The construction is a deterministic
+#: function of the fingerprinted algorithm and Delta; a cell's seed never
+#: enters it, and the fingerprint names the algorithm the cell builds.
 RUNS = Memo(4096)
 
 #: ``CanonicalFormCache``: rooted digest -> canonical rooted form, the
@@ -114,8 +108,6 @@ def reset_memos() -> None:
     fresh process would.  Counters (such as the plan-hit count) keep
     counting.
     """
-    from .soa import _PLANS
-
-    for memo in (UNFOLDS, MIXES, BALLS, RUNS, FORMS):
+    for memo in (RUNS, FORMS):
         memo.clear()
     _PLANS.clear()

@@ -55,7 +55,6 @@ import numpy as np
 
 from .kernel import _MASK, GraphKernel
 from .labels import LABELS
-from .memo import BALLS
 
 Node = Hashable
 
@@ -347,14 +346,8 @@ def extract_ball(g, root: Node, t: int):
     dict in discovery order; raises ``KeyError`` when ``root`` is not a
     node.  Node order, edge order, edge ids and the content digest are
     those of building the ball edge by edge with a ``GraphBuilder``.
-    Results are memoized process-wide by ``(parent digest, root, t)``.
     """
     kernel = _kernel_of(g)
-    memo_key = (kernel.digest, root, t)
-    hit = BALLS.get(memo_key)
-    if hit is not None:
-        sub_kernel, distances = hit
-        return sub_kernel, dict(distances)
     snap = snapshot_of(kernel)
     root_index = snap.index_of[root]
 
@@ -412,8 +405,7 @@ def extract_ball(g, root: Node, t: int):
             next_eid = (next_eid if next_eid > eid else eid) + 1
     sub_kernel = GraphKernel(False, slots, edges, acc & _MASK, next_eid)
     object.__setattr__(sub_kernel, "_soa", _derive_ball_snapshot(snap, order, edges, kept))
-    BALLS.put(memo_key, (sub_kernel, distances))
-    return sub_kernel, dict(distances)
+    return sub_kernel, distances
 
 
 def _derive_ball_snapshot(

@@ -102,11 +102,13 @@ class ECWeightAlgorithm(ABC):
 
     #: content-addressing opt-in: a stable string identifying the algorithm's
     #: input/output *behaviour* (bump it when the behaviour changes).  When
-    #: set, verified runs may be memoized process-wide keyed by
-    #: ``(fingerprint, graph digest)`` — sound exactly because implementations
-    #: are deterministic functions of the labelled graph.  ``None`` (the
-    #: default) disables run memoization; leave it unset for algorithms whose
-    #: behaviour depends on anything besides the input graph.
+    #: set, a sweep cell's verdict is memoized process-wide keyed by
+    #: ``(fingerprint, delta)`` (:func:`repro.engine.grid.run_cell`) — sound
+    #: exactly because implementations are deterministic functions of the
+    #: labelled graph, so the Section 4 construction is a function of the
+    #: algorithm and Delta.  ``None`` (the default) disables run memoization;
+    #: leave it unset for algorithms whose behaviour depends on anything
+    #: besides the input graph.
     fingerprint: Optional[str] = None
 
     @abstractmethod

@@ -175,6 +175,11 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> Histogram:
         return self._histograms.setdefault((name, _label_key(labels)), Histogram())
 
+    def add_counters(self, other: "MetricsRegistry") -> None:
+        """Add every counter of ``other`` into this registry's."""
+        for key, counter in other._counters.items():
+            self._counters.setdefault(key, Counter()).inc(counter.value)
+
     def snapshot(self) -> Dict[str, List[dict]]:
         """All instruments as JSON-able rows, sorted by (name, labels)."""
 

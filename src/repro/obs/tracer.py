@@ -147,16 +147,18 @@ class Tracer:
         """All spans with the given name."""
         return [s for s in self.iter_spans() if s.name == name]
 
-    def graft(self, spans: List[Span]) -> None:
-        """Adopt finished spans recorded elsewhere under the open span.
+    def graft(self, other: "Tracer") -> None:
+        """Adopt what a private tracer recorded: its spans and its counters.
 
         Used when work ran against a private tracer (e.g. on a watchdogged
-        worker thread, whose spans must not race this tracer's stack) and
-        its completed span trees should appear in this trace as children of
-        whatever span is currently open — or as roots if none is.
+        worker thread, whose spans must not race this tracer's stack): its
+        completed span trees appear in this trace as children of whatever
+        span is currently open — or as roots if none is — and its counters
+        are added to this tracer's.
         """
         parent = self._stack[-1].children if self._stack else self.roots
-        parent.extend(spans)
+        parent.extend(other.roots)
+        self.metrics.add_counters(other.metrics)
 
 
 class _NullSpan:
@@ -205,7 +207,7 @@ class NullTracer:
     def find(self, name: str) -> List[Span]:
         return []
 
-    def graft(self, spans: List[Span]) -> None:
+    def graft(self, other) -> None:
         return None
 
 

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.graphs.memo import reset_memos
 
 #: every verb's arguments as (option strings, or the dest of a positional;
 #: default; choices), in declaration order, read from build_parser(): the
@@ -212,6 +213,12 @@ class TestExhaustive:
 
 
 class TestSweep:
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        """Each sweep starts from empty memos, as in a fresh process: the
+        run memo would otherwise answer a cell an earlier test computed."""
+        reset_memos()
+
     def test_smoke_grid_serial(self, capsys):
         code = main(["sweep", "--smoke"])
         out = capsys.readouterr().out

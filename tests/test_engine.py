@@ -238,6 +238,12 @@ class TestResultStore:
 
 
 class TestRunSweep:
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        """Each sweep starts from empty memos, as in a fresh process: the
+        run memo would otherwise answer a cell an earlier test computed."""
+        reset_memos()
+
     def test_parallel_rows_byte_identical_to_serial(self):
         grid = smoke_grid()
         serial = run_sweep(grid, workers=0)

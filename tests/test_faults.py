@@ -23,6 +23,7 @@ from repro.engine import (
     verify_store,
 )
 from repro.engine.faults import InjectedWorkerError, active_injector, as_plan, use_faults
+from repro.graphs.memo import reset_memos
 from repro.obs import Tracer, use_tracer
 
 def rows_bytes(rows) -> str:
@@ -174,6 +175,21 @@ class TestChaosInvariant:
         assert counters["engine.cell_timeout"] == 1
         assert counters["engine.cell_retry"] == 1
         assert counters["engine.fault"] == 1
+
+    def test_watchdogged_cells_keep_their_counters(self):
+        """A cell under the watchdog runs against a private tracer; its
+        counters must reach the sweep's trace like an unwatched cell's."""
+
+        def counters(cell_timeout):
+            reset_memos()
+            result = run_sweep(smoke_grid(), workers=0, cell_timeout=cell_timeout)
+            return result.trace["metrics"]["counters"]
+
+        unwatched = counters(None)
+        assert {c["name"] for c in unwatched} >= {
+            "adversary.checked_runs", "adversary.run_memo", "adversary.steps"
+        }
+        assert counters(60) == unwatched
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sampled_fault_matrix(self, tmp_path, baseline, seed):

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-from repro.core.adversary import run_adversary
+import pytest
+
 from repro.engine import CanonicalFormCache
+from repro.engine.grid import ALGORITHMS, Cell, run_cell
 from repro.graphs import soa
 from repro.graphs.isomorphism import use_canonical_cache
-from repro.graphs.memo import BALLS, FORMS, MIXES, RUNS, UNFOLDS, Memo, reset_memos
-from repro.matching.greedy_color import greedy_color_algorithm
+from repro.graphs.memo import FORMS, RUNS, Memo, reset_memos
+from repro.matching.naive import ZeroFM
+from repro.obs import Tracer, trace_document
+from tests.test_golden import run_memo_counts
 
-MEMOS = (UNFOLDS, MIXES, BALLS, RUNS, FORMS)
+MEMOS = (RUNS, FORMS)
+
+#: the fields of an ``ok`` row the run memo stores
+VERDICT_FIELDS = {"status", "witness_depth", "expected_depth", "final_graph_nodes", "all_valid"}
 
 
 class TestMemo:
@@ -39,9 +46,74 @@ class TestResetMemos:
     def test_empties_every_memo_and_the_plan_cache(self):
         reset_memos()
         with use_canonical_cache(CanonicalFormCache()):
-            run_adversary(greedy_color_algorithm(), 4)
+            run_cell(Cell("greedy", 4))
         assert all(len(memo) > 0 for memo in MEMOS)
         assert soa._PLANS.cons
         reset_memos()
         assert [len(memo) for memo in MEMOS] == [0] * len(MEMOS)
         assert soa._PLANS.cons == {}
+
+
+def traced_cell(cell: Cell):
+    """Run ``cell`` under a fresh tracer: its row, the tracer, and the
+    tracer's ``adversary.run_memo`` counts by outcome."""
+    tracer = Tracer()
+    row = run_cell(cell, tracer=tracer)
+    return row, tracer, run_memo_counts(trace_document(tracer))
+
+
+class FingerprintedZero(ZeroFM):
+    """``ZeroFM`` claiming a fingerprint: every cell of it is refuted."""
+
+    fingerprint = "zero-v1"
+
+
+class TestRunMemo:
+    """The run memo answers a fingerprinted cell at ``(fingerprint, delta)``."""
+
+    def test_replica_seed_is_answered_by_one_lookup(self):
+        reset_memos()
+        first, cold, cold_counts = traced_cell(Cell("greedy", 5, seed=0))
+        replica, warm, warm_counts = traced_cell(Cell("greedy", 5, seed=7))
+        assert cold_counts == {"miss": 1}
+        assert warm_counts == {"hit": 1}
+        assert cold.find("adversary.run") and not warm.find("adversary.run")
+        (cell_span,) = warm.find("engine.cell")
+        assert cell_span.attrs["memo"] is True
+        assert replica == dict(first, seed=7, key="greedy/d5/ec/s7")
+        assert list(replica) == list(first)  # same key order, so same bytes
+
+    def test_other_delta_or_algorithm_misses(self):
+        reset_memos()
+        run_cell(Cell("greedy", 5))
+        for cell in (Cell("greedy", 6), Cell("proposal", 5)):
+            _, _, counts = traced_cell(cell)
+            assert counts == {"miss": 1}, cell
+
+    def test_chain_cell_never_probes(self):
+        reset_memos()
+        row, _, counts = traced_cell(Cell("proposal", 4, chain="oi"))
+        assert row["status"] == "ok"
+        assert counts == {}
+        assert len(RUNS) == 0
+
+    def test_refuted_verdict_is_never_stored(self, monkeypatch):
+        reset_memos()
+        monkeypatch.setitem(ALGORITHMS, "zero", FingerprintedZero)
+        for seed in (0, 1):
+            row, tracer, counts = traced_cell(Cell("zero", 4, seed=seed))
+            assert row["status"] == "refuted"
+            assert tracer.find("adversary.run")
+            assert counts == {"miss": 1}
+        assert len(RUNS) == 0
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "proposal"])
+    def test_stored_values_hold_only_the_verdict(self, algorithm):
+        reset_memos()
+        for delta in (3, 4, 5):
+            run_cell(Cell(algorithm, delta))
+        assert len(RUNS) == 3
+        for key in RUNS.keys():
+            verdict = RUNS.get(key)
+            assert set(verdict) == VERDICT_FIELDS
+            assert all(type(value) in (str, int, bool) for value in verdict.values())

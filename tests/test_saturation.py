@@ -113,3 +113,27 @@ class TestLiftInvariance:
         g = random_loopy_tree(4, 1, seed=5)
         problems = check_lift_invariance(LabelCheater(), g, rng, trials=4)
         assert problems  # caught
+
+    def test_breach_on_a_colour_sharing_its_repr_caught(self):
+        """``Shade(2)`` and ``Shade(3)`` both print ``Shade(1)``: an
+        algorithm that zeroes ``Shade(2)`` on every lifted node only must
+        be caught on both lifted nodes of every trial, not masked by the
+        other colour's weight under the same ``repr``."""
+        from repro.local.algorithm import ECWeightAlgorithm
+        from tests.test_differential import Shade, shaded
+
+        class ShadeCheater(ECWeightAlgorithm):
+            name = "shade-cheater"
+
+            def run_on(self, g):
+                return {
+                    v: {
+                        c: F(0) if isinstance(v, tuple) and c == Shade(2) else F(1, 3)
+                        for c in g.incident_colors(v)
+                    }
+                    for v in g.nodes()
+                }
+
+        g = shaded(single_node_with_loops(3))
+        problems = check_lift_invariance(ShadeCheater(), g, random.Random(0))
+        assert len(problems) == 6  # 3 trials, 2 lifted nodes each

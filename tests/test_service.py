@@ -22,6 +22,7 @@ from repro.service import (
     TokenBucket,
 )
 from repro.service.jobs import validate_tenant
+from tests.test_golden import run_memo_counts
 
 
 class FakeClock:
@@ -342,8 +343,8 @@ class TestHTTPService:
     def test_two_concurrent_tenants_byte_identical_second_computes_nothing(self, server):
         # the acceptance scenario: the same smoke grid submitted by two
         # tenants concurrently over HTTP; both must reproduce the serial
-        # CLI sweep byte-for-byte, and the later tenant's sweep must have
-        # found every form in the process tier the first job filled
+        # CLI sweep byte-for-byte, and the run memo the first job filled
+        # must have answered every cell of the later tenant's sweep
         grid = smoke_grid().as_dict()
         submitted = {}
 
@@ -390,11 +391,14 @@ class TestHTTPService:
             jobs[tenant] = self.request(server, "GET", f"/v1/jobs/{job_id}")[2]
 
         # one worker thread drains the queue in order, so whichever job ran
-        # second was served from the process tier the first job filled: it
-        # computed nothing
+        # second was answered by the run memo the first job filled: it
+        # computed nothing, and looked no form up
         second = jobs[max(submitted, key=lambda t: submitted[t])]
         assert second["cache"]["misses"] == 0
-        assert second["cache"]["hits"] > 0
+        trace = json.loads(
+            (server.service.jobs_dir / second["id"] / "trace.json").read_text()
+        )
+        assert run_memo_counts(trace) == {"hit": len(serial.rows)}  # one per cell
 
         # progress is streamable per job
         for job_id in submitted.values():

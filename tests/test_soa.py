@@ -2,10 +2,10 @@
 
 The SoA layer is the only production path for canonical forms and balls:
 the tests here compare it against the object-walking oracles and pin the
-sharing discipline — snapshots memoize per frozen kernel, balls memoize by
-content digest, and the canonicalisation plan cache recognises isomorphic
-shapes.  ``tests/test_differential.py`` runs the same comparisons over
-generated inputs.
+sharing discipline — snapshots memoize per frozen kernel and the
+canonicalisation plan cache recognises isomorphic shapes.
+``tests/test_differential.py`` runs the same comparisons over generated
+inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.graphs.families import (
 )
 from repro.graphs.isomorphism import canonical_rooted_form
 from repro.graphs.labels import LABELS
-from repro.graphs.memo import BALLS, reset_memos
+from repro.graphs.memo import reset_memos
 from repro.graphs.multigraph import ECGraph
 from repro.graphs.soa import (
     _VECTOR_MIN_EDGES,
@@ -189,7 +189,6 @@ class TestExtractBall:
         g = random_loopy_tree(12, 2, seed=5)
         for v in (0, 5, 11):
             for t in range(4):
-                BALLS.clear()
                 sub_kernel, _ = extract_ball(g, v, t)
                 derived = sub_kernel._soa
                 assert isinstance(derived, SoASnapshot)
@@ -199,15 +198,3 @@ class TestExtractBall:
                     if isinstance(got, array):
                         got, want = list(got), list(want)
                     assert got == want, name
-
-    def test_memo_shares_kernel_but_copies_distances(self):
-        g = random_loopy_tree(5, 1, seed=8)
-        first_kernel, first_dist = extract_ball(g, 0, 2)
-        again_kernel, again_dist = extract_ball(g, 0, 2)
-        # the frozen kernel is content-addressed and immutable: shared
-        assert again_kernel is first_kernel
-        # the distance dict is the caller's to mutate: copied per lookup
-        assert again_dist == first_dist
-        assert again_dist is not first_dist
-        again_dist[0] = 99
-        assert extract_ball(g, 0, 2)[1][0] == 0
