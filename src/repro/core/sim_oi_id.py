@@ -297,8 +297,9 @@ class OIFromID(OIAlgorithm):
         network = IDNetwork(undirected, globals_=self.globals_factory(undirected))
         # t-time in the paper's tau_t sense = t - 1 message rounds for a
         # machine whose nodes see their ports at initialisation; see the
-        # radius-convention note in repro.core.sim_po_oi.
-        result = run_rounds(network, self.algorithm, rounds=self.t - 1)
+        # radius-convention note in repro.core.sim_po_oi.  Only the root's
+        # light cone runs: every cover node is still ranked above.
+        result = run_rounds(network, self.algorithm, rounds=self.t - 1, root=phi[root])
         root_out = result.outputs[phi[root]]
         if root_out is None:
             raise RuntimeError(

@@ -137,7 +137,9 @@ class SymmetricOIAdapter(OIAlgorithm):
     ``tau_{r+1}``.  A ``t``-time OI-algorithm therefore runs its wrapped
     machine for ``t - 1`` rounds on the radius-``t`` cover; the truncation
     boundary (whose nodes have incomplete port information) then lies
-    strictly beyond the root's information horizon.
+    strictly beyond the root's information horizon, and only the root's
+    light cone, the nodes within ``t - 1`` hops, is simulated
+    (``run_rounds(..., root=...)``).
     """
 
     def __init__(
@@ -158,7 +160,7 @@ class SymmetricOIAdapter(OIAlgorithm):
 
     def evaluate(self, tree: POGraph, root: Node, ordered_nodes: List[Node]) -> Dict[Slot, Fraction]:
         network = PONetwork(tree, globals_=self.globals_factory(tree))
-        result = run_rounds(network, self.algorithm, rounds=self.t - 1)
+        result = run_rounds(network, self.algorithm, rounds=self.t - 1, root=root)
         out = result.outputs[root]
         if out is None:
             raise RuntimeError(

@@ -35,7 +35,7 @@ from ...obs.export import trace_document
 from ...obs.tracer import Tracer, use_tracer
 from ..cache import CanonicalFormCache
 from ..faults import FaultInjector, FaultPlan, InjectedWorkerError, use_faults
-from ..grid import Cell, build_cell_algorithm, run_cell
+from ..grid import Cell, run_cell
 from ..store import ResultStore
 
 __all__ = [
@@ -108,41 +108,25 @@ def shard_cells(cells: List[Cell], shards: int) -> List[List[Cell]]:
     """Deal ``cells`` round-robin into at most ``shards`` shards by placement unit.
 
     A placement unit is every seed of one ``(algorithm, delta, chain)``
-    family whose algorithm (:func:`~repro.engine.grid.build_cell_algorithm`)
-    declares a ``fingerprint``: the construction ignores the seed, so the
-    run memo (:data:`repro.graphs.memo.RUNS`) answers every replica after
-    the first in one lookup, but only in the process that ran the first.
-    A cell whose algorithm declares none is a unit of its own.  The run
-    memo never answers it, and a replica shares only canonical forms with
-    its first seed, so such replicas spread over the shards.
+    family: the construction ignores the seed, so the run memo
+    (:data:`repro.graphs.memo.RUNS`, see :func:`~repro.engine.grid.run_cell`)
+    answers every replica after the first in one lookup, but only in the
+    process that ran the first.
 
     Units are dealt in sorted cell order, unit ``i`` to shard ``i mod n``
     with ``n = min(shards, units)``, so no shard is empty and a grid of one
     seed per family splits exactly as a round-robin over its cells.  Each
     shard lists its cells sorted, and one shard is ``sorted(cells)``.
     """
-    units = _placement_units(cells)
+    units: Dict[Tuple[str, int, str], List[Cell]] = {}
+    for cell in sorted(cells):
+        # a family is a prefix of the sort key: each unit is a run of
+        # consecutive sorted cells, so every shard built from them is sorted
+        units.setdefault((cell.algorithm, cell.delta, cell.chain), []).append(cell)
     buckets: List[List[Cell]] = [[] for _ in range(min(max(shards, 1), len(units)))]
-    for index, unit in enumerate(units):
+    for index, unit in enumerate(units.values()):
         buckets[index % len(buckets)].extend(unit)
     return buckets
-
-
-def _placement_units(cells: List[Cell]) -> List[List[Cell]]:
-    """The cells grouped into placement units, in sorted cell order.
-
-    A family is a prefix of the cell's sort key, so each unit is a run of
-    consecutive sorted cells and every shard built from them stays sorted.
-    """
-    fingerprinted: Dict[Tuple[str, int, str], bool] = {}
-    units: Dict[object, List[Cell]] = {}
-    for cell in sorted(cells):
-        family = (cell.algorithm, cell.delta, cell.chain)
-        if family not in fingerprinted:
-            algorithm = build_cell_algorithm(cell)
-            fingerprinted[family] = getattr(algorithm, "fingerprint", None) is not None
-        units.setdefault(family if fingerprinted[family] else cell, []).append(cell)
-    return list(units.values())
 
 
 def _execute_cell(

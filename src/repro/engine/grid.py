@@ -6,7 +6,7 @@ into the deterministic, sorted list of :class:`Cell` jobs the engine shards
 across workers.  Each cell owns a stable string ``key`` (its identity in
 result shards, resume bookkeeping and trace attribution) and knows how to
 build its algorithm (:func:`build_cell_algorithm`) and execute itself
-(:func:`run_cell`).
+(:func:`run_cell`, or :func:`compute_cell` past the run memo).
 
 Cells are deliberately tiny value objects (round-trippable through
 ``as_dict``/``from_dict``) so they cross process boundaries cheaply.
@@ -31,6 +31,7 @@ __all__ = [
     "Cell",
     "GridSpec",
     "build_cell_algorithm",
+    "compute_cell",
     "e1_grid",
     "expand",
     "make_algorithm",
@@ -54,9 +55,14 @@ CHAINS = ("ec", "po", "oi", "id")
 
 def make_algorithm(name: str):
     """Instantiate a registered algorithm by name."""
+    return _factory(name)()
+
+
+def _factory(name: str):
+    """The factory registered under ``name``."""
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
-    return ALGORITHMS[name]()
+    return ALGORITHMS[name]
 
 
 @dataclass(frozen=True, order=True)
@@ -183,43 +189,54 @@ def build_cell_algorithm(cell: Cell):
 
 
 def run_cell(cell: Cell, tracer=None) -> dict:
-    """Execute one cell: the Section 4 adversary at the cell's grid point.
+    """Execute one cell, answered from the run memo when it can be.
+
+    The run memo :data:`~repro.graphs.memo.RUNS` holds an ``ok`` verdict
+    under what builds the cell: its registered factory
+    ``ALGORITHMS[cell.algorithm]`` (the function object itself), its chain
+    and its Δ.  The construction never reads the seed, and every registered
+    algorithm is deterministic (rows are pinned by ``rows_sha256``), so a
+    replica seed, a repeated sweep or a warm service job is one lookup,
+    with no ``adversary.run`` span and ``memo=True`` on the ``engine.cell``
+    span.  The key needs no version: the memo never leaves its process,
+    the code behind a factory cannot change within one, and a name
+    re-registered in ``ALGORITHMS`` is another function, so it misses.
+    Every cell counts ``adversary.run_memo`` (``outcome`` ``hit`` or
+    ``miss``); a refuted verdict is never stored, so it is recomputed.
+    Otherwise the row is :func:`compute_cell`'s.
+    """
+    tracer = tracer if tracer is not None else current_tracer()
+    recipe = (_factory(cell.algorithm), cell.chain, cell.delta)
+    verdict = RUNS.get(recipe)
+    tracer.metrics.counter("adversary.run_memo", outcome="miss" if verdict is None else "hit").inc()
+    if verdict is None:
+        row = compute_cell(cell, tracer=tracer)
+        if row["status"] == "ok":
+            RUNS.put(recipe, {field: row[field] for field in _VERDICT_FIELDS})
+        return row
+    with _cell_span(tracer, cell) as span:
+        span.set(status="ok", witness_depth=verdict["witness_depth"], memo=True)
+    return dict(cell.as_dict(), key=cell.key, **verdict)
+
+
+#: the fields of an ``ok`` row the run memo stores, in row order
+_VERDICT_FIELDS = ("status", "witness_depth", "expected_depth", "final_graph_nodes", "all_valid")
+
+
+def compute_cell(cell: Cell, tracer=None) -> dict:
+    """Compute one cell's row: the Section 4 adversary at the cell's grid point.
 
     Returns a deterministic result row — no wall-clock quantities — so a
     parallel sweep's rows are byte-identical to the serial baseline's.
     An :class:`AlgorithmFailure` becomes a row with ``status="refuted"``
     and the certificate message instead of propagating out of the worker.
-
-    When the cell's algorithm declares a ``fingerprint``, the run memo
-    :data:`~repro.graphs.memo.RUNS` holds an ``ok`` verdict under
-    ``(fingerprint, delta)``: the construction never reads the seed, and
-    the fingerprint names the algorithm the cell builds, whatever its
-    chain.  A replica seed, a repeated sweep or a warm service job is then
-    answered in one lookup, with no ``adversary.run`` span and
-    ``memo=True`` on the ``engine.cell`` span.  Every probe counts
-    ``adversary.run_memo`` (``outcome`` ``hit`` or ``miss``); a refuted
-    verdict is never stored, so it is recomputed.
+    Reads and writes no memo: it is the independent recomputation that
+    :func:`~repro.engine.pool.verify_store` checks a store against.
     """
     tracer = tracer if tracer is not None else current_tracer()
     algorithm = build_cell_algorithm(cell)
-    fingerprint = getattr(algorithm, "fingerprint", None)
-    with tracer.span(
-        "engine.cell",
-        key=cell.key,
-        algorithm=cell.algorithm,
-        delta=cell.delta,
-        chain=cell.chain,
-        seed=cell.seed,
-    ) as span:
+    with _cell_span(tracer, cell) as span:
         row = dict(cell.as_dict(), key=cell.key)
-        if fingerprint is not None:
-            verdict = RUNS.get((fingerprint, cell.delta))
-            outcome = "miss" if verdict is None else "hit"
-            tracer.metrics.counter("adversary.run_memo", outcome=outcome).inc()
-            if verdict is not None:
-                span.set(status="ok", witness_depth=verdict["witness_depth"], memo=True)
-                row.update(verdict)
-                return row
         try:
             witness = run_adversary(algorithm, cell.delta, tracer=tracer)
         except AlgorithmFailure as failure:
@@ -228,14 +245,23 @@ def run_cell(cell: Cell, tracer=None) -> dict:
             return row
         top = witness.steps[-1]
         span.set(status="ok", witness_depth=witness.achieved_depth)
-        verdict = dict(
+        row.update(
             status="ok",
             witness_depth=witness.achieved_depth,
             expected_depth=cell.delta - 2,
             final_graph_nodes=top.graph_g.num_nodes() + top.graph_h.num_nodes(),
             all_valid=witness.all_valid,
         )
-        if fingerprint is not None:
-            RUNS.put((fingerprint, cell.delta), verdict)
-        row.update(verdict)
         return row
+
+
+def _cell_span(tracer, cell: Cell):
+    """The ``engine.cell`` span of one cell, computed or answered."""
+    return tracer.span(
+        "engine.cell",
+        key=cell.key,
+        algorithm=cell.algorithm,
+        delta=cell.delta,
+        chain=cell.chain,
+        seed=cell.seed,
+    )

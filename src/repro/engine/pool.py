@@ -25,12 +25,9 @@ The driver splits the cells of every round, recovery rounds included and
 on every backend, with :func:`~repro.engine.executors.shard.shard_cells`:
 
 * a placement unit is every seed of one ``(algorithm, delta, chain)``
-  family whose algorithm declares a ``fingerprint``, because the seed
-  never enters the construction and the process-wide run memo answers a
-  replica whose first seed ran in the same process; a cell without a
-  fingerprint is a unit of its own: the run memo never answers it, and a
-  replica shares only canonical forms with its first seed, so its
-  replicas spread out;
+  family, because the seed never enters the construction and the
+  process-wide run memo answers a replica whose first seed ran in the
+  same process;
 * units are dealt round-robin in sorted cell order and each shard lists
   its cells sorted, so a one-shard (serial) round runs the sorted cell
   list and a grid of one seed per family splits as a round-robin over
@@ -84,7 +81,7 @@ from .executors.shard import (
     shard_payloads,
 )
 from .faults import as_plan
-from .grid import Cell, GridSpec, expand, run_cell
+from .grid import Cell, GridSpec, compute_cell, expand
 from .store import ResultStore
 
 __all__ = [
@@ -517,10 +514,11 @@ def verify_store(directory) -> dict:
     Also cross-checks ``summary.json``'s rows against the shard rows when a
     summary is present.
 
-    Within one process the run memo answers a replica seed, and any
-    fingerprinted family the process already ran, from its stored verdict
-    (:func:`~repro.engine.grid.run_cell`); ``repro verify --store`` runs
-    in a fresh process, so there each family is recomputed once.
+    Every cell is recomputed by :func:`~repro.engine.grid.compute_cell`,
+    which reads no run memo: a verdict this process already holds, from a
+    sweep it ran or from a replica seed, is never taken on trust, so the
+    check is as independent here as in ``repro verify --store``'s fresh
+    process.
 
     Returns a JSON-ready report::
 
@@ -532,7 +530,7 @@ def verify_store(directory) -> dict:
     mismatched: List[dict] = []
     with tracer.span("engine.verify_store", cells=len(rows)):
         for row in rows:
-            fresh = run_cell(Cell.from_dict(row))
+            fresh = compute_cell(Cell.from_dict(row))
             stored_bytes = json.dumps(row, sort_keys=True, default=str)
             fresh_bytes = json.dumps(fresh, sort_keys=True, default=str)
             if stored_bytes != fresh_bytes:

@@ -7,11 +7,11 @@ service job) with its stored verdict, and :data:`FORMS` holds canonical
 forms.  Both are module constants, listed by hand in :func:`reset_memos`:
 a registry filled by ``Memo.__init__`` would mutate module state, which
 the ``effect-escape`` lint rule forbids in model packages.  Each is keyed
-by content (an algorithm fingerprint, a kernel digest), so an entry is a
-pure function of its key and can never go stale; a memo only ever saves
-recomputation.  :func:`reset_memos` empties them both, together with the
-SoA canonicalisation plan cache, which is how tests stand for a fresh
-process.
+by what determines its value (a cell's recipe, a kernel digest), so an
+entry is a pure function of its key and can never go stale; a memo only
+ever saves recomputation.  :func:`reset_memos` empties them both,
+together with the SoA canonicalisation plan cache, which is how tests
+stand for a fresh process.
 
 Lifts, mixes and balls are not memoized: within one construction they
 almost never repeat, and holding every one of them alive for the life of
@@ -90,10 +90,11 @@ class Memo:
         self._entries.clear()
 
 
-#: ``engine.grid.run_cell``: ``(algorithm fingerprint, delta)`` -> the
+#: ``engine.grid.run_cell``: ``(registered factory, chain, delta)`` -> the
 #: verdict fields of an ``ok`` row.  The construction is a deterministic
-#: function of the fingerprinted algorithm and Delta; a cell's seed never
-#: enters it, and the fingerprint names the algorithm the cell builds.
+#: function of what builds the cell, its factory function object, chain
+#: and Delta; a cell's seed never enters it.  A factory object lives and
+#: dies with its process, as does this memo.
 RUNS = Memo(4096)
 
 #: ``CanonicalFormCache``: rooted digest -> canonical rooted form, the

@@ -69,7 +69,13 @@ class DistributedAlgorithm(ABC):
 
     @abstractmethod
     def output(self, state: Any, ctx: NodeContext) -> Optional[Any]:
-        """The node's local output, or ``None`` while still running."""
+        """The node's local output, or ``None`` while still running.
+
+        An announced output is final (the LOCAL model's halting rule): once
+        a node announces a non-``None`` output, later rounds leave it
+        unchanged.  A root-only :func:`~repro.local.runtime.run_rounds`
+        stops as soon as its root announces, relying on this.
+        """
 
     def snapshot(self, state: Any, ctx: NodeContext) -> Optional[Any]:
         """Provisional output for a node cut off mid-run (see ``run_rounds``).
@@ -94,22 +100,15 @@ class ECWeightAlgorithm(ABC):
     output at a node depends only on its view, never on node labels.  Every
     algorithm that is honestly local satisfies this by construction; the
     helper :func:`repro.core.saturation.check_lift_invariance` tests it.
+    They must also be deterministic, so that the Section 4 construction is
+    a function of the algorithm and Delta: the sweep engine's run memo
+    reuses a cell's verdict on that ground
+    (:func:`repro.engine.grid.run_cell`).
     """
 
     #: the algorithm's declared run-time as a function of the graph; purely
     #: informational (used by benches to report round counts).
     name: str = "ec-algorithm"
-
-    #: content-addressing opt-in: a stable string identifying the algorithm's
-    #: input/output *behaviour* (bump it when the behaviour changes).  When
-    #: set, a sweep cell's verdict is memoized process-wide keyed by
-    #: ``(fingerprint, delta)`` (:func:`repro.engine.grid.run_cell`) — sound
-    #: exactly because implementations are deterministic functions of the
-    #: labelled graph, so the Section 4 construction is a function of the
-    #: algorithm and Delta.  ``None`` (the default) disables run memoization;
-    #: leave it unset for algorithms whose behaviour depends on anything
-    #: besides the input graph.
-    fingerprint: Optional[str] = None
 
     @abstractmethod
     def run_on(self, g: ECGraph) -> Dict[Node, Dict[Color, Fraction]]:

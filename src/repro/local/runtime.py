@@ -7,7 +7,8 @@ run stops once all have.  Message size and local computation are unbounded,
 exactly as in the LOCAL model.
 
 :func:`run` (until every node outputs) and :func:`run_rounds` (a fixed
-budget, then snapshots) share one round loop.
+budget, then snapshots; with a ``root``, of that node's light cone only)
+share one round loop.
 
 Three network adapters realise the models:
 
@@ -166,13 +167,15 @@ class RunResult:
     ----------
     outputs:
         Local output of each node (``None`` for nodes that never halted;
-        under :func:`run_rounds`, their snapshot).
+        under :func:`run_rounds`, their snapshot; with its ``root``, the
+        root's alone).
     rounds:
         Number of communication rounds executed.
     halted:
         Whether every node announced an output (a snapshot is not one).
     states:
-        Final internal state of each node (useful for debugging/tests).
+        Final internal state of each node (useful for debugging/tests),
+        or of the root alone, like ``outputs``.
     message_counts:
         Messages delivered per round.
     """
@@ -188,7 +191,8 @@ class RunResult:
 
 def _simulate(
     network: Network, algorithm: DistributedAlgorithm, limit: int, limit_name: str, *,
-    snapshot: bool, sanitize: bool, sanitize_mode: str, tracer, span: str, **span_attrs: Any,
+    snapshot: bool, sanitize: bool, sanitize_mode: str, tracer, span: str,
+    root: Optional[Node] = None, **span_attrs: Any,
 ) -> RunResult:
     """The round loop behind :func:`run` and :func:`run_rounds`.
 
@@ -197,6 +201,9 @@ def _simulate(
     polling every output under a ``local.poll`` span; with ``snapshot=True``
     (:func:`run_rounds`) by a short-circuiting check, and nodes still running
     at the end report ``algorithm.snapshot``, which ``halted`` ignores.
+
+    With a ``root`` (snapshot runs only), just the root's light cone runs
+    (:func:`_cone_round`) and the root alone is polled and reported.
     """
     if algorithm.model != network.model:
         raise ValueError(
@@ -206,7 +213,11 @@ def _simulate(
         raise ValueError(f"{limit_name} must be non-negative, got {limit}")
     tracer = tracer if tracer is not None else current_tracer()
     nodes = network.nodes()
-    ctxs = {v: network.context(v) for v in nodes}
+    depth = None
+    if root is not None:
+        depth = _light_cone(network, root, limit)
+        span_attrs["cone"] = len(depth)
+    ctxs = {v: network.context(v) for v in (nodes if depth is None else depth)}
     access_log = None
     if sanitize:
         from .sanitize import wrap_contexts
@@ -215,7 +226,9 @@ def _simulate(
     with tracer.span(
         span, model=network.model, algorithm=type(algorithm).__name__, nodes=len(nodes), **span_attrs
     ) as run_span:
-        states = {v: algorithm.initial_state(ctxs[v]) for v in nodes}
+        if depth is not None:
+            nodes = [root]  # the one node polled and reported
+        states = {v: algorithm.initial_state(ctxs[v]) for v in ctxs}
         announced: Dict[Node, Any] = {}
 
         def running() -> bool:
@@ -231,15 +244,19 @@ def _simulate(
         message_counts: List[int] = []
         while len(message_counts) < limit and running():
             with tracer.span("local.round", round=len(message_counts)) as round_span:
-                inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
-                count = 0
-                for v in nodes:
-                    for port, message in algorithm.send(states[v], ctxs[v]).items():
-                        target, tport = network.route(v, port, message)
-                        inboxes[target][tport] = message
-                        count += 1
-                for v in nodes:
-                    states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
+                if depth is None:
+                    inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
+                    count = 0
+                    for v in nodes:
+                        for port, message in algorithm.send(states[v], ctxs[v]).items():
+                            target, tport = network.route(v, port, message)
+                            inboxes[target][tport] = message
+                            count += 1
+                    for v in nodes:
+                        states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
+                else:
+                    reach = limit - len(message_counts)
+                    count = _cone_round(network, algorithm, states, ctxs, depth, reach)
                 message_counts.append(count)
                 round_span.set(messages=count)
         rounds, messages = len(message_counts), sum(message_counts)
@@ -258,10 +275,62 @@ def _simulate(
         tracer.metrics.counter("local.runs", model=network.model).inc()
         tracer.metrics.counter("local.rounds", model=network.model).inc(rounds)
         tracer.metrics.counter("local.messages", model=network.model).inc(messages)
+    if depth is not None:
+        states = {root: states[root]}
     return RunResult(
         outputs=outputs, rounds=rounds, halted=halted, states=states,
         message_counts=message_counts, access_log=access_log,
     )
+
+
+def _light_cone(network: Network, root: Node, radius: int) -> Dict[Node, int]:
+    """Hop distance from ``root`` of every node within ``radius`` hops.
+
+    A breadth-first search over each node's ports and their routes, so it
+    serves EC, PO and ID networks alike; the dict lists nodes in BFS order,
+    nearest first.
+    """
+    depth = {root: 0}
+    frontier = [root]
+    for d in range(1, radius + 1):
+        reached = []
+        for v in frontier:
+            for port in network.context(v).ports:
+                u = network.route(v, port, None)[0]
+                if u not in depth:
+                    depth[u] = d
+                    reached.append(u)
+        frontier = reached
+    return depth
+
+
+def _cone_round(
+    network: Network, algorithm: DistributedAlgorithm, states: Dict[Node, Any],
+    ctxs: Dict[Node, NodeContext], depth: Dict[Node, int], reach: int,
+) -> int:
+    """One round of a light-cone run; returns the messages delivered.
+
+    Nodes within ``reach`` hops of the root send, and nodes nearer than
+    that receive: every neighbour of a receiver sent, so its inbox is whole
+    and its new state is exact.  Messages to any other node are dropped.
+    A run of ``R`` rounds calls this with ``reach`` ``R``, ``R - 1``, ...,
+    so each node's state is exact exactly as long as the root's answer
+    after ``R`` rounds can depend on it.
+    """
+    inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v, d in depth.items() if d < reach}
+    delivered = 0
+    for v, d in depth.items():
+        if d > reach:
+            break
+        for port, message in algorithm.send(states[v], ctxs[v]).items():
+            target, tport = network.route(v, port, message)
+            inbox = inboxes.get(target)
+            if inbox is not None:
+                inbox[tport] = message
+                delivered += 1
+    for v, inbox in inboxes.items():
+        states[v] = algorithm.receive(states[v], ctxs[v], inbox)
+    return delivered
 
 
 def run(
@@ -305,6 +374,7 @@ def run_rounds(
     algorithm: DistributedAlgorithm,
     rounds: int,
     *,
+    root: Optional[Node] = None,
     sanitize: bool = False,
     sanitize_mode: str = "raise",
     tracer=None,
@@ -320,14 +390,28 @@ def run_rounds(
     ``halted`` is true only if every node announced an output; a negative
     ``rounds`` raises :class:`ValueError`.
 
+    With ``root``, only the root's light cone runs: a node ``d`` hops from
+    the root starts only if ``d <= rounds``, and in round ``k`` sends only
+    if ``d <= rounds - k + 1`` and updates only if ``d <= rounds - k``.  A
+    node's state after ``k`` rounds depends only on the nodes within ``k``
+    hops, so the root ends in exactly the state a full run leaves it in.
+    The run stops after ``rounds`` rounds or as soon as the root announces,
+    since an announced output is final
+    (:meth:`~repro.local.algorithm.DistributedAlgorithm.output`).
+    ``outputs`` and ``states`` then hold the root alone, ``halted`` says
+    whether it announced, and ``message_counts`` counts the messages
+    delivered inside the cone.
+
     Per-round message delivery counts are recorded in
     ``RunResult.message_counts`` exactly as in :func:`run`, and ``tracer``
     behaves likewise (``local.run_rounds`` / ``local.round`` spans) except
-    that outputs are not polled, so no ``local.poll`` span occurs.
+    that outputs are not polled, so no ``local.poll`` span occurs.  With a
+    ``root`` the ``local.run_rounds`` span also records the ``cone`` size.
 
     All options after ``rounds`` are keyword-only.
     """
     return _simulate(
         network, algorithm, rounds, "rounds", snapshot=True, sanitize=sanitize,
-        sanitize_mode=sanitize_mode, tracer=tracer, span="local.run_rounds", budget=rounds,
+        sanitize_mode=sanitize_mode, tracer=tracer, span="local.run_rounds", root=root,
+        budget=rounds,
     )

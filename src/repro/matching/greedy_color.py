@@ -92,13 +92,9 @@ def greedy_color_algorithm() -> SimulatedECWeights:
     The palette is derived from each input graph; the run length is exactly
     the palette size (``O(Delta)`` for ``O(Delta)``-colourings).
     """
-    algorithm = SimulatedECWeights(
+    return SimulatedECWeights(
         GreedyColorFM(),
         globals_factory=lambda g: {"palette": g.colors()},
         max_rounds_factory=lambda g: len(g.colors()) + 1,
         name="greedy-by-colour",
     )
-    # deterministic function of the labelled graph: verified runs are safe
-    # to memoize content-addressed (see ECWeightAlgorithm.fingerprint)
-    algorithm.fingerprint = "greedy-by-colour-v1"
-    return algorithm

@@ -112,12 +112,8 @@ class ProposalFM(DistributedAlgorithm):
 
 def proposal_algorithm() -> SimulatedECWeights:
     """EC-model packaging of the proposal dynamics for the adversary/benches."""
-    algorithm = SimulatedECWeights(
+    return SimulatedECWeights(
         ProposalFM("EC"),
         max_rounds_factory=lambda g: 4 * (g.num_nodes() + g.num_edges() + 2),
         name="proposal-dynamics",
     )
-    # deterministic function of the labelled graph: verified runs are safe
-    # to memoize content-addressed (see ECWeightAlgorithm.fingerprint)
-    algorithm.fingerprint = "proposal-dynamics-v1"
-    return algorithm

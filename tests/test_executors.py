@@ -48,7 +48,7 @@ BACKEND_PARAMS = {
 }
 
 
-#: two seeds of each fingerprinted family: every replica can hit the run memo
+#: two seeds of each family: every replica can hit the run memo
 REPLICA_GRID = GridSpec(("greedy", "proposal"), (3, 4), seeds=(0, 1))
 
 #: the grid of the benchmark's two-worker workload (its seeds are 1 and 2)
@@ -157,9 +157,10 @@ class TestShardSplit:
         ],
         ids=["zero", "proposal-po"],
     )
-    def test_cells_without_a_fingerprint_are_units_of_their_own(self, grid):
-        first, second = expand(grid)
-        assert shard_cells([first, second], 2) == [[first], [second]]
+    def test_every_family_is_one_unit(self, grid):
+        cells = expand(grid)
+        assert len(cells) == 2
+        assert shard_cells(cells, 2) == [cells]
 
     @pytest.mark.parametrize("grid", [smoke_grid(), e1_grid()], ids=["smoke", "e1"])
     def test_one_seed_per_family_deals_the_cells_round_robin(self, grid):

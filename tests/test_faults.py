@@ -24,7 +24,7 @@ from repro.engine import (
 )
 from repro.engine.faults import InjectedWorkerError, active_injector, as_plan, use_faults
 from repro.graphs.memo import reset_memos
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, trace_document, use_tracer
 
 def rows_bytes(rows) -> str:
     return json.dumps(rows, sort_keys=True, default=str)
@@ -246,6 +246,20 @@ class TestVerifyStore:
         assert report["matched"] == 4
         assert report["mismatched"] == []
         assert report["summary_consistent"] is True
+
+    def test_recomputes_every_cell_past_the_run_memo(self, tmp_path):
+        """The sweep just run left every verdict in the run memo; the check
+        must not take them on trust."""
+        out = tmp_path / "out"
+        reset_memos()
+        run_sweep(smoke_grid(), workers=0, out_dir=out)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            report = verify_store(out)
+        assert report["matched"] == 4
+        assert len(tracer.find("adversary.run")) == 4
+        counters = {row["name"] for row in trace_document(tracer)["metrics"]["counters"]}
+        assert "adversary.run_memo" not in counters
 
     def test_tampered_row_detected(self, tmp_path):
         out = tmp_path / "out"

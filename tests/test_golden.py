@@ -21,6 +21,8 @@ re-pin the value here and say why in CHANGES.md.
 * ``adversary.witness`` — the Section 4 construction itself, step by step.
   A row records only the witness depth and verdict, so a change that
   picked another disagreeing colour, side or loop would keep every row.
+* ``adversary.chain`` — the same through the po, oi and id simulation
+  chains at Δ = 2–4: every step, both refutations and the nine rows;
 * ``adversary.refutation`` — what the checks say when an algorithm fails:
   the rows of a sweep that refutes, and one ``checked_run`` message per
   verdict.  The E1 rows are never refuted, so they pin no failure's words.
@@ -42,6 +44,7 @@ from repro import api
 from repro.core.adversary import checked_run, run_adversary
 from repro.core.canonical_order import tree_ball, tree_sort_key
 from repro.core.sim_po_oi import cover_words, ordered_cover_nodes
+from repro.core.theorem import chain_from_name
 from repro.core.witness import AlgorithmFailure
 from repro.engine import GridSpec, run_sweep
 from repro.engine.grid import make_algorithm
@@ -186,6 +189,58 @@ class TestWitness:
         assert len(steps) == 54
         assert sha256(repr(steps)) == (
             "ac3b3bfd0d52a347a4a3abf7bdb40f740af0c6224baa3678feca20eee9962688"
+        )
+
+
+class TestChainWitness:
+    """The construction through the po, oi and id simulation chains, Δ = 2–4.
+
+    The chain rows record only depth and verdict, so a chain that changed a
+    weight yet still gave a valid witness would keep every row.  Each step
+    is hashed as in :class:`TestWitness`; the oi and id chains are refuted
+    at Δ = 3, and those failures are hashed by their words.
+    """
+
+    CHAINS = ("po", "oi", "id")
+    DELTAS = (2, 3, 4)
+
+    def test_steps_and_refutations_sha256(self):
+        steps, failures = [], []
+        for chain in self.CHAINS:
+            for delta in self.DELTAS:
+                try:
+                    witness = run_adversary(chain_from_name(chain, t=delta), delta)
+                except AlgorithmFailure as failure:
+                    failures.append((chain, delta, str(failure)))
+                    continue
+                steps += [
+                    (
+                        chain, delta, step.index, step.side, repr(step.color),
+                        str(step.weight_g), str(step.weight_h),
+                        step.graph_g.num_nodes(), step.graph_h.num_nodes(),
+                        ball(step.graph_g, step.node_g, step.index).canonical_form(),
+                    )
+                    for step in witness.steps
+                ]
+        assert len(steps) == 14
+        assert sha256(repr(steps)) == (
+            "a4ce505ca8d79673ce3ecdf3ee5b1cd167ce6a141b9a98944381295a3e99afe1"
+        )
+        assert [(chain, delta) for chain, delta, _ in failures] == [("oi", 3), ("id", 3)]
+        assert all("non-maximal FM (edge 2 uncovered)" in words for _, _, words in failures)
+        assert sha256(repr(failures)) == (
+            "608035bc92fbbecfcc4ab80d8ffafcaa02f326b7603049c233f2556a3d78e5ee"
+        )
+
+    def test_rows_sha256(self):
+        reset_memos()
+        rows = api.sweep(GridSpec(("proposal",), self.DELTAS, self.CHAINS, (0,))).rows
+        assert len(rows) == 9
+        assert sorted(row["key"] for row in rows if row["status"] == "refuted") == [
+            "proposal/d3/id/s0", "proposal/d3/oi/s0"
+        ]
+        assert sha256(json.dumps(rows, sort_keys=True)) == (
+            "8747d44ad35a4c03fee1a9e6f564daf131b69ec8ec85de527050d5fed02657f1"
         )
 
 

@@ -62,14 +62,8 @@ def traced_cell(cell: Cell):
     return row, tracer, run_memo_counts(trace_document(tracer))
 
 
-class FingerprintedZero(ZeroFM):
-    """``ZeroFM`` claiming a fingerprint: every cell of it is refuted."""
-
-    fingerprint = "zero-v1"
-
-
 class TestRunMemo:
-    """The run memo answers a fingerprinted cell at ``(fingerprint, delta)``."""
+    """The run memo answers a cell at ``(ALGORITHMS[name], chain, delta)``."""
 
     def test_replica_seed_is_answered_by_one_lookup(self):
         reset_memos()
@@ -90,22 +84,37 @@ class TestRunMemo:
             _, _, counts = traced_cell(cell)
             assert counts == {"miss": 1}, cell
 
-    def test_chain_cell_never_probes(self):
+    def test_chain_replica_is_answered_by_one_lookup(self):
         reset_memos()
-        row, _, counts = traced_cell(Cell("proposal", 4, chain="oi"))
-        assert row["status"] == "ok"
-        assert counts == {}
-        assert len(RUNS) == 0
+        first, cold, cold_counts = traced_cell(Cell("proposal", 4, chain="oi"))
+        replica, warm, warm_counts = traced_cell(Cell("proposal", 4, chain="oi", seed=3))
+        assert first["status"] == "ok"
+        assert cold_counts == {"miss": 1}
+        assert warm_counts == {"hit": 1}
+        assert cold.find("adversary.run") and not warm.find("adversary.run")
+        assert replica == dict(first, seed=3, key="proposal/d4/oi/s3")
+        # another chain builds another algorithm, so it misses
+        _, _, counts = traced_cell(Cell("proposal", 4, chain="po"))
+        assert counts == {"miss": 1}
 
-    def test_refuted_verdict_is_never_stored(self, monkeypatch):
+    def test_refuted_verdict_is_never_stored(self):
         reset_memos()
-        monkeypatch.setitem(ALGORITHMS, "zero", FingerprintedZero)
         for seed in (0, 1):
             row, tracer, counts = traced_cell(Cell("zero", 4, seed=seed))
             assert row["status"] == "refuted"
             assert tracer.find("adversary.run")
             assert counts == {"miss": 1}
         assert len(RUNS) == 0
+
+    def test_a_re_registered_name_misses(self, monkeypatch):
+        reset_memos()
+        assert run_cell(Cell("greedy", 4))["status"] == "ok"
+        # another function under the same name: its verdict is its own
+        monkeypatch.setitem(ALGORITHMS, "greedy", ZeroFM)
+        row, tracer, counts = traced_cell(Cell("greedy", 4, seed=1))
+        assert counts == {"miss": 1}
+        assert tracer.find("adversary.run")
+        assert row["status"] == "refuted"
 
     @pytest.mark.parametrize("algorithm", ["greedy", "proposal"])
     def test_stored_values_hold_only_the_verdict(self, algorithm):

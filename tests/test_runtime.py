@@ -340,3 +340,297 @@ class TestKeywordOnlyOptions:
         assert result.halted
         assert bounded.rounds <= 3
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+class TestLightCone:
+    """``run_rounds(..., root=r)`` runs only what ``r`` can see in time."""
+
+    def path(self):
+        return IDNetwork(nx.path_graph(7))
+
+    def test_outputs_and_states_hold_the_root_alone(self):
+        result = run_rounds(self.path(), CountsRounds(10, "ID"), rounds=3, root=3)
+        assert result.outputs == {3: ("partial", 3)}
+        assert result.states == {3: 3}
+        assert result.rounds == 3
+        assert result.halted is False  # a snapshot is not an announced output
+
+    def test_stops_when_the_root_announces(self):
+        result = run_rounds(self.path(), CountsRounds(2, "ID"), rounds=10, root=0)
+        assert result.outputs == {0: 2}
+        assert result.rounds == 2
+        assert result.halted is True
+
+    def test_zero_rounds_run_the_root_alone(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        result = run_rounds(self.path(), CountsRounds(5, "ID"), rounds=0, root=6, tracer=tracer)
+        assert result.outputs == {6: ("partial", 0)}
+        assert result.message_counts == []
+        (span,) = tracer.find("local.run_rounds")
+        assert span.attrs["cone"] == 1
+
+    def test_cone_size_and_delivered_messages(self):
+        """Two rounds from the middle of a 7-path: nodes 1-5 start; round 1
+        delivers to 2-4 (six messages), round 2 to the root (two)."""
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        result = run_rounds(self.path(), CountsRounds(10, "ID"), rounds=2, root=3, tracer=tracer)
+        assert result.message_counts == [6, 2]
+        (span,) = tracer.find("local.run_rounds")
+        assert span.attrs["cone"] == 5
+        assert span.attrs["nodes"] == 7
+        assert span.attrs["messages"] == 8
+        assert span.attrs["halted"] is False
+        assert [s.attrs for s in tracer.find("local.round")] == [
+            {"round": 0, "messages": 6}, {"round": 1, "messages": 2},
+        ]
+
+    @pytest.mark.parametrize("model", sorted(TestOneLoopTwoEntryPoints.NETWORKS))
+    @pytest.mark.parametrize("budget", range(5))
+    def test_every_root_agrees_with_the_full_run(self, model, budget):
+        network = TestOneLoopTwoEntryPoints.NETWORKS[model]
+        full = run_rounds(network(), FullInformation(model), rounds=budget)
+        for v in network().nodes():
+            cone = run_rounds(network(), FullInformation(model), rounds=budget, root=v)
+            assert cone.outputs == {v: full.outputs[v]}
+
+
+class FullInformation(DistributedAlgorithm):
+    """Gathers every message it ever hears, by round and port: a node's
+    state is its whole view, so any dropped or extra message shows."""
+
+    def __init__(self, model: str):
+        self.model = model
+
+    def initial_state(self, ctx):
+        return (ctx.ports,)
+
+    def send(self, state, ctx):
+        return {p: state for p in ctx.ports}
+
+    def receive(self, state, ctx, inbox):
+        return state + (tuple(sorted(inbox.items(), key=repr)),)
+
+    def output(self, state, ctx):
+        return None
+
+    def snapshot(self, state, ctx):
+        return state
+
+
+def oriented_loopy_tree(n: int, loops: int, seed: int):
+    """A random loopy PO-graph: a loopy tree whose tree edges point either way."""
+    import random
+
+    from repro.graphs.digraph import POGraph
+    from repro.graphs.families import random_loopy_tree
+
+    rng = random.Random(seed)
+    g = POGraph()
+    ec = random_loopy_tree(n, loops, seed)
+    for v in ec.nodes():
+        g.add_node(v)
+    for e in ec.edges():
+        tail, head = (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u)
+        g.add_edge(tail, head, e.color)
+    return g
+
+
+class TestLightConeDifferential:
+    """The root-only run against the full run, its oracle, on every cover
+    the oi and id chains evaluate at Δ = 2–4 and on random loopy PO-graphs
+    and their radius-t covers."""
+
+    @pytest.fixture(scope="class")
+    def chain_evaluations(self):
+        """``(adapter module, network, machine, rounds, root, root output)``
+        of every evaluation the two OI adapters make in the adversary."""
+        from repro.core import sim_oi_id, sim_po_oi
+        from repro.core.adversary import run_adversary
+        from repro.core.theorem import chain_from_name
+        from repro.core.witness import AlgorithmFailure
+
+        seen = []
+
+        def recording(module):
+            real = module.run_rounds
+
+            def run_rounds_recorded(network, algorithm, rounds, **options):
+                result = real(network, algorithm, rounds, **options)
+                root = options["root"]
+                seen.append((module.__name__, network, algorithm, rounds, root, result.outputs[root]))
+                return result
+
+            return run_rounds_recorded
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (sim_po_oi, sim_oi_id):
+                patch.setattr(module, "run_rounds", recording(module))
+            for chain in ("oi", "id"):
+                for delta in (2, 3, 4):
+                    try:
+                        run_adversary(chain_from_name(chain, t=delta), delta)
+                    except AlgorithmFailure:
+                        pass  # both chains are refuted at Δ = 3, after four covers
+        return seen
+
+    def test_chain_covers_agree_with_the_full_run(self, chain_evaluations):
+        adapters = [name for name, *_ in chain_evaluations]
+        assert adapters.count("repro.core.sim_po_oi") == 14
+        assert adapters.count("repro.core.sim_oi_id") == 14
+        for _, network, algorithm, rounds, root, output in chain_evaluations:
+            assert run_rounds(network, algorithm, rounds).outputs[root] == output
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("machine", ["proposal", "doubling"])
+    def test_loopy_po_graphs_and_their_covers(self, seed, machine):
+        from repro.graphs.cover import universal_cover_po
+        from repro.matching.kuhn_approx import DoublingFM
+        from repro.matching.proposal import ProposalFM
+
+        g = oriented_loopy_tree(6, 1 + seed % 2, seed)
+        algorithm = ProposalFM("PO") if machine == "proposal" else DoublingFM("PO")
+        globals_ = {"delta": g.max_degree()}
+        t = 3
+        for v in g.nodes():
+            cover = universal_cover_po(g, v, t)
+            for graph, root in ((g, v), (cover.tree, cover.root)):
+                for rounds in range(t + 1):
+                    full = run_rounds(PONetwork(graph, globals_), algorithm, rounds)
+                    cone = run_rounds(PONetwork(graph, globals_), algorithm, rounds, root=root)
+                    assert cone.outputs == {root: full.outputs[root]}
+
+
+class Unhalting(DistributedAlgorithm):
+    """Runs ``inner`` for the whole budget and reports, as its snapshot,
+    what ``inner`` announces then (``None`` if nothing)."""
+
+    def __init__(self, inner: DistributedAlgorithm):
+        self.inner = inner
+        self.model = inner.model
+
+    def initial_state(self, ctx):
+        return self.inner.initial_state(ctx)
+
+    def send(self, state, ctx):
+        return self.inner.send(state, ctx)
+
+    def receive(self, state, ctx, inbox):
+        return self.inner.receive(state, ctx, inbox)
+
+    def output(self, state, ctx):
+        return None
+
+    def snapshot(self, state, ctx):
+        return self.inner.output(state, ctx)
+
+
+def shipped_machines():
+    """Every shipped :class:`DistributedAlgorithm`, each on a few networks of
+    its model with the globals it needs: ``(id, network factory, machine)``."""
+    import random
+
+    from repro.core.separations import GreedyColorMatching
+    from repro.graphs.families import path_graph, random_loopy_tree, random_regular_graph
+    from repro.local.randomized import tape_globals, uniform_tape
+    from repro.local.views import FullInformationEC
+    from repro.matching.greedy_color import GreedyColorFM, greedy_color_algorithm
+    from repro.matching.kuhn_approx import DoublingFM
+    from repro.matching.naive import ParityTiltFM
+    from repro.matching.proposal import ProposalFM
+    from repro.matching.random_priority import RandomPriorityFM
+    from repro.matching.verify import LocalFMVerifier
+
+    ec_graphs = {
+        "loops": single_node_with_loops(2),
+        "path": path_graph(4),
+        "loopy-tree": random_loopy_tree(6, 1, seed=3),
+        "regular": random_regular_graph(8, 3, seed=1),
+    }
+    id_graphs = {
+        "path": nx.path_graph(4),
+        "cycle": nx.cycle_graph(5),
+        "petersen": nx.petersen_graph(),
+    }
+
+    def tape(nodes, seed):
+        return tape_globals(uniform_tape(nodes, random.Random(seed)))
+
+    cases = []
+    for name, g in ec_graphs.items():
+        palette = {"palette": g.colors()}
+        delta = {"delta": max(g.max_degree(), 1)}
+        valid = greedy_color_algorithm().run_on(g)
+        cases += [
+            (f"ProposalFM-EC-{name}", lambda g=g: ECNetwork(g), ProposalFM("EC")),
+            (f"GreedyColorFM-{name}", lambda g=g, p=palette: ECNetwork(g, p), GreedyColorFM()),
+            (f"DoublingFM-EC-{name}", lambda g=g, d=delta: ECNetwork(g, d), DoublingFM("EC")),
+            (f"RandomPriorityFM-EC-{name}",
+             lambda g=g: ECNetwork(g, tape(g.nodes(), 5)), RandomPriorityFM("EC")),
+            (f"GreedyColorMatching-{name}", lambda g=g, p=palette: ECNetwork(g, p), GreedyColorMatching()),
+            (f"FullInformationEC-{name}", lambda g=g: ECNetwork(g), FullInformationEC(2)),
+            (f"LocalFMVerifier-{name}", lambda g=g: ECNetwork(g), LocalFMVerifier(valid)),
+        ]
+        d = po_double_from_ec(g)
+        cases += [
+            (f"ProposalFM-PO-{name}", lambda d=d: PONetwork(d), ProposalFM("PO")),
+            (f"DoublingFM-PO-{name}", lambda d=d, x=delta: PONetwork(d, x), DoublingFM("PO")),
+        ]
+    for name, g in id_graphs.items():
+        delta = {"delta": max(d for _, d in g.degree())}
+        cases += [
+            (f"ProposalFM-ID-{name}", lambda g=g: IDNetwork(g), ProposalFM("ID")),
+            (f"DoublingFM-ID-{name}", lambda g=g, x=delta: IDNetwork(g, x), DoublingFM("ID")),
+            (f"RandomPriorityFM-ID-{name}",
+             lambda g=g: IDNetwork(g, tape(g.nodes(), 7)), RandomPriorityFM("ID")),
+            (f"ParityTiltFM-{name}", lambda g=g: IDNetwork(g), ParityTiltFM()),
+        ]
+    return cases
+
+
+class TestAnnouncedOutputIsFinal:
+    """The halting rule a root-only run relies on: an output announced
+    after ``r`` rounds is unchanged after ``r + 2``."""
+
+    HORIZON = 8
+
+    @pytest.mark.parametrize(
+        "network, machine",
+        [case[1:] for case in shipped_machines()],
+        ids=[case[0] for case in shipped_machines()],
+    )
+    def test_announced_output_is_final(self, network, machine):
+        after = [
+            run_rounds(network(), Unhalting(machine), rounds=r).outputs
+            for r in range(self.HORIZON + 2)
+        ]
+        announced = 0
+        for r in range(self.HORIZON):
+            for v, output in after[r].items():
+                if output is not None:
+                    announced += 1
+                    assert after[r + 2][v] == output, (r, v)
+        assert announced  # some node announces within the horizon
+
+    def test_every_shipped_machine_is_covered(self):
+        import importlib
+        import pkgutil
+
+        import repro
+
+        for module in pkgutil.walk_packages(repro.__path__, repro.__name__ + "."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        covered = {type(machine).__name__ for _, _, machine in shipped_machines()}
+        shipped = {
+            cls.__name__ for cls in all_subclasses(DistributedAlgorithm)
+            if cls.__module__.startswith(repro.__name__ + ".")
+        }
+        assert shipped <= covered
+
+
+def all_subclasses(cls):
+    return set(cls.__subclasses__()).union(*(all_subclasses(sub) for sub in cls.__subclasses__()))
