@@ -186,7 +186,6 @@ def sweep(
     *,
     workers: int = 0,
     out: Optional[str] = None,
-    use_cache: bool = True,
     resume: bool = False,
     tracer=None,
     faults=None,
@@ -220,7 +219,6 @@ def sweep(
         grid,
         workers=workers,
         out_dir=out,
-        use_cache=use_cache,
         resume=resume,
         tracer=tracer,
         faults=faults,

@@ -303,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common_options(sweep, json_flag=True, chain="ec", out=True, execution=True)
     sweep.add_argument(
-        "--no-cache", action="store_true", help="disable the canonical-form cache"
-    )
-    sweep.add_argument(
         "--resume",
         action="store_true",
         help="skip cells already recorded in --out's result shards",
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="RATE",
         help="fail (exit 1) when the canonical-form cache hit rate falls "
-        "below RATE (0..1) — a CI guard for the digest-keyed cache; "
+        "below RATE (0..1) — a CI guard for the shape-keyed plan cache; "
         "reported as n/a (and never failed) when the cache saw no lookups",
     )
     sweep.add_argument(
@@ -587,7 +584,7 @@ def _lint_effects(paths, qualname: str) -> int:
     if fx is None:
         return _lint_usage_error(
             f"no function or module {qualname!r} in the linted "
-            f"paths (use the dotted qualname, e.g. repro.graphs.labels.LabelTable.intern)"
+            f"paths (use the dotted qualname, e.g. repro.graphs.memo.reset_memos)"
         )
     print(f"{fx.qualname}  (module {fx.module}, line {fx.lineno})")
     print(f"  raw direct effects (pre-noqa): {', '.join(sorted(fx.raw_direct)) or '-'}")
@@ -711,7 +708,6 @@ def _cmd_sweep(args) -> int:
         result = api.sweep(
             grid,
             out=args.out,
-            use_cache=not args.no_cache,
             resume=args.resume,
             faults=args.faults,
             progress=progress,
@@ -754,17 +750,11 @@ def _cmd_sweep(args) -> int:
             payload["hit_rate_gate"] = gate
         _emit_json(args, json.dumps(payload, sort_keys=True))
     if gate is not None:
-        # interned-plan reuse is reported alongside the rate but never
-        # gated: a plan hit is a cheap compute under a miss, not a lookup
-        if cache.misses:
-            print(f"interned-plan reuse: {cache.plan_hits}/{cache.misses} "
-                  f"miss(es) answered by a cached shape plan")
-        else:
-            print("interned-plan reuse: n/a (0 canonicalisation misses)")
         floor = f"{args.min_hit_rate:.3f}"
         if not gate["applied"]:
-            # no lookups (e.g. --no-cache, or a grid whose cells never
-            # canonicalise): a rate floor is meaningless, not a failure
+            # no lookups (every cell answered by the run memo, or a grid
+            # whose cells never canonicalise): a rate floor is meaningless,
+            # not a failure
             print(f"canonical-cache hit rate n/a (0 lookups; --min-hit-rate {floor} not applied)")
         elif not gate["passed"]:
             print(f"canonical-cache hit rate {cache.hit_rate:.3f} below required {floor} "

@@ -89,7 +89,6 @@ def checked_run(
         algorithm=algorithm.name,
         nodes=g.num_nodes(),
         edges=g.num_edges(),
-        graph=g.digest[:12],
         **attribution,
     ) as span:
         try:

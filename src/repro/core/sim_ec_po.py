@@ -46,7 +46,6 @@ class ECFromPO(ECWeightAlgorithm):
             algorithm=self.name,
             nodes=g.num_nodes(),
             edges=g.num_edges(),
-            graph=g.digest[:12],
         ) as span:
             doubled = po_double_from_ec(g)
             po_out = self.po_algorithm.run_on(doubled)

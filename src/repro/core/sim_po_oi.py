@@ -96,7 +96,6 @@ class POFromOI(POWeightAlgorithm):
             algorithm=self.name,
             nodes=g.num_nodes(),
             t=t,
-            graph=g.digest[:12],
         ) as span:
             for v in g.nodes():
                 cover = universal_cover_po(g, v, t)

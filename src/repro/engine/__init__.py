@@ -6,9 +6,10 @@ process-parallel sweep:
 * :mod:`repro.engine.grid` — declarative job grids (algorithm × Delta ×
   chain × seed) expanded into deterministic :class:`~repro.engine.grid.Cell`
   jobs;
-* :mod:`repro.engine.cache` — a content-addressed canonical-form cache
-  (one process-wide memory tier, the memo :data:`repro.graphs.memo.FORMS`)
-  installed into :mod:`repro.graphs.isomorphism` for the duration of a run;
+* :mod:`repro.engine.cache` — the counted canonical-form cache, installed
+  into :mod:`repro.graphs.isomorphism` for the duration of a shard; it
+  counts the hits of the canonicaliser's shape-plan cache, the one
+  canonical-form memo;
 * :mod:`repro.engine.store` — resumable JSONL result shards plus the merged
   ``summary.json``;
 * :mod:`repro.engine.pool` — the backend-agnostic sweep driver: shards
@@ -29,7 +30,7 @@ Entry points: :func:`run_sweep` (or ``python -m repro sweep`` /
 :func:`repro.api.sweep`).  See ``docs/engine.md``.
 """
 
-from .cache import CacheStats, CanonicalFormCache, graph_digest
+from .cache import CacheStats, CanonicalFormCache
 from .executors import (
     ExecutionOptions,
     InlineExecutor,
@@ -64,7 +65,6 @@ __all__ = [
     "as_executor",
     "e1_grid",
     "expand",
-    "graph_digest",
     "run_cell",
     "run_sweep",
     "smoke_grid",

@@ -1,43 +1,35 @@
-"""Content-addressed memoization of canonical rooted forms.
+"""Counted canonical rooted forms.
 
 The hot path of every adversary run is canonicalising witness balls
 (:func:`repro.graphs.soa.canonical_form_fast`): each inductive
 step canonicalises two rooted trees-with-loops that double in size as the
-ladder climbs.  Many of those balls recur — the two radius-0 balls of every
-base case are the same labelled single-node graph, the G- and H-side balls
-of a step frequently coincide as labelled graphs, and a resumed or repeated
-sweep re-canonicalises everything it already saw.
+ladder climbs.  Many of those forms recur — the two radius-0 balls of every
+base case are the same single-node shape, the G- and H-side balls of a step
+differ only in node labels, and a repeated sweep re-canonicalises
+everything it already saw.
 
-:class:`CanonicalFormCache` memoizes the *top-level* canonical form keyed by
-:func:`graph_digest` — the rooted digest of the graph's frozen
-:class:`~repro.graphs.kernel.GraphKernel`, maintained incrementally by the
-builders so a lookup no longer re-walks the graph.  The digest is a pure
-function of the labelled rooted graph (node labels, ``(u, v, colour)`` edge
-multiset, root), so a hit can only ever return the form a fresh computation
-would have produced; edge ids (which vary across copies) are deliberately
-excluded.
+The one canonical-form memo is the canonicaliser's process-wide shape-plan
+cache (:mod:`repro.graphs.soa`): every subtree's form is hash-consed by its
+colour shape, so a form computed once serves every later lookup of the same
+shape, whichever sweep, shard or service job asks and whatever its node
+labels.  A shape determines its form, so an entry never goes stale.
 
-The one tier is the process-wide memo :data:`repro.graphs.memo.FORMS`
-(least-recently-used eviction), keyed by the digest alone.  Every cache in
-the process reads and writes it, so a form computed once serves every
-later lookup, whichever sweep, shard or service job asks.  A form is a
-pure function of its digest, so an entry never goes stale and lives as
-long as the process.
-
-Hits and misses are counted both in :class:`CacheStats` and on the ambient
-:mod:`repro.obs` tracer (``engine.canonical_cache`` counter, ``outcome``
-label), so a merged sweep trace reports the realised hit-rate.
+:class:`CanonicalFormCache` is the counted way in.  Installed into
+:mod:`repro.graphs.isomorphism` for a shard, it counts a lookup as a hit
+when the root's shape was already consed, so the whole form was reused
+rather than built.  Hits and misses are counted both in :class:`CacheStats`
+and on the ambient :mod:`repro.obs` tracer (``engine.canonical_cache``
+counter, ``outcome`` label), so a merged sweep trace reports the realised
+hit-rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Tuple
 
-from ..graphs.kernel import GraphKernel
-from ..graphs.memo import FORMS
 from ..graphs.multigraph import ECGraph
-from ..graphs.soa import canonical_form_fast, plan_hit_count
+from ..graphs.soa import consed_canonical_form
 from ..obs.tracer import current_tracer
 
 Node = Hashable
@@ -45,41 +37,15 @@ Node = Hashable
 __all__ = [
     "CacheStats",
     "CanonicalFormCache",
-    "graph_digest",
 ]
-
-
-def graph_digest(g: ECGraph, root: Optional[Node] = None) -> str:
-    """Stable content digest of a (rooted) EC-graph.
-
-    Delegates to the graph's frozen :class:`~repro.graphs.kernel.GraphKernel`
-    snapshot, whose digest is maintained *incrementally* as edges are added —
-    after the first freeze each lookup is O(1) instead of re-walking the
-    whole graph.  Two graphs share a digest iff they have identical labelled
-    structure (node labels, ``(u, v, colour)`` edge multiset, root) — exactly
-    the condition under which their canonical rooted forms agree.  Edge ids
-    are excluded: they differ between otherwise identical copies.
-    """
-    kernel = g if isinstance(g, GraphKernel) else g.kernel
-    return kernel.rooted_digest(root)
 
 
 @dataclass
 class CacheStats:
-    """Counters describing one cache's life so far.
-
-    ``plan_hits`` counts *interned-plan reuse*: misses of the digest-keyed
-    tier whose form was nonetheless answered by the SoA canonicaliser's
-    shape-plan cache (:mod:`repro.graphs.soa`) instead of a fresh tuple
-    construction.  It is reported separately from ``hits`` and never
-    enters ``hit_rate`` — a plan hit is a cheap *compute*, not a cache
-    lookup that succeeded.
-    """
+    """Counters describing one cache's life so far."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
-    plan_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -93,10 +59,10 @@ class CacheStats:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["lookups"] = self.lookups
         payload["hit_rate"] = self.hit_rate
-        # always 0, and no counter: the benchmark harness reads both keys on
+        # always 0, and no counter: the benchmark harness reads these keys on
         # every traced run (refbench/harness/batch.py and service.py), so
         # they stay until the next change to the benchmark drops them
-        payload["disk_hits"] = payload["shared_hits"] = 0
+        payload["plan_hits"] = payload["disk_hits"] = payload["shared_hits"] = 0
         return payload
 
     @classmethod
@@ -105,8 +71,7 @@ class CacheStats:
 
         The merge iterates the dataclass's *declared* fields rather than a
         hand-maintained key list: adding a counter can no longer silently
-        drop it from merged totals (``plan_hits`` once was).  Counters a
-        payload lacks — snapshots written by older workers — default to 0,
+        drop it from merged totals.  Counters a payload lacks default to 0,
         so the merge is total-preserving and associative: merging partial
         merges equals merging the underlying payloads in one pass.
         """
@@ -121,12 +86,11 @@ class CacheStats:
 
 @dataclass
 class CanonicalFormCache:
-    """Counted access to the process-wide canonical-form tier.
+    """Counted access to the canonicaliser's process-wide shape-plan cache.
 
-    The tier is :data:`repro.graphs.memo.FORMS`, shared by every instance:
-    an instance hits any form some cache in this process computed.
-    ``stats`` counts this instance's lookups, and ``stats.evictions`` the
-    entries the tier evicted to make room for this instance's writes.
+    Every instance shares that one memo: an instance hits any root shape
+    some lookup in this process consed.  ``stats`` counts this instance's
+    lookups.
     """
 
     stats: CacheStats = field(default_factory=CacheStats)
@@ -135,27 +99,17 @@ class CanonicalFormCache:
     # the public entry point installed into repro.graphs.isomorphism
     # ------------------------------------------------------------------
     def canonical_form(self, g: ECGraph, root: Node) -> Tuple:
-        """The canonical rooted form of ``(g, root)``, memoized.
+        """The canonical rooted form of ``(g, root)``, counted.
 
-        A miss computes the form with
-        :func:`repro.graphs.soa.canonical_form_fast`.
+        A hit is a root shape the plan cache already held, so the whole
+        form was reused; a miss built at least the root's entry.
         """
-        key = graph_digest(g, root)
-        form = FORMS.get(key)
-        metrics = current_tracer().metrics
-        if form is not None:
+        form, hit = consed_canonical_form(g, root)
+        if hit:
             self.stats.hits += 1
-            metrics.counter("engine.canonical_cache", outcome="hit").inc()
-            return form
-        self.stats.misses += 1
-        metrics.counter("engine.canonical_cache", outcome="miss").inc()
-        # when the SoA canonicaliser's shape-plan cache answers the root
-        # shape, credit the reuse separately from the digest-keyed tier
-        before_plan = plan_hit_count()
-        form = canonical_form_fast(g, root)
-        gained = plan_hit_count() - before_plan
-        if gained:
-            self.stats.plan_hits += gained
-            metrics.counter("engine.canonical_cache", outcome="plan_hit").inc(gained)
-        self.stats.evictions += FORMS.put(key, form)
+        else:
+            self.stats.misses += 1
+        current_tracer().metrics.counter(
+            "engine.canonical_cache", outcome="hit" if hit else "miss"
+        ).inc()
         return form

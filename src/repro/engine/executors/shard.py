@@ -2,7 +2,7 @@
 
 A *shard* is the unit of work a :class:`~repro.engine.executors.base.
 SweepExecutor` ships somewhere: a JSON-ready payload dict naming the cells
-to run, the result store and cache to use, and the fault/watchdog/retry
+to run, the result store to use, and the fault/watchdog/retry
 discipline to apply.  :func:`run_shard` is the one function that executes
 it — in this process (inline backend) or in a spawned pool worker
 (process backend).  Because both backends funnel through the same
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 from ...graphs.isomorphism import use_canonical_cache
@@ -226,30 +225,28 @@ def run_shard(payload: dict, on_row=None) -> Tuple[int, List[dict], dict, dict]:
     cache = CanonicalFormCache()
     rows: List[dict] = []
     with _AMBIENT_LOCK:
-        with use_tracer(tracer), use_faults(injector):
-            guard = use_canonical_cache(cache) if payload["use_cache"] else nullcontext()
-            with guard:
-                with tracer.span(
-                    "engine.shard",
-                    shard=shard_index,
-                    cells=len(cells),
-                    round=payload.get("round", 0),
-                ) as span:
-                    for cell in cells:
-                        if injector is not None:
-                            injector.on_worker_cell(cell.key, payload.get("round", 0))
-                        row = _execute_cell(
-                            cell, tracer, injector, payload.get("cell_timeout"), payload.get("retries", 1)
-                        )
-                        rows.append(row)
-                        if store is not None:
-                            store.append(shard_index, row)
-                        if on_row is not None:
-                            on_row(row, cache.stats)
-                    span.set(
-                        cache_hits=cache.stats.hits,
-                        cache_misses=cache.stats.misses,
+        with use_tracer(tracer), use_faults(injector), use_canonical_cache(cache):
+            with tracer.span(
+                "engine.shard",
+                shard=shard_index,
+                cells=len(cells),
+                round=payload.get("round", 0),
+            ) as span:
+                for cell in cells:
+                    if injector is not None:
+                        injector.on_worker_cell(cell.key, payload.get("round", 0))
+                    row = _execute_cell(
+                        cell, tracer, injector, payload.get("cell_timeout"), payload.get("retries", 1)
                     )
+                    rows.append(row)
+                    if store is not None:
+                        store.append(shard_index, row)
+                    if on_row is not None:
+                        on_row(row, cache.stats)
+                span.set(
+                    cache_hits=cache.stats.hits,
+                    cache_misses=cache.stats.misses,
+                )
     doc = trace_document(tracer, command=f"sweep shard {shard_index}")
     return shard_index, rows, doc, cache.stats.as_dict()
 
@@ -257,7 +254,6 @@ def run_shard(payload: dict, on_row=None) -> Tuple[int, List[dict], dict, dict]:
 def shard_payloads(
     shards: List[List[Cell]],
     store: Optional[ResultStore],
-    use_cache: bool,
     plan: Optional[FaultPlan],
     round_: int,
     cell_timeout: Optional[float],
@@ -276,7 +272,6 @@ def shard_payloads(
             "shard": index,
             "cells": [cell.as_dict() for cell in bucket],
             "out_dir": str(store.directory) if store else None,
-            "use_cache": use_cache,
             "plan": plan.as_dict() if plan is not None else None,
             "round": round_,
             "cell_timeout": cell_timeout,

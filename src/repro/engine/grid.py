@@ -230,8 +230,9 @@ def compute_cell(cell: Cell, tracer=None) -> dict:
     parallel sweep's rows are byte-identical to the serial baseline's.
     An :class:`AlgorithmFailure` becomes a row with ``status="refuted"``
     and the certificate message instead of propagating out of the worker.
-    Reads and writes no memo: it is the independent recomputation that
-    :func:`~repro.engine.pool.verify_store` checks a store against.
+    Reads and writes no result memo (only the shape-keyed plan cache of
+    the canonicaliser lies below it): it is the independent recomputation
+    that :func:`~repro.engine.pool.verify_store` checks a store against.
     """
     tracer = tracer if tracer is not None else current_tracer()
     algorithm = build_cell_algorithm(cell)

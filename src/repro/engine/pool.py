@@ -138,7 +138,6 @@ def run_sweep(
     workers: int = 0,
     backend: Optional[SweepExecutor] = None,
     out_dir=None,
-    use_cache: bool = True,
     resume: bool = False,
     tracer=None,
     faults=None,
@@ -169,10 +168,6 @@ def run_sweep(
         ``None`` keeps everything in memory — such a sweep cannot resume,
         and a lost worker's finished cells must be recomputed instead of
         read back.
-    use_cache:
-        ``False`` disables canonical-form memoization entirely.  With it
-        on, every shard reads and writes its process's canonical-form
-        tier (:mod:`repro.engine.cache`).
     resume:
         Skip cells whose rows already sit in ``out_dir``'s shards; their
         persisted rows are merged into the result untouched (rows for cells
@@ -285,7 +280,7 @@ def run_sweep(
                 with span_ctx:
                     shards = shard_cells(remaining, active.width if parallel_round else 1)
                     payloads = shard_payloads(
-                        shards, store, use_cache, plan, round_,
+                        shards, store, plan, round_,
                         cell_timeout, retries,
                         in_worker=parallel_round,
                     )

@@ -1,16 +1,11 @@
 """Graph substrate: edge-coloured multigraphs, PO digraphs, lifts, covers,
 factor graphs, neighbourhoods and graph families (paper, Section 3).
 
-Everything is backed by the immutable, digest-addressed kernel in
+Everything is backed by the immutable kernel in
 :mod:`repro.graphs.kernel`; :class:`ECGraph` and :class:`POGraph` are thin
 mutable views over it (see ``docs/graph_kernel.md``)."""
 
-from .kernel import (
-    KERNEL_DIGEST_VERSION,
-    FrozenKernelError,
-    GraphBuilder,
-    GraphKernel,
-)
+from .kernel import FrozenKernelError, GraphBuilder, GraphKernel
 from .multigraph import ECGraph, Edge, ImproperColoringError
 from .digraph import POGraph, DiEdge, ImproperPOColoringError
 from .neighborhoods import Ball, ball
@@ -43,7 +38,6 @@ from .serialize import (
 from . import families
 
 __all__ = [
-    "KERNEL_DIGEST_VERSION",
     "FrozenKernelError",
     "GraphBuilder",
     "GraphKernel",

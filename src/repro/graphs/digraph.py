@@ -16,7 +16,7 @@ colour slot) and once as the head (an incoming colour slot).
 
 Like :class:`repro.graphs.multigraph.ECGraph`, :class:`POGraph` is a thin
 mutable view over the :mod:`repro.graphs.kernel` substrate (directed slot
-discipline): ``.kernel`` freezes the current state into a digest-addressed
+discipline): ``.kernel`` freezes the current state into a
 :class:`~repro.graphs.kernel.GraphKernel` and :meth:`POGraph.fork`/:meth:`copy`
 derive structurally-shared copies.
 """
@@ -74,15 +74,6 @@ class POGraph:
         if self._k is None:
             self._k = self._b.freeze()
         return self._k
-
-    @property
-    def digest(self) -> str:
-        """Content digest of the current state (see :class:`GraphKernel`)."""
-        return self.kernel.digest
-
-    def rooted_digest(self, root: Optional[Node]) -> str:
-        """Digest of the graph with a distinguished root label."""
-        return self.kernel.rooted_digest(root)
 
     def fork(self) -> "POGraph":
         """An independent structurally-shared copy (labels and ids preserved)."""

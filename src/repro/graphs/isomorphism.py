@@ -10,9 +10,11 @@ loops are ignored) a rooted, colour-preserving isomorphism is decided by a
 *canonical form*: proper edge colouring makes the recursive encoding of a
 rooted tree deterministic, so two balls are isomorphic iff their encodings are
 equal.  Production computes forms with
-:func:`repro.graphs.soa.canonical_form_fast`, behind the ambient cache
-(:func:`canonical_form_of`); :func:`canonical_rooted_form` is the recursive
-definition, kept as the oracle the tests compare it against.  A general
+:func:`repro.graphs.soa.canonical_form_fast`, whose shape-plan cache is the
+one canonical-form memo; :func:`canonical_form_of` routes each lookup
+through the ambient cache, when one is installed, so that it is counted.
+:func:`canonical_rooted_form` is the recursive definition, kept as the
+oracle the tests compare it against.  A general
 (slow) path via :mod:`networkx` VF2 serves non-tree EC-graphs.
 """
 
@@ -42,16 +44,16 @@ __all__ = [
 _LOOP = "loop"
 _CUT = "cut"
 
-#: the installed canonical-form memoizer (duck-typed: anything with a
-#: ``canonical_form(g, root)`` method, normally a
-#: :class:`repro.engine.cache.CanonicalFormCache`); ``None`` disables
-#: memoization.  Held here — not in :mod:`repro.engine` — so the graphs
+#: the installed canonical-form cache (duck-typed: anything with a
+#: ``canonical_form(g, root)`` method, normally the counting
+#: :class:`repro.engine.cache.CanonicalFormCache`); ``None`` computes
+#: uncounted.  Held here — not in :mod:`repro.engine` — so the graphs
 #: layer never imports upwards.
 _CANONICAL_CACHE = None
 
 
 def install_canonical_cache(cache):
-    """Install ``cache`` as the ambient canonical-form memoizer.
+    """Install ``cache`` as the ambient canonical-form cache.
 
     Returns the previously installed cache (``None`` when there was none)
     so callers can restore it; prefer :class:`use_canonical_cache` for
@@ -64,7 +66,7 @@ def install_canonical_cache(cache):
 
 
 def current_canonical_cache():
-    """The ambient canonical-form cache, or ``None`` when memoization is off."""
+    """The ambient canonical-form cache, or ``None`` when none is installed."""
     return _CANONICAL_CACHE
 
 
@@ -123,10 +125,10 @@ def canonical_rooted_form(
 def canonical_form_of(g: ECGraph, root: Node) -> Tuple:
     """Canonical rooted form of a tree-with-loops, through the ambient cache.
 
-    Consults the installed canonical-form cache
-    (:func:`install_canonical_cache`) first and computes misses with
-    :func:`repro.graphs.soa.canonical_form_fast`; the hot path of
-    ball-isomorphism checks and of the parallel sweep engine.
+    Asks the installed canonical-form cache (:func:`install_canonical_cache`)
+    when there is one, and :func:`repro.graphs.soa.canonical_form_fast`
+    directly otherwise; the hot path of ball-isomorphism checks and of the
+    parallel sweep engine.
     """
     cache = _CANONICAL_CACHE
     if cache is not None:

@@ -1,4 +1,4 @@
-"""The immutable, digest-addressed graph kernel.
+"""The immutable graph kernel.
 
 Every graph in the reproduction — EC multigraphs, PO digraphs, extracted
 balls, universal-cover truncations — is ultimately a *port/colour-labelled
@@ -7,15 +7,7 @@ colour slots, and a set of edge records filling those slots.  This module
 provides that substrate once, as a pair of classes:
 
 * :class:`GraphKernel` — a **frozen** snapshot.  It owns its slot maps and
-  edge table, refuses attribute assignment (:class:`FrozenKernelError`), and
-  carries a **content digest**: a SHA-256 over the canonical node/edge
-  encoding, maintained *incrementally* (an order-independent accumulator —
-  the sum, modulo ``2**256``, of one SHA-256 token per node and per edge),
-  so finalising the digest is O(1) no matter how the graph was built.  The
-  digest is a pure function of the labelled structure — node labels, the
-  ``(endpoints, colour)`` multiset and directedness; edge *ids* are
-  deliberately excluded, exactly the equivalence the canonical-form cache
-  in :mod:`repro.engine.cache` keys on.
+  edge table and refuses attribute assignment (:class:`FrozenKernelError`).
 
 * :class:`GraphBuilder` — the **only** mutator.  A builder forked from a
   kernel (:meth:`GraphKernel.builder`) starts as a copy-on-write overlay:
@@ -42,18 +34,14 @@ their public APIs are unchanged.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
-
-from .labels import LABELS
 
 Node = Hashable
 Color = Any
 EdgeId = int
 
 __all__ = [
-    "KERNEL_DIGEST_VERSION",
     "Edge",
     "DiEdge",
     "FrozenKernelError",
@@ -62,13 +50,6 @@ __all__ = [
     "GraphKernel",
     "GraphBuilder",
 ]
-
-#: version string folded into every digest; bump it on any encoding change
-#: (no digest outlives its process, so a bump only re-pins golden digests)
-KERNEL_DIGEST_VERSION = "repro-graph-kernel-v1"
-
-_MASK = (1 << 256) - 1
-
 
 class FrozenKernelError(TypeError):
     """Raised on any attempt to mutate a frozen :class:`GraphKernel`."""
@@ -134,21 +115,8 @@ class DiEdge:
         return self.tail == self.head
 
 
-# ----------------------------------------------------------------------
-# digest tokens — memoized in the process-wide interned-label table
-# (repro.graphs.labels); the payload encoding is unchanged, so digests
-# stay byte-identical across the refactor
-# ----------------------------------------------------------------------
-def _node_token(v: Node) -> int:
-    return LABELS.node_token(v)
-
-
-def _edge_token(ends: Tuple[Node, Node], color: Color, directed: bool) -> int:
-    return LABELS.edge_token(ends, color, directed)
-
-
 class GraphKernel:
-    """A frozen, digest-addressed port/colour-labelled multigraph.
+    """A frozen port/colour-labelled multigraph.
 
     Instances are produced by :meth:`GraphBuilder.freeze` and never mutated:
     attribute assignment raises :class:`FrozenKernelError` and no mutator
@@ -157,15 +125,13 @@ class GraphKernel:
     builder forked from it.
     """
 
-    __slots__ = ("_directed", "_slots", "_edges", "_acc", "_next_eid", "_digest", "_soa")
+    __slots__ = ("_directed", "_slots", "_edges", "_next_eid", "_soa")
 
-    def __init__(self, directed: bool, slots, edges, acc: int, next_eid: int):
+    def __init__(self, directed: bool, slots, edges, next_eid: int):
         object.__setattr__(self, "_directed", directed)
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_acc", acc)
         object.__setattr__(self, "_next_eid", next_eid)
-        object.__setattr__(self, "_digest", None)
         # lazily-built columnar snapshot (repro.graphs.soa); None until the
         # first consumer asks
         object.__setattr__(self, "_soa", None)
@@ -186,30 +152,6 @@ class GraphKernel:
     def directed(self) -> bool:
         """Whether this kernel follows the PO (directed) slot discipline."""
         return self._directed
-
-    @property
-    def digest(self) -> str:
-        """The content digest: SHA-256 hex over the canonical encoding.
-
-        Finalised lazily in O(1) from the incremental accumulator; equal
-        for two kernels iff they have the same node-label set, the same
-        ``(endpoints, colour)`` edge multiset and the same directedness.
-        Edge ids never enter the digest.
-        """
-        if self._digest is None:
-            payload = (
-                f"{KERNEL_DIGEST_VERSION}|directed={int(self._directed)}"
-                f"|n={len(self._slots)}|m={len(self._edges)}|acc={self._acc:064x}"
-            )
-            object.__setattr__(
-                self, "_digest", hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            )
-        return self._digest
-
-    def rooted_digest(self, root: Optional[Node]) -> str:
-        """Digest of the kernel together with a distinguished root label."""
-        payload = f"{self.digest}|root={repr(root)}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
     # reads
@@ -328,10 +270,7 @@ class GraphKernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "po" if self._directed else "ec"
-        return (
-            f"GraphKernel({kind}, n={self.num_nodes()}, m={self.num_edges()}, "
-            f"digest={self.digest[:12]}...)"
-        )
+        return f"GraphKernel({kind}, n={self.num_nodes()}, m={self.num_edges()})"
 
 
 class GraphBuilder:
@@ -343,14 +282,9 @@ class GraphBuilder:
     the current state into a new kernel in O(1) (handing over the dicts) and
     rebases the builder as a fork of that kernel, so a builder can be frozen
     repeatedly while staying usable.
-
-    The canonical content digest is accumulated incrementally: every node
-    and edge insertion adds (and every removal subtracts) one SHA-256 token
-    into a running sum modulo ``2**256``, so no operation ever re-walks the
-    graph to compute a digest.
     """
 
-    __slots__ = ("directed", "_slots", "_edges", "_acc", "_next_eid", "_owned",
+    __slots__ = ("directed", "_slots", "_edges", "_next_eid", "_owned",
                  "allocated_nodes", "allocated_edges")
 
     def __init__(self, directed: bool = False, _base: Optional[GraphKernel] = None):
@@ -358,13 +292,11 @@ class GraphBuilder:
         if _base is None:
             self._slots: Dict[Node, Dict[Any, EdgeId]] = {}
             self._edges: Dict[EdgeId, Any] = {}
-            self._acc = 0
             self._next_eid = 0
             self._owned: Set[Node] = set()
         else:
             self._slots = dict(_base._slots)
             self._edges = dict(_base._edges)
-            self._acc = _base._acc
             self._next_eid = _base._next_eid
             self._owned = set()
         #: fresh slot maps / edge records allocated by this builder since the
@@ -390,7 +322,6 @@ class GraphBuilder:
         if v not in self._slots:
             self._slots[v] = {}
             self._owned.add(v)
-            self._acc = (self._acc + _node_token(v)) & _MASK
             self.allocated_nodes += 1
         return v
 
@@ -433,7 +364,6 @@ class GraphBuilder:
         self._edges[eid] = record
         self._own(u)[key_u] = eid
         self._own(v)[key_v] = eid
-        self._acc = (self._acc + _edge_token((u, v), color, self.directed)) & _MASK
         self.allocated_edges += 1
         return eid
 
@@ -443,13 +373,10 @@ class GraphBuilder:
         if self.directed:
             del self._own(record.tail)[("out", record.color)]
             del self._own(record.head)[("in", record.color)]
-            ends = (record.tail, record.head)
         else:
             del self._own(record.u)[record.color]
             if record.u != record.v:
                 del self._own(record.v)[record.color]
-            ends = (record.u, record.v)
-        self._acc = (self._acc - _edge_token(ends, record.color, self.directed)) & _MASK
         return record
 
     def remove_node(self, v: Node) -> None:
@@ -458,7 +385,6 @@ class GraphBuilder:
             self.remove_edge(eid)
         del self._slots[v]
         self._owned.discard(v)
-        self._acc = (self._acc - _node_token(v)) & _MASK
 
     # ------------------------------------------------------------------
     # grafting: whole-graph inserts that skip per-edge properness checks
@@ -523,7 +449,6 @@ class GraphBuilder:
                 key: eid_map[eid] for key, eid in slots.items() if eid not in skip
             }
             self._owned.add(new_v)
-            self._acc = (self._acc + _node_token(new_v)) & _MASK
             self.allocated_nodes += 1
         for old_eid, record in src_edges.items():
             if old_eid in skip:
@@ -531,13 +456,10 @@ class GraphBuilder:
             eid = eid_map[old_eid]
             if self.directed:
                 new_record = DiEdge(eid, mapping[record.tail], mapping[record.head], record.color)
-                ends = (new_record.tail, new_record.head)
             else:
                 new_record = Edge(eid, mapping[record.u], mapping[record.v], record.color)
-                ends = (new_record.u, new_record.v)
             self._edges[eid] = new_record
             self._next_eid = max(self._next_eid, eid + 1)
-            self._acc = (self._acc + _edge_token(ends, record.color, self.directed)) & _MASK
             self.allocated_edges += 1
         return mapping
 
@@ -566,9 +488,7 @@ class GraphBuilder:
         kernel, so it stays usable and later mutations can never reach the
         frozen snapshot.
         """
-        kernel = GraphKernel(
-            self.directed, self._slots, self._edges, self._acc, self._next_eid
-        )
+        kernel = GraphKernel(self.directed, self._slots, self._edges, self._next_eid)
         self._slots = dict(self._slots)
         self._edges = dict(self._edges)
         self._owned = set()

@@ -1,17 +1,14 @@
-"""The process-wide memos and the one bounded table behind them.
+"""The process-wide run memo and the bounded table behind it.
 
-Two reuses pay across a whole process, and each is a :class:`Memo`: a
+One reuse pays across a whole process, and it is a :class:`Memo`: a
 least-recently-used table of at most ``limit`` entries.  :data:`RUNS`
 answers a repeated sweep cell (a replica seed, a repeated sweep, a warm
-service job) with its stored verdict, and :data:`FORMS` holds canonical
-forms.  Both are module constants, listed by hand in :func:`reset_memos`:
-a registry filled by ``Memo.__init__`` would mutate module state, which
-the ``effect-escape`` lint rule forbids in model packages.  Each is keyed
-by what determines its value (a cell's recipe, a kernel digest), so an
-entry is a pure function of its key and can never go stale; a memo only
-ever saves recomputation.  :func:`reset_memos` empties them both,
-together with the SoA canonicalisation plan cache, which is how tests
-stand for a fresh process.
+service job) with its stored verdict.  It is keyed by what determines its
+value, a cell's recipe, so an entry is a pure function of its key and can
+never go stale; the memo only ever saves recomputation.  Canonical forms
+are memoized one layer down, by the SoA canonicaliser's shape-plan cache
+(:mod:`repro.graphs.soa`), keyed by colour shape.  :func:`reset_memos`
+empties both, which is how tests stand for a fresh process.
 
 Lifts, mixes and balls are not memoized: within one construction they
 almost never repeat, and holding every one of them alive for the life of
@@ -29,6 +26,8 @@ an entry late or evict one extra, never tear a table or lose a count;
 counts its own evictions.
 """
 
+# repro: state
+
 from __future__ import annotations
 
 from collections import OrderedDict
@@ -36,7 +35,7 @@ from typing import Any, Hashable, List, Optional
 
 from .soa import _PLANS
 
-__all__ = ["Memo", "RUNS", "FORMS", "reset_memos"]
+__all__ = ["Memo", "RUNS", "reset_memos"]
 
 
 class Memo:
@@ -97,18 +96,12 @@ class Memo:
 #: dies with its process, as does this memo.
 RUNS = Memo(4096)
 
-#: ``CanonicalFormCache``: rooted digest -> canonical rooted form, the
-#: cache's one tier.  The digest determines the form.
-FORMS = Memo(4096)
-
 
 def reset_memos() -> None:
-    """Empty every process-wide memo and the SoA plan cache.
+    """Empty the run memo and the SoA plan cache.
 
     The test isolation hook: afterwards the process reuses nothing, as a
-    fresh process would.  Counters (such as the plan-hit count) keep
-    counting.
+    fresh process would.
     """
-    for memo in (RUNS, FORMS):
-        memo.clear()
+    RUNS.clear()
     _PLANS.clear()

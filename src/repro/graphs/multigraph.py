@@ -15,7 +15,7 @@ unfold deterministically, and the simulator can use colours as ports.
 Since the kernel refactor, :class:`ECGraph` is a thin mutable *view* over the
 immutable :mod:`repro.graphs.kernel` substrate: mutations go through a
 copy-on-write :class:`~repro.graphs.kernel.GraphBuilder`, ``.kernel``
-freezes (and caches) the current state as a digest-addressed
+freezes (and caches) the current state as a frozen
 :class:`~repro.graphs.kernel.GraphKernel`, and :meth:`ECGraph.fork` derives
 an independent graph sharing all untouched structure with this one — which
 is also what :meth:`copy` now does.
@@ -88,20 +88,11 @@ class ECGraph:
         """The frozen :class:`GraphKernel` snapshot of the current state.
 
         Computed on first access after any mutation and cached; repeated
-        reads (digest lookups, network snapshots) are O(1).
+        reads (SoA snapshots, network snapshots) are O(1).
         """
         if self._k is None:
             self._k = self._b.freeze()
         return self._k
-
-    @property
-    def digest(self) -> str:
-        """Content digest of the current state (see :class:`GraphKernel`)."""
-        return self.kernel.digest
-
-    def rooted_digest(self, root: Optional[Node]) -> str:
-        """Digest of the graph with a distinguished root label."""
-        return self.kernel.rooted_digest(root)
 
     def fork(self) -> "ECGraph":
         """An independent graph sharing all current structure with this one.

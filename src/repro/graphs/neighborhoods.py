@@ -51,16 +51,6 @@ class Ball:
         """Frozen kernel snapshot of the ball's subgraph."""
         return self.graph.kernel
 
-    @property
-    def digest(self) -> str:
-        """Rooted content digest of the ball — its identity for caching.
-
-        Two balls share a digest iff their labelled rooted subgraphs agree
-        (the radius is determined by the distances, so it needs no separate
-        encoding for balls extracted by :func:`ball`).
-        """
-        return self.graph.rooted_digest(self.root)
-
     def canonical_form(self):
         """Canonical rooted form of the ball's tree-with-loops.
 

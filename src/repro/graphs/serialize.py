@@ -117,7 +117,7 @@ def to_json(obj) -> str:
     :class:`~repro.graphs.neighborhoods.Ball`.  Colours must be
     JSON-representable (ints/strings — all families and the adversary use
     ints).  Edge ids are preserved, so a round trip reproduces the graph
-    exactly (and, ids aside, the same kernel digest).
+    exactly.
     """
     return json.dumps(_payload_of(obj), sort_keys=True)
 

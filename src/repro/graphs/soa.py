@@ -3,15 +3,14 @@
 A :class:`~repro.graphs.kernel.GraphKernel` stores a graph as Python dicts
 of labelled objects — ideal for copy-on-write forking, hostile to tight
 loops: canonicalising a ball or extracting a neighbourhood walks tuples
-node-by-node and re-hashes labels edge-by-edge.  This module builds, per
-frozen kernel and on first demand, a **SoA snapshot**: contiguous integer
-columns (:mod:`array` ``'q'`` buffers, zero-copy viewable as NumPy arrays)
-over the interned-label ids of :mod:`repro.graphs.labels`:
+node-by-node.  This module builds, per frozen kernel and on first demand,
+a **SoA snapshot**: contiguous integer columns (:mod:`array` ``'q'``
+buffers, zero-copy viewable as NumPy arrays) over dense node indices:
 
-* per-node: the interned label id, and a CSR slice of *slot* columns;
+* per-node: the label, and a CSR slice of *slot* columns;
 * per-slot (CSR, colour-sorted to match ``ECGraph.incident_edges`` order):
-  the colour's interned id, the edge id, and the dense index of the other
-  endpoint — adjacency without touching an ``Edge`` record;
+  the colour, the edge id, and the dense index of the other endpoint —
+  adjacency without touching an ``Edge`` record;
 * a second per-node permutation ordering each node's slots by ``repr``
   of the colour, stably, so distinct colours sharing a ``repr`` keep
   their colour order — the sort of
@@ -22,27 +21,28 @@ On top of the snapshot live the two integer-array hot paths, the only
 production implementations of canonical forms and balls:
 
 * :func:`canonical_form_fast` — an iterative, hash-consed canonicaliser.
-  Each node's *shape* — its ``(colour id, child form id)`` rows in
-  canonical order — keys a process-wide plan cache mapping shapes to
-  already-built form tuples, so isomorphic subtrees (the G- and H-side
-  balls of every adversary step differ only in node labels, never in
-  colour structure) are recognised in O(degree) without rebuilding or
-  re-hashing their encodings.  A root-level plan hit is counted and
-  surfaced as the engine cache's ``plan_hits`` statistic.
+  Each node's *shape* — its ``(colour, child form id)`` rows in canonical
+  order — keys a process-wide plan cache mapping shapes to already-built
+  form tuples, so isomorphic subtrees (the G- and H-side balls of every
+  adversary step differ only in node labels, never in colour structure)
+  are recognised in O(degree) without rebuilding their encodings.  This
+  plan cache is the process's one canonical-form memo.  Its keys hold the
+  colour objects themselves, so two colours share a row exactly when they
+  are equal, never because their ``repr`` agrees.
+  :func:`consed_canonical_form` also reports whether the root's shape was
+  already consed — a whole-form hit, which
+  :class:`repro.engine.cache.CanonicalFormCache` counts.
 * :func:`extract_ball` — radius-``t`` neighbourhood extraction that BFS-es
   over the CSR columns and assembles the sub-kernel's dicts directly
-  (sharing the parent's frozen edge records, summing memoized digest
-  tokens), skipping the per-edge properness checks and token hashing of
-  the generic builder path.
+  (sharing the parent's frozen edge records), skipping the per-edge
+  properness checks of the generic builder path.
 
 Every undirected kernel has a snapshot.  A directed kernel raises
 ``TypeError``, a root that is not a node raises ``KeyError``, and colours
 that do not sort raise whatever ``sorted`` raises.  The object-walking
 :func:`~repro.graphs.isomorphism.canonical_rooted_form` stays as the
 oracle that ``tests/test_differential.py`` compares against.  Snapshots
-memoize into the kernel's ``_soa`` slot and carry the label table's
-generation: a table clear invalidates every snapshot and the plan cache
-wholesale.
+memoize into the kernel's ``_soa`` slot.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import _MASK, GraphKernel
-from .labels import LABELS
+from .kernel import GraphKernel
 
 Node = Hashable
 
@@ -62,8 +61,8 @@ __all__ = [
     "SoASnapshot",
     "snapshot_of",
     "canonical_form_fast",
+    "consed_canonical_form",
     "extract_ball",
-    "plan_hit_count",
 ]
 
 #: payload markers, byte-identical to the canonicaliser's encoding
@@ -86,14 +85,11 @@ class SoASnapshot:
     """Immutable columnar view of one frozen, undirected kernel."""
 
     __slots__ = (
-        "generation",
         "n",
         "m",
         "labels",
         "index_of",
-        "node_lids",
         "slot_off",
-        "slot_color_lids",
         "slot_colors",
         "slot_eids",
         "slot_other",
@@ -101,19 +97,15 @@ class SoASnapshot:
         "edge_eids",
         "edge_ui",
         "edge_vi",
-        "edge_color_lids",
         "_edge_np",
     )
 
     def __init__(self) -> None:
-        self.generation = LABELS.generation
         self.n = 0
         self.m = 0
         self.labels: List[Node] = []
         self.index_of: Dict[Node, int] = {}
-        self.node_lids = array("q")
         self.slot_off = array("q", (0,))
-        self.slot_color_lids = array("q")
         self.slot_colors: List[Any] = []
         self.slot_eids = array("q")
         self.slot_other = array("q")
@@ -121,7 +113,6 @@ class SoASnapshot:
         self.edge_eids = array("q")
         self.edge_ui = array("q")
         self.edge_vi = array("q")
-        self.edge_color_lids = array("q")
         self._edge_np: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def edge_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -137,8 +128,6 @@ class SoASnapshot:
 def _build(kernel: GraphKernel) -> SoASnapshot:
     slots_map = kernel._slots
     edges_map = kernel._edges
-    intern = LABELS.intern
-    repr_bytes_of = LABELS.repr_bytes_of
 
     snap = SoASnapshot()
     labels = list(slots_map.keys())
@@ -147,10 +136,8 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
     snap.index_of = index_of
     snap.n = len(labels)
     snap.m = len(edges_map)
-    snap.node_lids = array("q", (intern(v) for v in labels))
 
     off = snap.slot_off
-    color_lids = snap.slot_color_lids
     colors = snap.slot_colors
     eids = snap.slot_eids
     other = snap.slot_other
@@ -159,21 +146,18 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
     for v, vi in index_of.items():
         # colour-sorted = the native ``incident_edges`` iteration order
         items = sorted(slots_map[v].items())
-        reprs: List[bytes] = []
+        reprs: List[str] = []
         for color, eid in items:
-            clid = intern(color)
-            color_lids.append(clid)
             colors.append(color)
             eids.append(eid)
             record = edges_map[eid]
             w = record.v if record.u == v else record.u
             other.append(vi if w == v else index_of[w])
-            reprs.append(repr_bytes_of(clid))
+            reprs.append(repr(color))
         base += len(items)
         off.append(base)
-        # canonical order sorts by repr(colour); UTF-8 bytes preserve the
-        # code-point comparison, so the memoized bytes are the sort key, and
-        # the stable sort keeps repr-tied colours in colour order
+        # canonical order sorts by repr(colour); the stable sort keeps
+        # repr-tied colours in colour order
         order = sorted(range(len(items)), key=reprs.__getitem__)
         start = base - len(items)
         repr_order.extend(start + j for j in order)
@@ -181,12 +165,10 @@ def _build(kernel: GraphKernel) -> SoASnapshot:
     edge_eids = snap.edge_eids
     edge_ui = snap.edge_ui
     edge_vi = snap.edge_vi
-    edge_color_lids = snap.edge_color_lids
     for eid, record in edges_map.items():
         edge_eids.append(eid)
         edge_ui.append(index_of[record.u])
         edge_vi.append(index_of[record.v])
-        edge_color_lids.append(intern(record.color))
     return snap
 
 
@@ -194,11 +176,10 @@ def snapshot_of(kernel: GraphKernel) -> SoASnapshot:
     """The memoized SoA snapshot of a frozen, undirected kernel.
 
     Raises ``TypeError`` for a directed kernel, and whatever ``sorted``
-    raises when a node's colours do not sort.  Snapshots built against a
-    since-cleared label table are rebuilt.
+    raises when a node's colours do not sort.
     """
     snap = kernel._soa
-    if snap is not None and snap.generation == LABELS.generation:
+    if snap is not None:
         return snap
     if kernel._directed:
         raise TypeError("SoA snapshots cover undirected (EC) kernels only")
@@ -215,34 +196,29 @@ def _kernel_of(g) -> GraphKernel:
 # plan-cached canonicalisation
 # ----------------------------------------------------------------------
 class _PlanCache:
-    """Hash-consed canonical forms keyed by integer shape rows.
+    """Hash-consed canonical forms keyed by shape rows.
 
-    ``cons`` maps a node's shape — the tuple of ``(colour lid, child form
-    id)`` rows in canonical order — to ``(form id, form)``, the form being
-    the canonical tuple itself.  Because equal shapes produce *identical*
-    (not merely equal) tuples, consing both deduplicates the O(subtree)
-    tuple construction and makes repeat equality checks pointer-fast.
+    ``cons`` maps a node's shape — the tuple of ``(colour, child form id)``
+    rows in canonical order — to ``(form id, form)``, the form being the
+    canonical tuple itself.  Because equal shapes produce *identical* (not
+    merely equal) tuples, consing both deduplicates the O(subtree) tuple
+    construction and makes repeat equality checks pointer-fast.  A shape
+    determines its form, so an entry never goes stale.
 
     Racing threads share the table without a lock: a form id is drawn
     from :data:`_FORM_IDS`, which never restarts, so an id can never name
     two shapes, and each entry is published by one ``cons.setdefault``,
-    so every thread that conses a shape uses the entry that won.  (A
-    label-table clear racing a canonicalisation is not covered; it only
-    happens past the table's limit, which no sweep reaches.)
+    so every thread that conses a shape uses the entry that won.
     """
 
-    __slots__ = ("generation", "cons", "hits")
+    __slots__ = ("cons",)
 
     def __init__(self) -> None:
-        self.generation = LABELS.generation
         self.cons: Dict[Tuple, Tuple[int, Tuple]] = {}
-        self.hits = 0
 
     def refresh(self) -> Dict[Tuple, Tuple[int, Tuple]]:
-        """The table to cons into, fresh when the interned ids inside keys
-        went stale or the table outgrew its backstop."""
-        if self.generation != LABELS.generation or len(self.cons) > _PLAN_LIMIT:
-            self.generation = LABELS.generation
+        """The table to cons into, fresh when it outgrew its backstop."""
+        if len(self.cons) > _PLAN_LIMIT:
             self.cons = {}
         return self.cons
 
@@ -257,11 +233,6 @@ _PLANS = _PlanCache()
 _FORM_IDS = itertools.count()
 
 
-def plan_hit_count() -> int:
-    """Monotone count of root-level plan-cache hits (for stats deltas)."""
-    return _PLANS.hits
-
-
 def canonical_form_fast(g, root: Node) -> Tuple:
     """Canonical rooted form of a tree-with-loops, over the SoA snapshot.
 
@@ -269,13 +240,14 @@ def canonical_form_fast(g, root: Node) -> Tuple:
     every input; raises ``ValueError`` when the graph (ignoring loops)
     contains a cycle and ``KeyError`` when ``root`` is not a node.
     """
+    return consed_canonical_form(g, root)[0]
+
+
+def consed_canonical_form(g, root: Node) -> Tuple[Tuple, bool]:
+    """:func:`canonical_form_fast`, and whether the plan cache already held
+    the root's shape (so the whole form was reused, not rebuilt)."""
     snap = snapshot_of(_kernel_of(g))
-    root_index = snap.index_of[root]
-    plans = _PLANS
-    form, root_hit = _consed_form(snap, root_index, plans.refresh())
-    if root_hit:
-        plans.hits += 1
-    return form
+    return _consed_form(snap, snap.index_of[root], _PLANS.refresh())
 
 
 def _consed_form(
@@ -286,14 +258,13 @@ def _consed_form(
     slot_eids = snap.slot_eids
     slot_other = snap.slot_other
     slot_colors = snap.slot_colors
-    slot_color_lids = snap.slot_color_lids
     visited = bytearray(snap.n)
 
     # frame: [node, arrival eid, cursor, end, shape rows, entries,
-    #         pending colour lid, pending colour]
+    #         pending colour]
     visited[root_index] = 1
     stack: List[list] = [
-        [root_index, -1, off[root_index], off[root_index + 1], [], [], -1, None]
+        [root_index, -1, off[root_index], off[root_index + 1], [], [], None]
     ]
     while True:
         frame = stack[-1]
@@ -301,14 +272,15 @@ def _consed_form(
             p = repr_order[frame[2]]
             frame[2] += 1
             eid = slot_eids[p]
+            color = slot_colors[p]
             if eid == frame[1]:
-                frame[4].append((slot_color_lids[p], _CUT_FID))
-                frame[5].append((slot_colors[p], _CUT))
+                frame[4].append((color, _CUT_FID))
+                frame[5].append((color, _CUT))
                 continue
             child = slot_other[p]
             if child == frame[0]:
-                frame[4].append((slot_color_lids[p], _LOOP_FID))
-                frame[5].append((slot_colors[p], _LOOP))
+                frame[4].append((color, _LOOP_FID))
+                frame[5].append((color, _LOOP))
                 continue
             if visited[child]:
                 raise ValueError(
@@ -316,9 +288,8 @@ def _consed_form(
                     "(ignoring loops); canonical_rooted_form requires a tree"
                 )
             visited[child] = 1
-            frame[6] = slot_color_lids[p]
-            frame[7] = slot_colors[p]
-            stack.append([child, eid, off[child], off[child + 1], [], [], -1, None])
+            frame[6] = color
+            stack.append([child, eid, off[child], off[child + 1], [], [], None])
             continue
         # node complete: cons its shape into a form id
         key = tuple(frame[4])
@@ -332,7 +303,7 @@ def _consed_form(
             return form, hit
         parent = stack[-1]
         parent[4].append((parent[6], fid))
-        parent[5].append((parent[7], form))
+        parent[5].append((parent[6], form))
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +315,8 @@ def extract_ball(g, root: Node, t: int):
     Returns ``(sub_kernel, distances)`` — the frozen kernel of the ball's
     subgraph (sharing the parent's edge records) plus the BFS distance
     dict in discovery order; raises ``KeyError`` when ``root`` is not a
-    node.  Node order, edge order, edge ids and the content digest are
-    those of building the ball edge by edge with a ``GraphBuilder``.
+    node.  Node order, edge order, edge ids and ``next_eid`` are those of
+    building the ball edge by edge with a ``GraphBuilder``.
     """
     kernel = _kernel_of(g)
     snap = snapshot_of(kernel)
@@ -372,24 +343,15 @@ def extract_ball(g, root: Node, t: int):
         frontier = nxt
 
     labels = snap.labels
-    node_lids = snap.node_lids
     distances = {labels[i]: dist[i] for i in order}
     slots: Dict[Node, Dict[Any, int]] = {labels[i]: {} for i in order}
     edges: Dict[int, Any] = {}
-    node_token_of = LABELS.node_token_of
-    acc = 0
-    for i in order:
-        acc += node_token_of(node_lids[i])
 
     next_eid = 0
     kept: List[int] = []
     if t >= 1 and snap.m:
-        edge_token_of = LABELS.edge_token_of
         edges_map = kernel._edges
         edge_eids = snap.edge_eids
-        edge_ui = snap.edge_ui
-        edge_vi = snap.edge_vi
-        edge_color_lids = snap.edge_color_lids
         reach = t - 1
         kept = _included_edges(snap, dist, reach)
         for j in kept:
@@ -400,10 +362,9 @@ def extract_ball(g, root: Node, t: int):
             if record.u != record.v:
                 slots[record.v][color] = eid
             edges[eid] = record
-            acc += edge_token_of(node_lids[edge_ui[j]], node_lids[edge_vi[j]], edge_color_lids[j], False)
             # the builder recurrence, reproduced exactly for byte-compat
             next_eid = (next_eid if next_eid > eid else eid) + 1
-    sub_kernel = GraphKernel(False, slots, edges, acc & _MASK, next_eid)
+    sub_kernel = GraphKernel(False, slots, edges, next_eid)
     object.__setattr__(sub_kernel, "_soa", _derive_ball_snapshot(snap, order, edges, kept))
     return sub_kernel, distances
 
@@ -417,29 +378,25 @@ def _derive_ball_snapshot(
     slots (so they stay colour-sorted), and the kept entries of the parent's
     stable repr permutation are the stable repr permutation of the
     subsequence — column-for-column what :func:`_build` would compute, with
-    no sorting, interning or ``repr`` work.
+    no sorting or ``repr`` work.
     """
     sub = SoASnapshot()
-    sub.generation = parent.generation
     labels = parent.labels
     sub.labels = [labels[i] for i in order]
     sub.index_of = {labels[i]: k for k, i in enumerate(order)}
     sub.n = len(order)
     sub.m = len(edges)
-    sub.node_lids = array("q", (parent.node_lids[i] for i in order))
 
     new_index = array("q", (-1,)) * parent.n
     for k, i in enumerate(order):
         new_index[i] = k
 
     p_off = parent.slot_off
-    p_color_lids = parent.slot_color_lids
     p_colors = parent.slot_colors
     p_eids = parent.slot_eids
     p_other = parent.slot_other
     p_repr_order = parent.slot_repr_order
     s_off = sub.slot_off
-    s_color_lids = sub.slot_color_lids
     s_colors = sub.slot_colors
     s_eids = sub.slot_eids
     s_other = sub.slot_other
@@ -450,7 +407,6 @@ def _derive_ball_snapshot(
         hi = p_off[i + 1]
         kept_ps = [p for p in range(lo, hi) if p_eids[p] in edges]
         for p in kept_ps:
-            s_color_lids.append(p_color_lids[p])
             s_colors.append(p_colors[p])
             s_eids.append(p_eids[p])
             s_other.append(new_index[p_other[p]])
@@ -468,16 +424,13 @@ def _derive_ball_snapshot(
     p_edge_eids = parent.edge_eids
     p_edge_ui = parent.edge_ui
     p_edge_vi = parent.edge_vi
-    p_edge_color_lids = parent.edge_color_lids
     s_edge_eids = sub.edge_eids
     s_edge_ui = sub.edge_ui
     s_edge_vi = sub.edge_vi
-    s_edge_color_lids = sub.edge_color_lids
     for j in kept:
         s_edge_eids.append(p_edge_eids[j])
         s_edge_ui.append(new_index[p_edge_ui[j]])
         s_edge_vi.append(new_index[p_edge_vi[j]])
-        s_edge_color_lids.append(p_edge_color_lids[j])
     return sub
 
 

@@ -192,10 +192,8 @@ class LintConfig:
             # the kernel/builder implementation itself
             "repro.graphs.kernel",
             # the SoA snapshot layer: memoizes columnar snapshots on the
-            # frozen kernel's dedicated ``_soa`` slot (digest-neutral)
+            # frozen kernel's dedicated ``_soa`` slot
             "repro.graphs.soa",
-            # the interned-label table backing the kernel's digest tokens
-            "repro.graphs.labels",
         }
     )
 

@@ -16,9 +16,9 @@ and backpressure, never a second result format, which is what keeps job
 rows byte-identical to the equivalent CLI sweep.
 
 A tenant owns its jobs and its rate budget.  Every job thread shares the
-process-wide memos (:mod:`repro.graphs.memo`), the canonical-form tier
-among them, so a form or a verified run computed for one job serves every
-later job, whoever submitted it (``docs/service.md``).
+process-wide run memo (:mod:`repro.graphs.memo`) and the canonicaliser's
+shape-plan cache, so a verified run or a form computed for one job serves
+every later job, whoever submitted it (``docs/service.md``).
 
 Backpressure follows the engine's bounded-retry vocabulary: a full queue
 or an exhausted per-tenant token bucket raises :class:`Backpressure` with
@@ -47,7 +47,7 @@ from .. import api
 from ..engine.faults import as_plan
 from ..engine.grid import GridSpec, expand
 from ..engine.store import ResultStore
-from ..graphs.memo import FORMS
+from ..graphs.memo import RUNS
 from ..obs.metrics import Histogram
 from ..obs.progress import ProgressEmitter, read_progress_events
 
@@ -268,7 +268,6 @@ class SweepService:
         self._queue_wait = Histogram()
         self._run_time = Histogram()
         self._rejected: Dict[str, int] = {"queue_full": 0, "rate_limited": 0}
-        self._tier_evictions = 0
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
 
@@ -403,11 +402,7 @@ class SweepService:
                 "queue_wait_s": _summary(self._queue_wait),
                 "run_s": _summary(self._run_time),
                 "rejected": dict(self._rejected),
-                "memory_tier": {
-                    "entries": len(FORMS),
-                    "limit": FORMS.limit,
-                    "evictions": self._tier_evictions,
-                },
+                "memory_tier": {"entries": len(RUNS), "limit": RUNS.limit},
             }
 
     # -- the worker loop ---------------------------------------------------
@@ -461,4 +456,3 @@ class SweepService:
             job.summary = report.summary
             job.cache = report.cache.as_dict()
             job.rows = len(report.rows)
-            self._tier_evictions += report.cache.evictions

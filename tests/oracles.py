@@ -1,12 +1,33 @@
 """Reference implementations the production graph paths are tested against.
 
 The canonical-form oracle, :func:`repro.graphs.isomorphism.canonical_rooted_form`,
-lives in the package (it is public API); the ball oracle lives here.
+lives in the package (it is public API); the ball oracle and the
+labelled-structure comparison live here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro.graphs.kernel import DiEdge
 from repro.graphs.multigraph import ECGraph
+
+
+def labelled_structure(g):
+    """The node set and the multiset of ``(endpoints, colour)`` edges of ``g``.
+
+    ``g`` is any graph with ``nodes()`` and ``edges()``: an EC or PO view or
+    a frozen kernel.  An edge's endpoints are unordered, an arc's are
+    ``(tail, head)``; edge ids are left out.  Labels and colours are
+    compared by equality, never by ``repr``, so two graphs have equal
+    structures exactly when they are the same labelled graph up to edge
+    ids.
+    """
+    edges = Counter()
+    for e in g.edges():
+        ends = (e.tail, e.head) if isinstance(e, DiEdge) else frozenset((e.u, e.v))
+        edges[ends, e.color] += 1
+    return frozenset(g.nodes()), edges
 
 
 def reference_ball(g: ECGraph, v, t: int):
@@ -14,7 +35,7 @@ def reference_ball(g: ECGraph, v, t: int):
 
     Returns ``(subgraph, distances)``; the production
     :func:`repro.graphs.neighborhoods.ball` must match it in node order,
-    edge ids, digest, ``next_eid`` and distances.
+    edge ids, labelled structure, ``next_eid`` and distances.
     """
     dist = g.bfs_distances(v, max_dist=t)
     sub = ECGraph()

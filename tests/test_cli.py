@@ -75,7 +75,6 @@ SURFACE = {
         (("--cell-timeout",), None, None),
         (("--retries",), 1, None),
         (("--max-restarts",), 2, None),
-        (("--no-cache",), False, None),
         (("--resume",), False, None),
         (("--smoke",), False, None),
         (("--min-hit-rate",), None, None),
@@ -282,10 +281,18 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--algorithms", "greedy", "--chain", "po"])
 
+    @staticmethod
+    def _warm_smoke(capsys):
+        """Sweep the smoke grid once, so the run memo answers every cell of
+        a repeat in this process and the repeat looks up no form."""
+        assert main(["sweep", "--smoke"]) == 0
+        capsys.readouterr()
+
     def test_min_hit_rate_with_zero_lookups_is_na(self, capsys):
-        # --no-cache records no lookups: the floor must report n/a, not
+        # a repeat sweep records no lookups: the floor must report n/a, not
         # fail CI (and certainly not divide by zero)
-        code = main(["sweep", "--smoke", "--no-cache", "--min-hit-rate", "0.5"])
+        self._warm_smoke(capsys)
+        code = main(["sweep", "--smoke", "--min-hit-rate", "0.5"])
         out = capsys.readouterr().out
         assert code == 0
         assert "n/a" in out
@@ -309,9 +316,8 @@ class TestSweep:
     def test_min_hit_rate_gate_json_null_on_zero_lookups(self, capsys):
         # the n/a branch must be machine-readable too: hit_rate is an
         # explicit null, applied/passed say the floor never ran
-        code = main(
-            ["sweep", "--smoke", "--no-cache", "--min-hit-rate", "0.5", "--json"]
-        )
+        self._warm_smoke(capsys)
+        code = main(["sweep", "--smoke", "--min-hit-rate", "0.5", "--json"])
         out = capsys.readouterr().out
         assert code == 0
         gate = self._json_payload(out)["hit_rate_gate"]
@@ -429,7 +435,7 @@ class TestVerify:
 
 class TestVerifyStore:
     def _sweep(self, out_dir):
-        assert main(["sweep", "--smoke", "--no-cache", "--out", str(out_dir)]) == 0
+        assert main(["sweep", "--smoke", "--out", str(out_dir)]) == 0
 
     def test_clean_store_verifies(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

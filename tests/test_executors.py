@@ -72,7 +72,7 @@ def run_memo_hits(trace: dict) -> int:
 @pytest.fixture(scope="module")
 def serial_baseline():
     """The fault-free serial smoke sweep every backend must reproduce."""
-    result = run_sweep(smoke_grid(), workers=0, use_cache=False)
+    result = run_sweep(smoke_grid(), workers=0)
     return rows_bytes(result.rows), [row["key"] for row in result.rows]
 
 
@@ -94,7 +94,7 @@ def backend_opts(request):
 class TestByteIdentity:
     def test_rows_byte_identical_to_serial(self, backend_opts, serial_baseline):
         base, _ = serial_baseline
-        result = run_sweep(smoke_grid(), use_cache=False, **backend_opts)
+        result = run_sweep(smoke_grid(), **backend_opts)
         assert BACKEND_PARAMS[result.backend] == backend_opts
         assert rows_bytes(result.rows) == base
 
@@ -233,13 +233,13 @@ class TestTornStoreResume:
     ):
         base, _ = serial_baseline
         out = tmp_path / "out"
-        run_sweep(smoke_grid(), out_dir=out, use_cache=False, **backend_opts)
+        run_sweep(smoke_grid(), out_dir=out, **backend_opts)
         shard = next(p for p in sorted(out.glob("shard-*.jsonl")) if p.read_text())
         lines = shard.read_text().splitlines()
         # tear the final row mid-write, as a killed worker would leave it
         shard.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
         result = run_sweep(
-            smoke_grid(), out_dir=out, use_cache=False, resume=True, **backend_opts
+            smoke_grid(), out_dir=out, resume=True, **backend_opts
         )
         assert rows_bytes(result.rows) == base
         assert result.resumed == len(result.rows) - 1
@@ -253,7 +253,7 @@ class TestProgressConformance:
         path = tmp_path / "progress.jsonl"
         emitter = ProgressEmitter(path=path, interval=0.0)
         result = run_sweep(
-            smoke_grid(), out_dir=out, use_cache=False, progress=emitter, **backend_opts
+            smoke_grid(), out_dir=out, progress=emitter, **backend_opts
         )
         events = read_progress_events(path)
         assert events[0]["event"] == "start"

@@ -33,7 +33,7 @@ def rows_bytes(rows) -> str:
 @pytest.fixture(scope="module")
 def baseline():
     """The fault-free serial smoke sweep every chaos run must reproduce."""
-    result = run_sweep(smoke_grid(), workers=0, use_cache=False)
+    result = run_sweep(smoke_grid(), workers=0)
     return rows_bytes(result.rows), [row["key"] for row in result.rows]
 
 
@@ -135,7 +135,7 @@ class TestChaosInvariant:
         base, keys = baseline
         plan = FaultPlan(faults=(Fault(kind="kill-worker", cell=keys[2]),))
         result = run_sweep(
-            smoke_grid(), workers=2, out_dir=tmp_path / "out", use_cache=False, faults=plan
+            smoke_grid(), workers=2, out_dir=tmp_path / "out", faults=plan
         )
         assert rows_bytes(result.rows) == base
         assert result.recovery["restarts"] >= 1
@@ -144,7 +144,7 @@ class TestChaosInvariant:
     def test_raise_worker_serial(self, baseline):
         base, keys = baseline
         plan = FaultPlan(faults=(Fault(kind="raise-worker", cell=keys[1]),))
-        result = run_sweep(smoke_grid(), workers=0, use_cache=False, faults=plan)
+        result = run_sweep(smoke_grid(), workers=0, faults=plan)
         assert rows_bytes(result.rows) == base
         assert result.recovery["restarts"] == 1
 
@@ -158,7 +158,7 @@ class TestChaosInvariant:
             )
         )
         result = run_sweep(
-            smoke_grid(), workers=2, out_dir=tmp_path / "out", use_cache=False, faults=plan
+            smoke_grid(), workers=2, out_dir=tmp_path / "out", faults=plan
         )
         assert rows_bytes(result.rows) == base
 
@@ -166,7 +166,7 @@ class TestChaosInvariant:
         base, keys = baseline
         plan = FaultPlan(faults=(Fault(kind="stall-cell", cell=keys[0], seconds=0.6, attempt=0),))
         result = run_sweep(
-            smoke_grid(), workers=0, use_cache=False, faults=plan,
+            smoke_grid(), workers=0, faults=plan,
             cell_timeout=0.2, retries=1,
         )
         assert rows_bytes(result.rows) == base
@@ -216,7 +216,7 @@ class TestFailureReporting:
         out = tmp_path / "out"
         with pytest.raises(CellExecutionError) as excinfo:
             run_sweep(
-                smoke_grid(), workers=0, out_dir=out, use_cache=False,
+                smoke_grid(), workers=0, out_dir=out,
                 faults=plan, max_restarts=1,
             )
         assert keys[0] in str(excinfo.value)
@@ -240,7 +240,7 @@ class TestVerifyStore:
     def test_clean_store_verifies(self, tmp_path, baseline):
         base, _ = baseline
         out = tmp_path / "out"
-        run_sweep(smoke_grid(), workers=0, out_dir=out, use_cache=False)
+        run_sweep(smoke_grid(), workers=0, out_dir=out)
         report = verify_store(out)
         assert report["cells"] == 4
         assert report["matched"] == 4
@@ -263,7 +263,7 @@ class TestVerifyStore:
 
     def test_tampered_row_detected(self, tmp_path):
         out = tmp_path / "out"
-        run_sweep(smoke_grid(), workers=0, out_dir=out, use_cache=False)
+        run_sweep(smoke_grid(), workers=0, out_dir=out)
         shard = out / "shard-0.jsonl"
         lines = shard.read_text().splitlines()
         tampered = json.loads(lines[0])

@@ -2,16 +2,16 @@
 
 Each value is computed on a grid small enough for tier-1 and compared
 exactly (checksums, counts) or against a floor (hit rates).  Each hit
-rate starts from a cold canonical-form tier: the process-wide memos are
+rate starts from a cold shape-plan cache: the process-wide memos are
 reset before it, so no earlier test warms it.  A change to any checksum
 is a change to what the program computes, not noise: if it is intended,
 re-pin the value here and say why in CHANGES.md.
 
 * ``sweep.delta_scaling`` — the E1 rows (greedy-by-colour and proposal
   dynamics) for Δ = 3, 4 and 5, one serial sweep per Δ;
-* ``cache.hit_scaling`` — the canonical-form cache's hit rate on a cold
-  tier, then a repeat in the same process, which the run memo answers
-  before any form is looked up;
+* ``cache.hit_scaling`` — the canonical-form cache's hit rate from a cold
+  plan cache, then a repeat in the same process, which the run memo
+  answers before any form is looked up;
 * ``canonical.microbench`` — the SoA canonicaliser's forms over a fixed
   batch of loopy trees, and the shape-plan cache's recognition rate;
 * ``canonical.order`` — the Appendix A order: a sorted ``T``-ball and the
@@ -46,7 +46,7 @@ from repro.core.canonical_order import tree_ball, tree_sort_key
 from repro.core.sim_po_oi import cover_words, ordered_cover_nodes
 from repro.core.theorem import chain_from_name
 from repro.core.witness import AlgorithmFailure
-from repro.engine import GridSpec, run_sweep
+from repro.engine import CanonicalFormCache, GridSpec, run_sweep
 from repro.engine.grid import make_algorithm
 from repro.graphs.cover import universal_cover_po
 from repro.graphs.families import (
@@ -56,11 +56,10 @@ from repro.graphs.families import (
     random_regular_graph,
     single_node_with_loops,
 )
-from repro.graphs.isomorphism import canonical_form_of
+from repro.graphs.isomorphism import canonical_form_of, use_canonical_cache
 from repro.graphs.memo import reset_memos
 from repro.graphs.neighborhoods import ball
 from repro.graphs.ports import po_double_from_ec
-from repro.graphs.soa import plan_hit_count
 from repro.local.algorithm import ECWeightAlgorithm
 from repro.matching.naive import DegreeSplitFM, SelfishFM, ZeroFM
 
@@ -113,18 +112,18 @@ class TestDeltaScaling:
     def test_cache_hit_rate_floor(self, sweeps):
         hits = sum(sweep.cache.hits for sweep in sweeps)
         lookups = sum(sweep.cache.lookups for sweep in sweeps)
-        assert hits / lookups >= 21 / 36 - HIT_RATE_SLACK
+        assert hits / lookups >= 29 / 36 - HIT_RATE_SLACK
 
 
 class TestCacheHitScaling:
-    """Two sweeps over Δ = 3, 4 in one process, from a cold tier."""
+    """Two sweeps over Δ = 3, 4 in one process, from a cold plan cache."""
 
     def test_cold_and_warm_hit_rate_floors(self):
         grid = GridSpec(algorithms=ALGORITHMS, deltas=(3, 4))
         reset_memos()
         cold = run_sweep(grid)
         warm = run_sweep(grid)
-        assert cold.cache.hit_rate >= 13 / 20 - HIT_RATE_SLACK
+        assert cold.cache.hit_rate >= 16 / 20 - HIT_RATE_SLACK
         # the run memo answers every warm cell before any form is looked up
         assert warm.cache.lookups == 0
         assert run_memo_counts(warm.trace) == {"hit": 4}
@@ -143,9 +142,10 @@ class TestCanonicalMicrobench:
             "a1fee25de7010cd00a5c5c8e1cf1bbdb127960431296149b6175919a2e6c6400"
         )
         # a repeat must resolve every root shape from the plan cache
-        before = plan_hit_count()
-        assert [canonical_form_of(g, v) for g in graphs for v in g.nodes()] == forms
-        assert (plan_hit_count() - before) / len(forms) >= 1.0 - HIT_RATE_SLACK
+        cache = CanonicalFormCache()
+        with use_canonical_cache(cache):
+            assert [canonical_form_of(g, v) for g in graphs for v in g.nodes()] == forms
+        assert cache.stats.hit_rate >= 1.0 - HIT_RATE_SLACK
 
 
 class TestCanonicalOrder:

@@ -336,21 +336,19 @@ def attach(kernel, snap):
 
 
 class TestKernelExemption:
-    """The SoA snapshot/label layers are sanctioned kernel modules — only those.
+    """The SoA snapshot layer is a sanctioned kernel module — the only one
+    besides the kernel itself.
 
     Frozen kernels are immutable everywhere else, so like the clock and
     worker exemptions this one is surgical: it masks the kernel-mutation
     effect for exactly the modules in ``LintConfig.kernel_modules`` (the
-    kernel/builder implementation, the columnar snapshot layer that memoizes
-    onto the kernel's dedicated ``_soa`` slot, and the interned-label table
-    backing the digest tokens).
+    kernel/builder implementation and the columnar snapshot layer that
+    memoizes onto the kernel's dedicated ``_soa`` slot).
     """
 
-    def test_soa_and_labels_are_sanctioned_by_config(self):
+    def test_soa_is_sanctioned_by_config(self):
         assert "repro.graphs.soa" in DEFAULT_CONFIG.kernel_modules
-        assert "repro.graphs.labels" in DEFAULT_CONFIG.kernel_modules
         assert lint_source(KERNEL_TOUCHING, module="repro.graphs.soa") == []
-        assert lint_source(KERNEL_TOUCHING, module="repro.graphs.labels") == []
 
     def test_other_modules_still_flag_kernel_mutation(self):
         findings = lint_source(KERNEL_TOUCHING, module="repro.core.adversary")
@@ -379,11 +377,7 @@ class TestKernelExemption:
         # same exact-set discipline as the clock and worker exemptions:
         # growing the kernel implementation must grow this assertion
         assert DEFAULT_CONFIG.kernel_modules == frozenset(
-            {
-                "repro.graphs.kernel",
-                "repro.graphs.soa",
-                "repro.graphs.labels",
-            }
+            {"repro.graphs.kernel", "repro.graphs.soa"}
         )
 
 

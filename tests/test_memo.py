@@ -1,4 +1,4 @@
-"""Tests for the process-wide memos (repro.graphs.memo)."""
+"""Tests for the process-wide run memo (repro.graphs.memo)."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ from repro.engine import CanonicalFormCache
 from repro.engine.grid import ALGORITHMS, Cell, run_cell
 from repro.graphs import soa
 from repro.graphs.isomorphism import use_canonical_cache
-from repro.graphs.memo import FORMS, RUNS, Memo, reset_memos
+from repro.graphs.memo import RUNS, Memo, reset_memos
 from repro.matching.naive import ZeroFM
 from repro.obs import Tracer, trace_document
 from tests.test_golden import run_memo_counts
-
-MEMOS = (RUNS, FORMS)
 
 #: the fields of an ``ok`` row the run memo stores
 VERDICT_FIELDS = {"status", "witness_depth", "expected_depth", "final_graph_nodes", "all_valid"}
@@ -47,10 +45,10 @@ class TestResetMemos:
         reset_memos()
         with use_canonical_cache(CanonicalFormCache()):
             run_cell(Cell("greedy", 4))
-        assert all(len(memo) > 0 for memo in MEMOS)
+        assert len(RUNS) > 0
         assert soa._PLANS.cons
         reset_memos()
-        assert [len(memo) for memo in MEMOS] == [0] * len(MEMOS)
+        assert len(RUNS) == 0
         assert soa._PLANS.cons == {}
 
 

@@ -222,7 +222,6 @@ class TestSweepProgress:
                 tiny_grid(),
                 out_dir=tmp_path / "out",
                 faults=plan,
-                use_cache=False,
                 progress=emitter,
             )
         events = read_progress_events(path)

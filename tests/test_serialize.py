@@ -18,6 +18,22 @@ from repro.graphs.serialize import (
     witness_step_to_json,
 )
 from repro.matching.greedy_color import greedy_color_algorithm
+from tests.oracles import labelled_structure
+
+#: every label shape the construction produces: small ints (colours),
+#: strings, None, and the adversary's arbitrarily nested tagged tuples
+LABEL_KINDS = [
+    0,
+    7,
+    -3,
+    "r",
+    "",
+    None,
+    (0, "x"),
+    (1, (0, ("deep", 2))),
+    ((),),
+    ("mix", 0, None, ("t",)),
+]
 
 
 class TestGraphRoundTrip:
@@ -72,6 +88,25 @@ class TestLabelCodec:
         g.add_edge("b", "b", 2)
         form = canonical_rooted_form(g, "a")
         assert decode_label(json.loads(json.dumps(encode_label(form)))) == form
+
+
+class TestV2Codec:
+    """The v2 tagged-label codec is an exact inverse pair on every label
+    shape the construction produces."""
+
+    def test_every_label_kind_round_trips_through_codec(self):
+        for label in LABEL_KINDS:
+            assert decode_label(encode_label(label)) == label
+
+    def test_encode_decode_equality_on_nested_forms(self):
+        form = ((1, "loop"), (2, ((3, "cut"),)), (100, ()))
+        assert decode_label(encode_label(form)) == form
+
+    def test_graph_round_trip_preserves_structure(self):
+        g = random_loopy_tree(4, 1, seed=3)
+        nested = g.relabel({v: (0, ("x", v)) for v in g.nodes()})
+        back = graph_from_json(graph_to_json(nested))
+        assert labelled_structure(back) == labelled_structure(nested)
 
 
 class TestWitnessStep:

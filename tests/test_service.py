@@ -12,7 +12,7 @@ import pytest
 
 from repro import api
 from repro.engine import GridSpec, smoke_grid
-from repro.graphs.memo import FORMS, reset_memos
+from repro.graphs.memo import RUNS, reset_memos
 from repro.obs.progress import read_progress_events
 from repro.service import (
     Backpressure,
@@ -159,7 +159,7 @@ class TestJobLifecycle:
             service.stop()
         assert job.state == "done", job.error
         assert job.rows == job.cells == 1
-        assert job.cache is not None and "plan_hits" in job.cache
+        assert job.cache is not None and {"hits", "misses"} <= set(job.cache)
         rows = service.rows(job.id)
         serial = api.sweep(GridSpec.from_mapping(tiny_grid()))
         assert json.dumps(rows, sort_keys=True) == json.dumps(
@@ -227,8 +227,8 @@ class TestJobLifecycle:
 class TestConcurrentJobs:
     def test_job_threads_compute_each_form_once(self, tmp_path):
         # four job threads drain eight jobs from four tenants: every job
-        # reproduces the serial rows, and the shared process tier computes
-        # each canonical form once, whichever thread asks first
+        # reproduces the serial rows, and the shared plan cache builds each
+        # root shape once, whichever thread asks first
         reset_memos()
         serial = api.sweep(smoke_grid())
         baseline = json.dumps([dict(r) for r in serial.rows], sort_keys=True)
@@ -249,6 +249,7 @@ class TestConcurrentJobs:
 
 class TestStats:
     def test_latency_histograms_count_finished_jobs(self, tmp_path):
+        reset_memos()
         service = make_service(tmp_path)
         jobs = [service.submit(tiny_grid(), tenant="alice") for _ in range(3)]
         service.start()
@@ -262,9 +263,8 @@ class TestStats:
             summary = stats[name]
             assert summary["count"] == len(jobs)
             assert 0 <= summary["p50"] <= summary["p95"] <= summary["max"]
-        tier = stats["memory_tier"]
-        assert tier["limit"] == FORMS.limit
-        assert 0 < tier["entries"] <= FORMS.limit
+        # the run memo answered the warm jobs: their one cell, stored once
+        assert stats["memory_tier"] == {"entries": 1, "limit": RUNS.limit}
 
     def test_rejections_counted_by_reason(self, tmp_path):
         service = make_service(tmp_path, queue_size=1, rate=0.001, burst=1)
