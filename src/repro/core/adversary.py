@@ -21,9 +21,9 @@ The construction (Figures 5-7):
   the shared tree until it rests on a loop — the next witness.
 
 Everything the paper claims is re-checked mechanically on every step:
-ball isomorphism ((P1), via canonical forms), loop budgets ((P2)),
-tree shape ((P3)), feasibility/maximality/saturation of every output
-(Lemma 2), and —
+ball isomorphism ((P1), via radius-cut canonical forms), loop budgets
+((P2)), tree shape ((P3)) — all three on the graphs' columns —
+feasibility/maximality/saturation of every output (Lemma 2), and —
 optionally — lift invariance of ``A`` itself on the unfolded graphs.
 """
 
@@ -33,11 +33,10 @@ from fractions import Fraction
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from ..graphs.families import single_node_with_loops
-from ..graphs.isomorphism import balls_isomorphic
+from ..graphs.isomorphism import canonical_form_of
 from ..graphs.lifts import mix, unfold_loop
-from ..graphs.loopy import min_direct_loops
 from ..graphs.multigraph import ECGraph
-from ..graphs.neighborhoods import ball
+from ..graphs.soa import is_tree_ignoring_loops_fast, min_direct_loops_fast
 from ..local.algorithm import ECWeightAlgorithm
 from ..matching.fm import InconsistentOutputError, fm_from_node_outputs
 from ..obs.tracer import current_tracer
@@ -373,15 +372,26 @@ def _make_step(
     side: str,
     tracer=None,
 ) -> StepWitness:
-    """Assemble a step witness, performing the (P1)-(P3) machine checks."""
+    """Assemble a step witness, performing the (P1)-(P3) machine checks.
+
+    All three read the graphs' columnar snapshots (:mod:`repro.graphs.soa`):
+    (P3) counts non-loop edges and runs one integer search, (P2) counts
+    each node's loops, and (P1) compares the witness nodes' radius-``index``
+    forms, walked on the whole graphs and cut at that depth, so no ball is
+    extracted.  The form walk needs a tree, so (P1) is only checked once
+    (P3) holds: a broken (P3) raises the invariant's ``AssertionError``,
+    never the walk's cycle ``ValueError``.
+    """
     tracer = tracer if tracer is not None else current_tracer()
+    trees = is_tree_ignoring_loops_fast(graph_g) and is_tree_ignoring_loops_fast(graph_h)
     with tracer.span(
         "adversary.iso_check", radius=index, nodes=graph_g.num_nodes()
     ) as iso_span:
-        iso = balls_isomorphic(ball(graph_g, node_g, index), ball(graph_h, node_h, index))
+        iso = trees and canonical_form_of(graph_g, node_g, index) == canonical_form_of(
+            graph_h, node_h, index
+        )
         iso_span.set(isomorphic=iso)
-    budget = min(min_direct_loops(graph_g), min_direct_loops(graph_h))
-    trees = graph_g.is_tree_ignoring_loops() and graph_h.is_tree_ignoring_loops()
+    budget = min(min_direct_loops_fast(graph_g), min_direct_loops_fast(graph_h))
     step = StepWitness(
         index=index,
         graph_g=graph_g,

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Hashable, List, Mapping, Tuple
 
 from ..graphs.multigraph import ECGraph
+from ..graphs.soa import is_tree_ignoring_loops_fast
 
 Node = Hashable
 Color = Hashable
@@ -120,9 +121,12 @@ def disagreement_walk(
     loop.
 
     Returns ``(g_star, loop_color, trail)`` where ``trail`` lists the
-    ``(node, colour)`` steps taken (excluding the initial colour).
+    ``(node, colour)`` steps taken (excluding the initial colour).  The
+    tree guard reads ``g``'s columnar snapshot
+    (:func:`repro.graphs.soa.is_tree_ignoring_loops_fast`), so ``g``'s
+    colours must sort.
     """
-    if not g.is_tree_ignoring_loops():
+    if not is_tree_ignoring_loops_fast(g):
         raise PropagationError("disagreement_walk requires a tree-with-loops")
     v = start
     incoming = start_color

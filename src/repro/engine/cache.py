@@ -1,12 +1,12 @@
 """Counted canonical rooted forms.
 
 The hot path of every adversary run is canonicalising witness balls
-(:func:`repro.graphs.soa.canonical_form_fast`): each inductive
-step canonicalises two rooted trees-with-loops that double in size as the
-ladder climbs.  Many of those forms recur — the two radius-0 balls of every
-base case are the same single-node shape, the G- and H-side balls of a step
-differ only in node labels, and a repeated sweep re-canonicalises
-everything it already saw.
+(:func:`repro.graphs.soa.canonical_form_fast`): each inductive step
+canonicalises the radius-``i`` balls around its two witness nodes, read
+off graphs that double in size as the ladder climbs.  Many of those forms
+recur — the two radius-0 balls of every base case are the same
+single-node shape, the G- and H-side balls of a step differ only in node
+labels, and a repeated sweep re-canonicalises everything it already saw.
 
 The one canonical-form memo is the canonicaliser's process-wide shape-plan
 cache (:mod:`repro.graphs.soa`): every subtree's form is hash-consed by its
@@ -26,7 +26,7 @@ hit-rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Hashable, Tuple
+from typing import Hashable, Optional, Tuple
 
 from ..graphs.multigraph import ECGraph
 from ..graphs.soa import consed_canonical_form
@@ -98,13 +98,15 @@ class CanonicalFormCache:
     # ------------------------------------------------------------------
     # the public entry point installed into repro.graphs.isomorphism
     # ------------------------------------------------------------------
-    def canonical_form(self, g: ECGraph, root: Node) -> Tuple:
+    def canonical_form(self, g: ECGraph, root: Node, radius: Optional[int] = None) -> Tuple:
         """The canonical rooted form of ``(g, root)``, counted.
 
-        A hit is a root shape the plan cache already held, so the whole
-        form was reused; a miss built at least the root's entry.
+        With a ``radius``, the form of the radius-``radius`` ball around
+        ``root``, read off ``g`` itself.  A hit is a root shape the plan
+        cache already held, so the whole form was reused; a miss built at
+        least the root's entry.
         """
-        form, hit = consed_canonical_form(g, root)
+        form, hit = consed_canonical_form(g, root, radius)
         if hit:
             self.stats.hits += 1
         else:

@@ -203,7 +203,10 @@ def run_cell(cell: Cell, tracer=None) -> dict:
     re-registered in ``ALGORITHMS`` is another function, so it misses.
     Every cell counts ``adversary.run_memo`` (``outcome`` ``hit`` or
     ``miss``); a refuted verdict is never stored, so it is recomputed.
-    Otherwise the row is :func:`compute_cell`'s.
+    Otherwise the row is :func:`compute_cell`'s.  A stored verdict that
+    pushed older ones out of the bounded memo adds their number to
+    ``adversary.run_memo_evictions``, a counter that appears only once
+    something was evicted.
     """
     tracer = tracer if tracer is not None else current_tracer()
     recipe = (_factory(cell.algorithm), cell.chain, cell.delta)
@@ -212,7 +215,9 @@ def run_cell(cell: Cell, tracer=None) -> dict:
     if verdict is None:
         row = compute_cell(cell, tracer=tracer)
         if row["status"] == "ok":
-            RUNS.put(recipe, {field: row[field] for field in _VERDICT_FIELDS})
+            evicted = RUNS.put(recipe, {field: row[field] for field in _VERDICT_FIELDS})
+            if evicted:
+                tracer.metrics.counter("adversary.run_memo_evictions").inc(evicted)
         return row
     with _cell_span(tracer, cell) as span:
         span.set(status="ok", witness_depth=verdict["witness_depth"], memo=True)

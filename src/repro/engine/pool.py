@@ -69,7 +69,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from ..obs.export import merge_trace_documents
+from ..obs.export import counter_total, merge_trace_documents
 from ..obs.progress import NULL_PROGRESS, NullProgressEmitter
 from ..obs.tracer import current_tracer
 from .cache import CacheStats
@@ -372,7 +372,7 @@ def run_sweep(
         progress.finish(
             done=len(all_rows),
             failed=0,
-            retries=_merged_counter_total(merged, "engine.cell_retry"),
+            retries=counter_total(merged, "engine.cell_retry"),
             cache_hits=cache_stats.hits,
             cache_lookups=cache_stats.lookups,
         )
@@ -427,15 +427,6 @@ class _ProgressMonitor:
         self._stop_event.set()
         if self._thread.is_alive():
             self._thread.join(timeout=2.0)
-
-
-def _merged_counter_total(merged_doc: dict, name: str) -> int:
-    """Total of one counter across a merged trace document's metric rows."""
-    return sum(
-        row.get("value", 0)
-        for row in merged_doc.get("metrics", {}).get("counters", [])
-        if row.get("name") == name
-    )
 
 
 def _dedup_rows(done: Dict[str, dict], collected: Dict[str, dict]) -> List[dict]:

@@ -13,9 +13,12 @@ equal.  Production computes forms with
 :func:`repro.graphs.soa.canonical_form_fast`, whose shape-plan cache is the
 one canonical-form memo; :func:`canonical_form_of` routes each lookup
 through the ambient cache, when one is installed, so that it is counted.
-:func:`canonical_rooted_form` is the recursive definition, kept as the
-oracle the tests compare it against.  A general
-(slow) path via :mod:`networkx` VF2 serves non-tree EC-graphs.
+The adversary compares radius-``i`` forms read off its whole graphs; no
+ball is extracted.  :func:`canonical_rooted_form` is the recursive
+definition, and :func:`balls_isomorphic` over extracted balls the object
+path; both are kept as oracles and as :func:`repro.core.witness.reverify_step`'s
+independent re-check.  A general (slow) path via :mod:`networkx` VF2 serves
+non-tree EC-graphs.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ _LOOP = "loop"
 _CUT = "cut"
 
 #: the installed canonical-form cache (duck-typed: anything with a
-#: ``canonical_form(g, root)`` method, normally the counting
+#: ``canonical_form(g, root, radius)`` method, normally the counting
 #: :class:`repro.engine.cache.CanonicalFormCache`); ``None`` computes
 #: uncounted.  Held here — not in :mod:`repro.engine` — so the graphs
 #: layer never imports upwards.
@@ -122,18 +125,19 @@ def canonical_rooted_form(
     return tuple(sorted(entries, key=lambda item: repr(item[0])))
 
 
-def canonical_form_of(g: ECGraph, root: Node) -> Tuple:
+def canonical_form_of(g: ECGraph, root: Node, radius: Optional[int] = None) -> Tuple:
     """Canonical rooted form of a tree-with-loops, through the ambient cache.
 
     Asks the installed canonical-form cache (:func:`install_canonical_cache`)
     when there is one, and :func:`repro.graphs.soa.canonical_form_fast`
-    directly otherwise; the hot path of ball-isomorphism checks and of the
-    parallel sweep engine.
+    directly otherwise; the hot path of the adversary's (P1) check and of
+    the parallel sweep engine.  With a ``radius`` it is the form of
+    ``ball(g, root, radius)``, walked on ``g`` itself and cut at that depth.
     """
     cache = _CANONICAL_CACHE
     if cache is not None:
-        return cache.canonical_form(g, root)
-    return canonical_form_fast(g, root)
+        return cache.canonical_form(g, root, radius)
+    return canonical_form_fast(g, root, radius)
 
 
 def rooted_isomorphic(g1: ECGraph, r1: Node, g2: ECGraph, r2: Node) -> bool:

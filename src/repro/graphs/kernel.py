@@ -14,11 +14,10 @@ provides that substrate once, as a pair of classes:
   per-node slot maps are shared *by identity* with the parent kernel until
   the first mutation touches that node, and edge records (frozen dataclass
   instances) are shared forever.  Forking, removing one edge and freezing
-  therefore allocates O(touched nodes) fresh objects, not O(graph) — the
-  move the Section 4 adversary ladder makes at every level.  The grafting
-  ops :meth:`GraphBuilder.merge` and :meth:`GraphBuilder.double` insert
-  whole relabelled copies of an existing (proper) graph without re-running
-  per-edge properness checks.
+  therefore allocates O(touched nodes) fresh objects, not O(graph).
+  The Section 4 adversary's unfold and mix moves skip the builder: they
+  build their kernels straight from the parents' columns
+  (:func:`repro.graphs.soa.join_at_loops`).
 
 Both EC and PO discipline live here, selected by ``directed``:
 
@@ -35,7 +34,7 @@ their public APIs are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 Node = Hashable
 Color = Any
@@ -387,97 +386,6 @@ class GraphBuilder:
         self._owned.discard(v)
 
     # ------------------------------------------------------------------
-    # grafting: whole-graph inserts that skip per-edge properness checks
-    # ------------------------------------------------------------------
-    def merge(
-        self,
-        source,
-        tag: Any = None,
-        relabel=None,
-        skip_eids: Iterable[EdgeId] = (),
-        preserve_eids: bool = False,
-    ) -> Dict[Node, Node]:
-        """Graft a relabelled copy of ``source`` into this builder.
-
-        ``source`` is any kernel-backed graph (a :class:`GraphKernel`, a
-        :class:`GraphBuilder`, or an EC/PO view) of the same directedness.
-        Each source node ``v`` becomes ``(tag, v)`` when ``tag`` is given,
-        ``relabel(v)`` when a callable is given, or keeps its label.  Edges
-        listed in ``skip_eids`` are omitted; the rest receive fresh ids in
-        source insertion order (or keep their ids with ``preserve_eids``).
-
-        Properness is *not* re-checked edge by edge: the source graph is
-        proper, relabelling is injective, and every inserted label must be
-        new to this builder (checked; ``ValueError`` otherwise) — so the
-        grafted copy is proper by construction.  This is what makes the
-        adversary's unfold/mix levels O(inserted), not O(checks × graph).
-
-        Returns the node mapping ``{source label -> new label}``.
-        """
-        src_slots, src_edges, src_directed = _graph_data(source)
-        if src_directed != self.directed:
-            raise ValueError("cannot merge graphs of different directedness")
-        if tag is not None and relabel is not None:
-            raise ValueError("pass either tag or relabel, not both")
-        if tag is not None:
-            mapping = {v: (tag, v) for v in src_slots}
-        elif relabel is not None:
-            mapping = {v: relabel(v) for v in src_slots}
-            if len(set(mapping.values())) != len(mapping):
-                raise ValueError("relabelling is not injective")
-        else:
-            mapping = {v: v for v in src_slots}
-        for new in mapping.values():
-            if new in self._slots:
-                raise ValueError(f"merge target label {new!r} already present")
-        skip = set(skip_eids)
-        eid_map: Dict[EdgeId, EdgeId] = {}
-        for old_eid in src_edges:
-            if old_eid in skip:
-                continue
-            if preserve_eids:
-                if old_eid in self._edges:
-                    raise ValueError(f"edge id {old_eid} already in use")
-                eid_map[old_eid] = old_eid
-            else:
-                eid_map[old_eid] = self._next_eid
-                self._next_eid += 1
-        # nodes: remap each source slot map in one pass (no properness scan)
-        for v, slots in src_slots.items():
-            new_v = mapping[v]
-            self._slots[new_v] = {
-                key: eid_map[eid] for key, eid in slots.items() if eid not in skip
-            }
-            self._owned.add(new_v)
-            self.allocated_nodes += 1
-        for old_eid, record in src_edges.items():
-            if old_eid in skip:
-                continue
-            eid = eid_map[old_eid]
-            if self.directed:
-                new_record = DiEdge(eid, mapping[record.tail], mapping[record.head], record.color)
-            else:
-                new_record = Edge(eid, mapping[record.u], mapping[record.v], record.color)
-            self._edges[eid] = new_record
-            self._next_eid = max(self._next_eid, eid + 1)
-            self.allocated_edges += 1
-        return mapping
-
-    def double(self, source, tags: Tuple[Any, Any] = (0, 1), skip_eids: Iterable[EdgeId] = ()):
-        """Graft *two* tagged copies of ``source`` (the 2-lift scaffold).
-
-        Equivalent to ``merge(source, tag=tags[0], ...)`` followed by
-        ``merge(source, tag=tags[1], ...)``; the caller adds whatever fresh
-        edges join the copies (unfold's opened loop, a crossed lift edge).
-        Returns the pair of node mappings.
-        """
-        skip = tuple(skip_eids)
-        return (
-            self.merge(source, tag=tags[0], skip_eids=skip),
-            self.merge(source, tag=tags[1], skip_eids=skip),
-        )
-
-    # ------------------------------------------------------------------
     # freezing
     # ------------------------------------------------------------------
     def freeze(self) -> GraphKernel:
@@ -524,14 +432,3 @@ class GraphBuilder:
         kind = "po" if self.directed else "ec"
         return f"GraphBuilder({kind}, n={self.num_nodes()}, m={self.num_edges()})"
 
-
-def _graph_data(source) -> Tuple[Dict[Node, Dict[Any, EdgeId]], Dict[EdgeId, Any], bool]:
-    """The (slots, edges, directed) triple behind any kernel-backed graph."""
-    if isinstance(source, GraphKernel):
-        return source._slots, source._edges, source._directed
-    if isinstance(source, GraphBuilder):
-        return source._slots, source._edges, source.directed
-    builder = getattr(source, "_b", None)
-    if isinstance(builder, GraphBuilder):
-        return builder._slots, builder._edges, builder.directed
-    raise TypeError(f"not a kernel-backed graph: {type(source).__name__}")

@@ -25,8 +25,8 @@ import random
 from typing import Dict, Hashable, Tuple
 
 from .digraph import POGraph
-from .kernel import GraphBuilder
 from .multigraph import ECGraph
+from .soa import join_at_loops
 
 Node = Hashable
 
@@ -103,18 +103,21 @@ def unfold_loop(g: ECGraph, loop_eid: int) -> Tuple[ECGraph, Dict[Node, Node], i
     Returns ``(GG, alpha, new_eid)`` where ``alpha`` is the covering map
     ``GG -> g`` (verified property; see tests) and ``new_eid`` is the id of
     the fresh joining edge (the paper keeps calling it ``e``).
+
+    ``GG``'s kernel and columnar snapshot are derived from ``g``'s columns
+    (:func:`repro.graphs.soa.join_at_loops`): all ``(0, v)`` nodes come
+    first, the copies' edges are numbered in ``g``'s edge order, copy 0's
+    first, and the joining edge comes last.  A graph whose colours do not
+    sort raises, as :func:`~repro.graphs.soa.snapshot_of` does.
     """
     e = g.edge(loop_eid)
     if not e.is_loop:
         raise ValueError(f"edge {loop_eid} is not a loop")
-    anchor = e.u
-    builder = GraphBuilder(directed=False)
-    mappings = builder.double(g, tags=(0, 1), skip_eids=(loop_eid,))
-    alpha: Dict[Node, Node] = {
-        tagged: v for mapping in mappings for v, tagged in mapping.items()
-    }
-    new_eid = builder.add_edge((0, anchor), (1, anchor), e.color)
-    return ECGraph._wrap(builder), alpha, new_eid
+    kernel, new_eid = join_at_loops(g, loop_eid, g, loop_eid)
+    gg = ECGraph.from_kernel(kernel)
+    base = g.nodes()
+    alpha: Dict[Node, Node] = dict(zip(gg.nodes(), base + base))
+    return gg, alpha, new_eid
 
 
 def mix(
@@ -129,7 +132,9 @@ def mix(
     ``h - f`` (nodes ``(1, v)``), and a fresh edge of the common colour
     joining the two anchor nodes.  Both loops must carry the same colour.
 
-    Returns ``(GH, new_eid)``.
+    Returns ``(GH, new_eid)``.  As in :func:`unfold_loop`, ``GH``'s kernel
+    and snapshot are derived from the parents' columns, and a graph whose
+    colours do not sort raises.
     """
     e = g.edge(g_loop_eid)
     f = h.edge(h_loop_eid)
@@ -137,11 +142,8 @@ def mix(
         raise ValueError("both edges must be loops")
     if e.color != f.color:
         raise ValueError(f"loop colours differ: {e.color!r} vs {f.color!r}")
-    builder = GraphBuilder(directed=False)
-    builder.merge(g, tag=0, skip_eids=(g_loop_eid,))
-    builder.merge(h, tag=1, skip_eids=(h_loop_eid,))
-    new_eid = builder.add_edge((0, e.u), (1, f.u), e.color)
-    return ECGraph._wrap(builder), new_eid
+    kernel, new_eid = join_at_loops(g, g_loop_eid, h, h_loop_eid)
+    return ECGraph.from_kernel(kernel), new_eid
 
 
 def random_two_lift(g: ECGraph, rng: random.Random) -> Tuple[ECGraph, Dict[Node, Node]]:
@@ -186,8 +188,9 @@ def bipartite_double_cover(g: ECGraph) -> Tuple[ECGraph, Dict[Node, Node]]:
 def _doubled_node_scaffold(g: ECGraph) -> Tuple[ECGraph, Dict[Node, Node]]:
     """Two tagged copies of ``g``'s node set with no edges, plus the covering
     map — the shared scaffold every explicit 2-lift starts from."""
-    builder = GraphBuilder(directed=False)
-    skip = [e.eid for e in g.edges()]
-    mappings = builder.double(g, tags=(0, 1), skip_eids=skip)
-    alpha = {tagged: v for mapping in mappings for v, tagged in mapping.items()}
-    return ECGraph._wrap(builder), alpha
+    lifted = ECGraph()
+    alpha: Dict[Node, Node] = {}
+    for tag in (0, 1):
+        for v in g.nodes():
+            alpha[lifted.add_node((tag, v))] = v
+    return lifted, alpha

@@ -286,14 +286,19 @@ class ECGraph:
     def relabel(self, mapping: Dict[Node, Node]) -> "ECGraph":
         """Return a copy with nodes relabelled through ``mapping``.
 
-        ``mapping`` must be injective on the node set; nodes absent from the
-        mapping keep their labels.  Edge ids are preserved.
+        ``mapping`` must be injective on the node set (``ValueError``
+        otherwise); nodes absent from the mapping keep their labels.  Edge
+        ids are preserved.  The copy is proper because this graph is, so no
+        edge is re-checked.
         """
-        builder = GraphBuilder(directed=False)
-        builder.merge(
-            self, relabel=lambda v: mapping.get(v, v), preserve_eids=True
-        )
-        return ECGraph._wrap(builder)
+        new = {v: mapping.get(v, v) for v in self._b._slots}
+        if len(set(new.values())) != len(new):
+            raise ValueError("relabelling is not injective")
+        slots = {new[v]: dict(s) for v, s in self._b._slots.items()}
+        edges = {
+            eid: Edge(eid, new[e.u], new[e.v], e.color) for eid, e in self._b._edges.items()
+        }
+        return ECGraph.from_kernel(GraphKernel(False, slots, edges, max(edges, default=-1) + 1))
 
     def disjoint_union(self, other: "ECGraph", tags: Tuple[Any, Any] = (0, 1)) -> "ECGraph":
         """Disjoint union; nodes become ``(tag, original_label)`` pairs.

@@ -49,7 +49,10 @@ __all__ = ["Network", "ECNetwork", "PONetwork", "IDNetwork", "RunResult", "run",
 class Network:
     """Abstract network: contexts plus message routing.
 
-    A subclass fills ``_contexts`` (node -> context) and defines :meth:`route`.
+    A subclass lists its nodes (:meth:`nodes`), builds one node's context
+    (:meth:`_make_context`) and defines :meth:`route`.  A node's context is
+    built on the first :meth:`context` call for it and kept, so a run of a
+    light cone (``run_rounds(..., root=)``) builds only the cone's contexts.
     """
 
     model: str
@@ -57,11 +60,17 @@ class Network:
 
     def nodes(self) -> List[Node]:
         """All nodes of the network."""
-        return list(self._contexts)
+        raise NotImplementedError
 
     def context(self, v: Node) -> NodeContext:
-        """The local context node ``v`` executes under."""
-        return self._contexts[v]
+        """The local context node ``v`` executes under (``KeyError`` if none)."""
+        ctx = self._contexts.get(v)
+        if ctx is None:
+            ctx = self._contexts[v] = self._make_context(v)
+        return ctx
+
+    def _make_context(self, v: Node) -> NodeContext:
+        raise NotImplementedError
 
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         """Destination ``(node, port)`` of a message sent by ``v`` on ``port``."""
@@ -80,15 +89,14 @@ class ECNetwork(Network):
         # per-message lookups bypass the mutable-view layer entirely.
         self.kernel = g.kernel
         self.globals_ = dict(globals_ or {})
-        self._contexts = {
-            v: NodeContext(
-                node=v,
-                model="EC",
-                ports=tuple(sorted(self.kernel.incident_colors(v), key=repr)),
-                globals=self.globals_,
-            )
-            for v in self.kernel.nodes()
-        }
+        self._contexts = {}
+
+    def nodes(self) -> List[Node]:
+        return self.kernel.nodes()
+
+    def _make_context(self, v: Node) -> NodeContext:
+        ports = tuple(sorted(self.kernel.incident_colors(v), key=repr))
+        return NodeContext(node=v, model="EC", ports=ports, globals=self.globals_)
 
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         edge = self.kernel.edge_at(v, port)
@@ -110,12 +118,16 @@ class PONetwork(Network):
         self.kernel = g.kernel
         self.globals_ = dict(globals_ or {})
         self._contexts = {}
-        for v in self.kernel.nodes():
-            ports = tuple(
-                [("out", c) for c in sorted(self.kernel.out_colors(v), key=repr)]
-                + [("in", c) for c in sorted(self.kernel.in_colors(v), key=repr)]
-            )
-            self._contexts[v] = NodeContext(node=v, model="PO", ports=ports, globals=self.globals_)
+
+    def nodes(self) -> List[Node]:
+        return self.kernel.nodes()
+
+    def _make_context(self, v: Node) -> NodeContext:
+        ports = tuple(
+            [("out", c) for c in sorted(self.kernel.out_colors(v), key=repr)]
+            + [("in", c) for c in sorted(self.kernel.in_colors(v), key=repr)]
+        )
+        return NodeContext(node=v, model="PO", ports=ports, globals=self.globals_)
 
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         kind, color = port
@@ -142,16 +154,21 @@ class IDNetwork(Network):
             raise ValueError("ID-graphs are simple: no self-loops allowed")
         self.graph = g
         self.globals_ = dict(globals_ or {})
-        self._contexts = {
-            v: NodeContext(
-                node=v,
-                model="ID",
-                ports=tuple(sorted(g.neighbors(v))),
-                identifier=v,
-                globals=self.globals_,
-            )
-            for v in g.nodes()
-        }
+        self._contexts = {}
+
+    def nodes(self) -> List[Node]:
+        return list(self.graph.nodes())
+
+    def _make_context(self, v: Node) -> NodeContext:
+        if v not in self.graph:
+            raise KeyError(v)
+        return NodeContext(
+            node=v,
+            model="ID",
+            ports=tuple(sorted(self.graph.neighbors(v))),
+            identifier=v,
+            globals=self.globals_,
+        )
 
     def route(self, v: Node, port: Port, message: Any) -> Tuple[Node, Port]:
         if not self.graph.has_edge(v, port):

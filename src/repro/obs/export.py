@@ -32,6 +32,7 @@ __all__ = [
     "trace_document",
     "merge_metrics_snapshots",
     "merge_trace_documents",
+    "counter_total",
     "write_json",
     "write_jsonl",
     "render_tree",
@@ -149,6 +150,15 @@ def merge_trace_documents(
     if extra:
         merged.update(extra)
     return merged
+
+
+def counter_total(document: dict, name: str) -> int:
+    """Total of counter ``name`` over a trace document's metric rows."""
+    return sum(
+        row.get("value", 0)
+        for row in document.get("metrics", {}).get("counters", [])
+        if row.get("name") == name
+    )
 
 
 def write_json(tracer, path, command: Optional[str] = None) -> Path:

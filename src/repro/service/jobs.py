@@ -48,6 +48,7 @@ from ..engine.faults import as_plan
 from ..engine.grid import GridSpec, expand
 from ..engine.store import ResultStore
 from ..graphs.memo import RUNS
+from ..obs.export import counter_total
 from ..obs.metrics import Histogram
 from ..obs.progress import ProgressEmitter, read_progress_events
 
@@ -268,6 +269,8 @@ class SweepService:
         self._queue_wait = Histogram()
         self._run_time = Histogram()
         self._rejected: Dict[str, int] = {"queue_full": 0, "rate_limited": 0}
+        # run-memo entries evicted by finished jobs, from their traces
+        self._evictions = 0
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
 
@@ -402,7 +405,11 @@ class SweepService:
                 "queue_wait_s": _summary(self._queue_wait),
                 "run_s": _summary(self._run_time),
                 "rejected": dict(self._rejected),
-                "memory_tier": {"entries": len(RUNS), "limit": RUNS.limit},
+                "memory_tier": {
+                    "entries": len(RUNS),
+                    "limit": RUNS.limit,
+                    "evictions": self._evictions,
+                },
             }
 
     # -- the worker loop ---------------------------------------------------
@@ -451,7 +458,9 @@ class SweepService:
             progress=progress,
             **dict(self.config.sweep_options),
         )
+        evictions = counter_total(report.trace or {}, "adversary.run_memo_evictions")
         with self._lock:
+            self._evictions += evictions
             job.state = "done"
             job.summary = report.summary
             job.cache = report.cache.as_dict()

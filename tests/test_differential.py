@@ -10,16 +10,26 @@ proposal adversaries build up to Delta = 7, and one family whose distinct
 colours share a ``repr``.  Each comparison checks one production result
 against its oracle; a cyclic input agrees when both sides raise the same
 ``ValueError``.
+
+The adversary's column paths are checked the same way (:class:`TestColumnPaths`):
+the radius-cut forms of its (P1) check, the snapshots its lifts derive, and
+its (P2)/(P3) verdicts, at every step it checks.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from array import array
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core import adversary
 from repro.core.adversary import run_adversary
+from repro.core.theorem import chain_from_name
+from repro.core.witness import AlgorithmFailure
 from repro.engine import CanonicalFormCache
 from repro.graphs.cover import universal_cover_ec
 from repro.graphs.families import (
@@ -39,9 +49,17 @@ from repro.graphs.isomorphism import (
     use_canonical_cache,
 )
 from repro.graphs.lifts import random_two_lift
+from repro.graphs.loopy import min_direct_loops
 from repro.graphs.memo import reset_memos
 from repro.graphs.multigraph import ECGraph
 from repro.graphs.neighborhoods import ball
+from repro.graphs.soa import (
+    SoASnapshot,
+    _build,
+    canonical_form_fast,
+    is_tree_ignoring_loops_fast,
+    min_direct_loops_fast,
+)
 from repro.matching import greedy_color_algorithm, proposal_algorithm
 from tests.oracles import reference_ball
 
@@ -263,3 +281,149 @@ def test_repr_tie_family_has_tied_colours():
             reprs = [repr(e.color) for e in g.incident_edges(v)]
             tied += len(set(reprs)) < len(reprs)
     assert tied > 0
+
+
+# ----------------------------------------------------------------------
+# the adversary's column paths
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def construction():
+    """Every step the adversary checked and every graph its lifts built:
+    greedy and proposal at Δ = 3–9, and the po, oi and id chains at
+    Δ = 2–4, refuted runs included up to their refutation."""
+    steps, lifts = [], []
+    real_step, real_unfold, real_mix = adversary._make_step, adversary.unfold_loop, adversary.mix
+
+    def make_step(index, graph_g, graph_h, node_g, node_h, *args, **kwargs):
+        steps.append((index, graph_g, graph_h, node_g, node_h))
+        return real_step(index, graph_g, graph_h, node_g, node_h, *args, **kwargs)
+
+    def unfold_loop(*args):
+        result = real_unfold(*args)
+        lifts.append(result[0])
+        return result
+
+    def mix(*args):
+        result = real_mix(*args)
+        lifts.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "_make_step", make_step)
+        patch.setattr(adversary, "unfold_loop", unfold_loop)
+        patch.setattr(adversary, "mix", mix)
+        for algorithm in (greedy_color_algorithm(), proposal_algorithm()):
+            for delta in range(3, 10):
+                run_adversary(algorithm, delta)
+        for chain in ("po", "oi", "id"):
+            for delta in (2, 3, 4):
+                try:
+                    run_adversary(chain_from_name(chain, t=delta), delta)
+                except AlgorithmFailure:
+                    pass  # the oi and id chains are refuted at Δ = 3
+    return steps, lifts
+
+
+SNAPSHOT_COLUMNS = [name for name in SoASnapshot.__slots__ if name != "_edge_np"]
+
+
+def snapshot_columns(snap: SoASnapshot) -> dict:
+    return {
+        name: list(value) if isinstance(value, array) else value
+        for name in SNAPSHOT_COLUMNS
+        for value in (getattr(snap, name),)
+    }
+
+
+def verdicts(g: ECGraph):
+    """(P2)/(P3) on the columns, then by the object oracles."""
+    return (
+        (min_direct_loops_fast(g), is_tree_ignoring_loops_fast(g)),
+        (min_direct_loops(g), g.is_tree_ignoring_loops()),
+    )
+
+
+class TestColumnPaths:
+    def test_every_step_and_lift_was_recorded(self, construction):
+        steps, lifts = construction
+        # 2 x (2 + 3 + ... + 8) steps for Δ = 3–9, the chains' 14 steps,
+        # and the base step of each of the two refuted chain runs
+        assert len(steps) == 2 * 35 + 14 + 2
+        assert len(lifts) > len(steps)
+
+    def test_radius_forms_are_the_reference_balls_forms(self, construction):
+        steps, _ = construction
+        wrong = []
+        for index, graph_g, graph_h, node_g, node_h in steps:
+            for g, v in ((graph_g, node_g), (graph_h, node_h)):
+                reference, _ = reference_ball(g, v, index)
+                if canonical_form_of(g, v, index) != canonical_rooted_form(reference, v):
+                    wrong.append((index, v))
+        assert wrong == []
+
+    def test_lifts_carry_their_kernels_own_snapshot(self, construction):
+        _, lifts = construction
+        for g in lifts:
+            derived = g.kernel._soa
+            assert isinstance(derived, SoASnapshot)
+            assert snapshot_columns(derived) == snapshot_columns(_build(g.kernel))
+
+    def test_column_verdicts_match_the_object_oracles(self, construction):
+        steps, lifts = construction
+        graphs = lifts + [g for _, graph_g, graph_h, _, _ in steps for g in (graph_g, graph_h)]
+        for g in graphs:
+            columns, objects = verdicts(g)
+            assert columns == objects
+
+    @given(
+        st.integers(0, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+                              st.integers(1, 4)),
+                    max_size=0 if n == 0 else 14,
+                ),
+            )
+        )
+    )
+    @example((0, []))  # the empty graph
+    @example((4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2), (0, 0, 3)]))  # a cycle
+    @example((5, [(0, 1, 1), (1, 2, 2), (3, 4, 1), (4, 4, 2)]))  # a forest
+    @example((3, [(0, 1, 1), (1, 2, 2), (2, 2, 1), (0, 0, 2)]))  # a tree with loops
+    @settings(max_examples=200, deadline=None)
+    def test_column_verdicts_match_on_drawn_graphs(self, drawn):
+        n, edges = drawn
+        g = ECGraph()
+        for v in range(n):
+            g.add_node(v)
+        for u, v, color in edges:
+            if color not in g.incident_colors(u) and color not in g.incident_colors(v):
+                g.add_edge(u, v, color)
+        columns, objects = verdicts(g)
+        assert columns == objects
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_radius_form_raises_exactly_when_the_balls_form_does(self, n):
+        g = cycle_graph(n)
+        g.add_edge(0, 0, 9)
+        for t in range(n + 1):
+            got = _outcome(lambda: canonical_form_fast(g, 0, t))
+            want = _outcome(lambda: canonical_form_fast(ball(g, 0, t).graph, 0))
+            assert got == want, t
+        # the ball first holds the whole cycle at radius ceil(n / 2)
+        closed = (n + 1) // 2
+        assert _outcome(lambda: canonical_form_fast(g, 0, closed - 1))[0] == "value"
+        assert _outcome(lambda: canonical_form_fast(g, 0, closed))[0] == "raised"
+
+    def test_radius_below_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            canonical_form_fast(path_graph(3), 0, -1)
+
+    @pytest.mark.parametrize("index", [0, 1, 2, 3])
+    def test_a_broken_p3_raises_the_invariant_not_the_walks_error(self, index):
+        # a 4-cycle with a loop: from radius 2 its form walk meets the cycle
+        g = cycle_graph(4)
+        g.add_edge(0, 0, 9)
+        with pytest.raises(AssertionError, match="trees=False"):
+            adversary._make_step(index, g, g, 0, 0, 9, Fraction(0), Fraction(1), 4, "G")

@@ -102,16 +102,14 @@ class TestStructuralSharing:
         b.add_edge(e.u, e.v, e.color)
         assert b.allocated_edges == 1
 
-    def test_double_reuses_source_untouched(self):
+    def test_relabel_leaves_source_untouched(self):
         g = random_loopy_tree(5, 1, seed=9)
         before = labelled_structure(g)
-        b = GraphBuilder(directed=False)
-        b.double(g, tags=(0, 1))
+        copy = g.relabel({v: ("copy", v) for v in g.nodes()})
         assert labelled_structure(g) == before
-        doubled = b.freeze()
-        assert doubled.num_nodes() == 2 * g.num_nodes()
-        assert doubled.num_edges() == 2 * g.num_edges()
-        doubled.validate()
+        assert copy.nodes() == [("copy", v) for v in g.nodes()]
+        assert [e.eid for e in copy.edges()] == [e.eid for e in g.edges()]
+        copy.validate()
 
 
 class TestJsonRoundTrips:

@@ -52,6 +52,15 @@ class TestResetMemos:
         assert soa._PLANS.cons == {}
 
 
+def run_memo_evictions(tracer) -> list:
+    """The values of the tracer's ``adversary.run_memo_evictions`` counters."""
+    return [
+        row["value"]
+        for row in trace_document(tracer)["metrics"]["counters"]
+        if row["name"] == "adversary.run_memo_evictions"
+    ]
+
+
 def traced_cell(cell: Cell):
     """Run ``cell`` under a fresh tracer: its row, the tracer, and the
     tracer's ``adversary.run_memo`` counts by outcome."""
@@ -113,6 +122,20 @@ class TestRunMemo:
         assert counts == {"miss": 1}
         assert tracer.find("adversary.run")
         assert row["status"] == "refuted"
+
+    def test_evictions_are_counted_apart_from_hits_and_misses(self, monkeypatch):
+        reset_memos()
+        monkeypatch.setattr(RUNS, "limit", 1)
+        _, tracer, counts = traced_cell(Cell("greedy", 3))
+        assert counts == {"miss": 1}
+        assert run_memo_evictions(tracer) == []  # no eviction, no counter
+        _, tracer, counts = traced_cell(Cell("greedy", 4))
+        assert counts == {"miss": 1}
+        assert run_memo_evictions(tracer) == [1]
+        assert len(RUNS) == 1
+        _, tracer, counts = traced_cell(Cell("greedy", 3, seed=1))
+        assert counts == {"miss": 1}  # evicted, so computed again
+        assert run_memo_evictions(tracer) == [1]
 
     @pytest.mark.parametrize("algorithm", ["greedy", "proposal"])
     def test_stored_values_hold_only_the_verdict(self, algorithm):

@@ -504,6 +504,29 @@ class TestLightConeDifferential:
                     assert cone.outputs == {root: full.outputs[root]}
 
 
+    def test_a_cone_run_builds_only_the_cones_contexts(self):
+        from repro.graphs.cover import universal_cover_po
+        from repro.matching.proposal import ProposalFM
+        from repro.obs import Tracer
+
+        g = oriented_loopy_tree(6, 1, 0)
+        cover = universal_cover_po(g, g.nodes()[0], 4)
+        network = PONetwork(cover.tree, {"delta": g.max_degree()})
+        tracer = Tracer()
+        run_rounds(network, ProposalFM("PO"), 2, root=cover.root, tracer=tracer)
+        (span,) = tracer.find("local.run_rounds")
+        assert len(network._contexts) == span.attrs["cone"] < len(network.nodes())
+        assert network.nodes() == cover.tree.nodes()
+
+    def test_an_id_cone_run_builds_only_the_cones_contexts(self):
+        from repro.matching.proposal import ProposalFM
+
+        network = IDNetwork(nx.path_graph(9))
+        run_rounds(network, ProposalFM("ID"), 2, root=4)
+        assert sorted(network._contexts) == [2, 3, 4, 5, 6]
+        assert network.nodes() == list(range(9))
+
+
 class Unhalting(DistributedAlgorithm):
     """Runs ``inner`` for the whole budget and reports, as its snapshot,
     what ``inner`` announces then (``None`` if nothing)."""

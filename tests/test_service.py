@@ -264,7 +264,25 @@ class TestStats:
             assert summary["count"] == len(jobs)
             assert 0 <= summary["p50"] <= summary["p95"] <= summary["max"]
         # the run memo answered the warm jobs: their one cell, stored once
-        assert stats["memory_tier"] == {"entries": 1, "limit": RUNS.limit}
+        assert stats["memory_tier"] == {"entries": 1, "limit": RUNS.limit, "evictions": 0}
+
+    def test_memory_tier_sums_the_jobs_run_memo_evictions(self, tmp_path, monkeypatch):
+        reset_memos()
+        monkeypatch.setattr(RUNS, "limit", 1)
+        service = make_service(tmp_path, job_workers=1)  # alice's job runs first
+        jobs = [
+            service.submit({"algorithms": ["greedy"], "deltas": [3, 4]}, tenant="alice"),
+            service.submit({"algorithms": ["greedy"], "deltas": [3]}, tenant="bob"),
+        ]
+        service.start()
+        try:
+            wait_for(lambda: all(job.state in ("done", "failed") for job in jobs))
+        finally:
+            service.stop()
+        assert [job.state for job in jobs] == ["done"] * 2
+        # Δ 4 pushes Δ 3 out of the one-entry memo, and bob's Δ 3, computed
+        # again, pushes Δ 4 out
+        assert service.stats()["memory_tier"] == {"entries": 1, "limit": 1, "evictions": 2}
 
     def test_rejections_counted_by_reason(self, tmp_path):
         service = make_service(tmp_path, queue_size=1, rate=0.001, burst=1)
