@@ -2,10 +2,11 @@
 
 Measures the costs and contributions of the construction's moving parts:
 
-* *deep verification* — re-running the algorithm on every unfolded 2-lift
-  to check lift invariance empirically, versus trusting the lift identity
-  (the default).  Both must give the same witness; deep verification pays
-  roughly one extra algorithm run per step.
+* *deep verification* — unfolding both parents of every inductive step
+  and re-running the algorithm on each 2-lift to check lift invariance
+  empirically, versus trusting the lift identity and unfolding only the
+  side the walk keeps (the default).  Both must give the same witness;
+  deep verification pays two extra algorithm runs per inductive step.
 * *ball-isomorphism checking* — the per-step (P1) machine check via
   canonical forms, measured against construction time.
 * *exact arithmetic* — the disagreement-walk lengths, confirming the

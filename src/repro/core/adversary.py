@@ -13,18 +13,19 @@ The construction (Figures 5-7):
 * **base case** — ``G_0`` is a single node with ``Delta`` coloured loops;
   removing a positive-weight loop yields ``H_0``, and saturation forces some
   surviving loop's weight to change;
-* **inductive step** — *unfold* the disagreeing loop of ``G`` into the
-  2-lift ``GG`` and *mix* ``G - e`` with ``H - f`` into ``GH``.  Because
-  ``A`` is lift-invariant it keeps the old weights on ``GG`` (and ``HH``),
-  so the fresh mixing edge's weight differs from the old weight of ``e`` or
-  of ``f``; the *propagation principle* then walks that disagreement through
-  the shared tree until it rests on a loop — the next witness.
+* **inductive step** — *mix* ``G - e`` with ``H - f`` into ``GH``.  The
+  fresh mixing edge's weight differs from the old weight of ``e`` or of
+  ``f``, since those differ.  Because ``A`` is lift-invariant it keeps the
+  old weights on the 2-lift ``GG`` (or ``HH``), so the next pair is
+  ``(GG, GH)`` or ``(HH, GH)``: only the side that lost its weight is
+  *unfolded*.  The *propagation principle* then walks that disagreement
+  through the shared tree until it rests on a loop — the next witness.
 
 Everything the paper claims is re-checked mechanically on every step:
 ball isomorphism ((P1), via radius-cut canonical forms), loop budgets
 ((P2)), tree shape ((P3)) — all three on the graphs' columns —
 feasibility/maximality/saturation of every output (Lemma 2), and —
-optionally — lift invariance of ``A`` itself on the unfolded graphs.
+optionally — lift invariance of ``A`` itself on both parents' 2-lifts.
 """
 
 from __future__ import annotations
@@ -131,8 +132,12 @@ def checked_run(
 
 
 def _lifted_outputs(base_outputs: NodeOutputs, lifted: ECGraph) -> NodeOutputs:
-    """Outputs on a 2-lift implied by lift invariance: copy the base node's."""
-    return {(side, v): dict(base_outputs[v]) for (side, v) in lifted.nodes()}
+    """Outputs on a 2-lift implied by lift invariance: the base node's.
+
+    Both copies of a node share its output dict; nothing writes an output
+    map.
+    """
+    return {(side, v): base_outputs[v] for (side, v) in lifted.nodes()}
 
 
 def _first_disagreeing_color(
@@ -161,14 +166,16 @@ def run_adversary(
         The maximum degree; the construction reaches witness depth
         ``delta - 2`` and every graph built has maximum degree ``delta``.
     deep_verify:
-        Re-run the algorithm on every unfolded 2-lift and check the outputs
-        agree with the lift-invariance prediction (slower; catches
-        non-anonymous algorithms red-handed).
+        At every inductive step, unfold both parents, re-run the algorithm
+        on each 2-lift and check its outputs agree with the lift-invariance
+        prediction (two extra runs per step; catches non-anonymous
+        algorithms red-handed).
     tracer:
         A :class:`repro.obs.Tracer`; defaults to the ambient tracer (no-op
         unless installed).  Emits one ``adversary.run`` span containing one
         ``adversary.step`` span per induction step (the base case is step
-        0) with ``adversary.unfold`` / ``adversary.mix`` /
+        0) with ``adversary.mix`` / ``adversary.unfold`` (one, of the side
+        the walk keeps; under ``deep_verify`` two, G then H) /
         ``adversary.walk`` / ``adversary.iso_check`` sub-spans, graph
         node/edge counts and certificate verdicts — the measurable form of
         the construction's Delta-linear cost profile.
@@ -239,26 +246,12 @@ def run_adversary(
                 assert e is not None and e.is_loop, "witness colour must be a loop in G"
                 assert f is not None and f.is_loop, "witness colour must be a loop in H"
 
-                with tracer.span("adversary.unfold", side="G", nodes=graph_g.num_nodes()):
-                    gg, alpha_gg, _ = unfold_loop(graph_g, e.eid)
                 with tracer.span(
                     "adversary.mix",
                     nodes_g=graph_g.num_nodes(),
                     nodes_h=graph_h.num_nodes(),
                 ):
                     gh, _ = mix(graph_g, e.eid, graph_h, f.eid)
-
-                out_gg = _lifted_outputs(out_g, gg)
-                if deep_verify:
-                    fresh = checked_run(
-                        algorithm, gg, tracer=tracer, delta=delta, level=i + 1
-                    )
-                    if fresh != out_gg:
-                        raise AlgorithmFailure(
-                            f"{algorithm.name} is not lift-invariant: its outputs on the "
-                            f"unfolded 2-lift differ from the base graph's",
-                            graph=gg,
-                        )
                 out_gh = checked_run(algorithm, gh, tracer=tracer, delta=delta, level=i + 1)
 
                 w_e = Fraction(out_g[node_g][color])
@@ -266,52 +259,46 @@ def run_adversary(
                 w_mix = Fraction(out_gh[(0, node_g)][color])
                 assert w_e != w_f, "induction invariant: the loop weights differ"
 
-                if w_mix != w_e:
-                    # pair (GG, GH); walk the disagreement through the G side
-                    side = "G"
-                    walk_graph = graph_g
-                    outputs1 = out_g
-                    outputs2 = {v: out_gh[(0, v)] for v in graph_g.nodes()}
-                    start = node_g
-                    new_g_graph, new_g_outputs = gg, out_gg
-                    embed = lambda v: (0, v)  # noqa: E731 - tiny positional helper
-                else:
-                    # w_mix == w_e != w_f: pair (HH, GH); walk through the H side
-                    side = "H"
-                    with tracer.span(
-                        "adversary.unfold", side="H", nodes=graph_h.num_nodes()
-                    ):
-                        hh, _, _ = unfold_loop(graph_h, f.eid)
-                    out_hh = _lifted_outputs(out_h, hh)
-                    if deep_verify:
-                        fresh = checked_run(
-                            algorithm, hh, tracer=tracer, delta=delta, level=i + 1
+                # the mixing edge lost e's weight: the pair is (GG, GH) and the
+                # walk runs through G; otherwise it lost f's: (HH, GH) through H
+                side = "G" if w_mix != w_e else "H"
+                parents = {
+                    "G": (0, graph_g, e, out_g, node_g),
+                    "H": (1, graph_h, f, out_h, node_h),
+                }
+                lifts = {}
+                for lifted in ("G", "H") if deep_verify else (side,):
+                    _, parent, loop, outputs, _ = parents[lifted]
+                    with tracer.span("adversary.unfold", side=lifted, nodes=parent.num_nodes()):
+                        lift, _, _ = unfold_loop(parent, loop.eid)
+                    predicted = _lifted_outputs(outputs, lift)
+                    if deep_verify and checked_run(
+                        algorithm, lift, tracer=tracer, delta=delta, level=i + 1
+                    ) != predicted:
+                        raise AlgorithmFailure(
+                            f"{algorithm.name} is not lift-invariant: its outputs on the "
+                            f"unfolded 2-lift of {lifted} differ from {lifted}'s",
+                            graph=lift,
                         )
-                        if fresh != out_hh:
-                            raise AlgorithmFailure(
-                                f"{algorithm.name} is not lift-invariant on the unfolded "
-                                f"2-lift of H",
-                                graph=hh,
-                            )
-                    walk_graph = graph_h
-                    outputs1 = out_h
-                    outputs2 = {v: out_gh[(1, v)] for v in graph_h.nodes()}
-                    start = node_h
-                    new_g_graph, new_g_outputs = hh, out_hh
-                    embed = lambda v: (1, v)  # noqa: E731
+                    lifts[lifted] = lift, predicted
 
+                tag, walk_graph, _, walk_outputs, start = parents[side]
                 with tracer.span(
                     "adversary.walk", side=side, nodes=walk_graph.num_nodes()
                 ) as walk_span:
-                    g_star, loop_color, _trail = disagreement_walk(
-                        walk_graph, outputs1, outputs2, start, color
+                    g_star, loop_color, trail = disagreement_walk(
+                        walk_graph,
+                        walk_outputs,
+                        {v: out_gh[(tag, v)] for v in walk_graph.nodes()},
+                        start,
+                        color,
                     )
-                    walk_span.set(trail_length=len(_trail))
+                    walk_span.set(trail_length=len(trail))
 
-                graph_g, out_g = new_g_graph, new_g_outputs
+                graph_g, out_g = lifts[side]
                 graph_h, out_h = gh, out_gh
                 node_g = (0, g_star)
-                node_h = embed(g_star)
+                node_h = (tag, g_star)
                 color = loop_color
 
                 witness.steps.append(

@@ -15,7 +15,8 @@ one canonical-form memo; :func:`canonical_form_of` routes each lookup
 through the ambient cache, when one is installed, so that it is counted.
 The adversary compares radius-``i`` forms read off its whole graphs; no
 ball is extracted.  :func:`canonical_rooted_form` is the recursive
-definition, and :func:`balls_isomorphic` over extracted balls the object
+definition, and :func:`balls_isomorphic` over the balls that
+:func:`~repro.graphs.neighborhoods.ball` builds edge by edge the object
 path; both are kept as oracles and as :func:`repro.core.witness.reverify_step`'s
 independent re-check.  A general (slow) path via :mod:`networkx` VF2 serves
 non-tree EC-graphs.

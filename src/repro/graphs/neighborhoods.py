@@ -18,7 +18,6 @@ from typing import Dict, Hashable
 
 from .kernel import GraphKernel
 from .multigraph import ECGraph
-from .soa import extract_ball
 
 Node = Hashable
 
@@ -71,8 +70,21 @@ def ball(g: ECGraph, v: Node, t: int) -> Ball:
     edge's distance ``min dist + 1`` is at most ``t``).  Loops at a node of
     distance ``d`` have distance ``d + 1``.  Raises ``KeyError`` when ``v``
     is not a node of ``g``, at every radius.
+
+    The ball is built edge by edge with the generic builder: its nodes in
+    BFS discovery order, then ``g``'s included edges in ``g``'s edge order,
+    each with its own id.
     """
     if t < 0:
         raise ValueError("radius must be non-negative")
-    sub_kernel, dist = extract_ball(g, v, t)
-    return Ball(graph=ECGraph.from_kernel(sub_kernel), root=v, radius=t, distances=dist)
+    if not g.has_node(v):
+        raise KeyError(v)
+    dist = g.bfs_distances(v, max_dist=t)
+    sub = ECGraph()
+    for w in dist:
+        sub.add_node(w)
+    for e in g.edges():
+        du, dv = dist.get(e.u), dist.get(e.v)
+        if du is not None and dv is not None and min(du, dv) < t:
+            sub.add_edge(e.u, e.v, e.color, eid=e.eid)
+    return Ball(graph=sub, root=v, radius=t, distances=dist)

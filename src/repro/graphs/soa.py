@@ -2,10 +2,10 @@
 
 A :class:`~repro.graphs.kernel.GraphKernel` stores a graph as Python dicts
 of labelled objects — ideal for copy-on-write forking, hostile to tight
-loops: canonicalising a ball or extracting a neighbourhood walks tuples
-node-by-node.  This module builds, per frozen kernel and on first demand,
-a **SoA snapshot**: contiguous integer columns (:mod:`array` ``'q'``
-buffers, zero-copy viewable as NumPy arrays) over dense node indices:
+loops: canonicalising a tree walks tuples node-by-node.  This module
+builds, per frozen kernel and on first demand, a **SoA snapshot**:
+contiguous integer columns (:mod:`array` ``'q'`` buffers, zero-copy
+viewable as NumPy arrays) over dense node indices:
 
 * per-node: the label, and a CSR slice of *slot* columns;
 * per-slot (CSR, colour-sorted to match ``ECGraph.incident_edges`` order):
@@ -17,10 +17,10 @@ buffers, zero-copy viewable as NumPy arrays) over dense node indices:
   :func:`repro.graphs.isomorphism.canonical_rooted_form`;
 * per-edge: edge id and both endpoint indices, in insertion order.
 
-On top of the snapshot live the two integer-array hot paths, the only
-production implementations of canonical forms and balls:
+On top of the snapshot live the construction's production paths:
 
-* :func:`canonical_form_fast` — an iterative, hash-consed canonicaliser.
+* :func:`canonical_form_fast` — an iterative, hash-consed canonicaliser,
+  the only production implementation of canonical forms.
   Each node's *shape* — its ``(colour, child form id)`` rows in canonical
   order — keys a process-wide plan cache mapping shapes to already-built
   form tuples, so isomorphic subtrees (the G- and H-side balls of every
@@ -35,10 +35,6 @@ production implementations of canonical forms and balls:
   Given a ``radius``, the walk stops at that depth, where a node keeps
   only the edge it arrived by: the canonical form of the radius-``t`` ball,
   read off the whole graph without extracting it.
-* :func:`extract_ball` — radius-``t`` neighbourhood extraction that BFS-es
-  over the CSR columns and assembles the sub-kernel's dicts directly
-  (sharing the parent's frozen edge records), skipping the per-edge
-  properness checks of the generic builder path.
 * :func:`join_at_loops` — the kernel behind the adversary's unfold and mix
   moves, with its snapshot derived from the parents' columns.
 * :func:`min_direct_loops_fast` and :func:`is_tree_ignoring_loops_fast` —
@@ -48,11 +44,12 @@ Every undirected kernel has a snapshot.  A directed kernel raises
 ``TypeError``, a root that is not a node raises ``KeyError``, and colours
 that do not sort raise whatever ``sorted`` raises.  The object-walking
 :func:`~repro.graphs.isomorphism.canonical_rooted_form`,
-:func:`~repro.graphs.neighborhoods.ball`,
 :meth:`~repro.graphs.multigraph.ECGraph.is_tree_ignoring_loops` and
 :func:`~repro.graphs.loopy.min_direct_loops` stay as the oracles that
-``tests/test_differential.py`` compares against.  Snapshots memoize into
-the kernel's ``_soa`` slot; this module is the only place that fills it.
+``tests/test_differential.py`` compares against; balls
+(:func:`~repro.graphs.neighborhoods.ball`) are built with the generic
+builder and need no columns.  Snapshots memoize into the kernel's
+``_soa`` slot; this module is the only place that fills it.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ __all__ = [
     "snapshot_of",
     "canonical_form_fast",
     "consed_canonical_form",
-    "extract_ball",
     "join_at_loops",
     "min_direct_loops_fast",
     "is_tree_ignoring_loops_fast",
@@ -88,10 +84,6 @@ _CUT_FID = -2
 #: consed forms kept before the plan cache self-clears (a backstop far
 #: above any real sweep; clearing only ever costs recomputation)
 _PLAN_LIMIT = 1 << 18
-
-#: edge count from which ball extraction switches the edge-inclusion
-#: filter to the vectorised NumPy path (below it, loop overhead wins)
-_VECTOR_MIN_EDGES = 64
 
 
 class SoASnapshot:
@@ -336,161 +328,6 @@ def _consed_form(
         parent = stack[-1]
         parent[4].append((parent[6], fid))
         parent[5].append((parent[6], form))
-
-
-# ----------------------------------------------------------------------
-# columnar ball extraction
-# ----------------------------------------------------------------------
-def extract_ball(g, root: Node, t: int):
-    """``tau_t(g, root)`` assembled directly over the SoA columns.
-
-    Returns ``(sub_kernel, distances)`` — the frozen kernel of the ball's
-    subgraph (sharing the parent's edge records) plus the BFS distance
-    dict in discovery order; raises ``KeyError`` when ``root`` is not a
-    node.  Node order, edge order, edge ids and ``next_eid`` are those of
-    building the ball edge by edge with a ``GraphBuilder``.
-    """
-    kernel = _kernel_of(g)
-    snap = snapshot_of(kernel)
-    root_index = snap.index_of[root]
-
-    n = snap.n
-    off = snap.slot_off
-    other = snap.slot_other
-    dist = array("q", (-1,)) * n
-    dist[root_index] = 0
-    order = [root_index]
-    frontier = [root_index]
-    d = 0
-    while frontier and d < t:
-        d += 1
-        nxt: List[int] = []
-        for v in frontier:
-            for p in range(off[v], off[v + 1]):
-                w = other[p]
-                if dist[w] < 0:
-                    dist[w] = d
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-
-    labels = snap.labels
-    distances = {labels[i]: dist[i] for i in order}
-    slots: Dict[Node, Dict[Any, int]] = {labels[i]: {} for i in order}
-    edges: Dict[int, Any] = {}
-
-    next_eid = 0
-    kept: List[int] = []
-    if t >= 1 and snap.m:
-        edges_map = kernel._edges
-        edge_eids = snap.edge_eids
-        reach = t - 1
-        kept = _included_edges(snap, dist, reach)
-        for j in kept:
-            eid = edge_eids[j]
-            record = edges_map[eid]
-            color = record.color
-            slots[record.u][color] = eid
-            if record.u != record.v:
-                slots[record.v][color] = eid
-            edges[eid] = record
-            # the builder recurrence, reproduced exactly for byte-compat
-            next_eid = (next_eid if next_eid > eid else eid) + 1
-    sub_kernel = GraphKernel(False, slots, edges, next_eid)
-    object.__setattr__(sub_kernel, "_soa", _derive_ball_snapshot(snap, order, edges, kept))
-    return sub_kernel, distances
-
-
-def _derive_ball_snapshot(
-    parent: SoASnapshot, order: List[int], edges: Dict[int, Any], kept: List[int]
-) -> SoASnapshot:
-    """The ball sub-kernel's snapshot, filtered out of the parent's columns.
-
-    Per node, the kept slots are a subsequence of the parent's colour-sorted
-    slots (so they stay colour-sorted), and the kept entries of the parent's
-    stable repr permutation are the stable repr permutation of the
-    subsequence — column-for-column what :func:`_build` would compute, with
-    no sorting or ``repr`` work.
-    """
-    sub = SoASnapshot()
-    labels = parent.labels
-    sub.labels = [labels[i] for i in order]
-    sub.index_of = {labels[i]: k for k, i in enumerate(order)}
-    sub.n = len(order)
-    sub.m = len(edges)
-
-    new_index = array("q", (-1,)) * parent.n
-    for k, i in enumerate(order):
-        new_index[i] = k
-
-    p_off = parent.slot_off
-    p_colors = parent.slot_colors
-    p_eids = parent.slot_eids
-    p_other = parent.slot_other
-    p_repr_order = parent.slot_repr_order
-    s_off = sub.slot_off
-    s_colors = sub.slot_colors
-    s_eids = sub.slot_eids
-    s_other = sub.slot_other
-    s_repr_order = sub.slot_repr_order
-    base = 0
-    for i in order:
-        lo = p_off[i]
-        hi = p_off[i + 1]
-        kept_ps = [p for p in range(lo, hi) if p_eids[p] in edges]
-        for p in kept_ps:
-            s_colors.append(p_colors[p])
-            s_eids.append(p_eids[p])
-            s_other.append(new_index[p_other[p]])
-        if len(kept_ps) == hi - lo:
-            shift = base - lo
-            s_repr_order.extend(p + shift for p in p_repr_order[lo:hi])
-        elif kept_ps:
-            pos = {p: base + k for k, p in enumerate(kept_ps)}
-            s_repr_order.extend(
-                pos[p] for p in p_repr_order[lo:hi] if p in pos
-            )
-        base += len(kept_ps)
-        s_off.append(base)
-
-    p_edge_eids = parent.edge_eids
-    p_edge_ui = parent.edge_ui
-    p_edge_vi = parent.edge_vi
-    s_edge_eids = sub.edge_eids
-    s_edge_ui = sub.edge_ui
-    s_edge_vi = sub.edge_vi
-    for j in kept:
-        s_edge_eids.append(p_edge_eids[j])
-        s_edge_ui.append(new_index[p_edge_ui[j]])
-        s_edge_vi.append(new_index[p_edge_vi[j]])
-    return sub
-
-
-def _included_edges(snap: SoASnapshot, dist: array, reach: int):
-    """Indices of edges with both ends in the ball and min distance <= reach.
-
-    Insertion order is preserved either way; the NumPy path evaluates the
-    paper's edge-distance rule as one vectorised mask over the endpoint
-    columns.
-    """
-    if snap.m >= _VECTOR_MIN_EDGES:
-        ui, vi = snap.edge_endpoint_arrays()
-        dist_np = np.frombuffer(dist, dtype=np.int64)
-        du = dist_np[ui]
-        dv = dist_np[vi]
-        keep = (du >= 0) & (dv >= 0) & (np.minimum(du, dv) <= reach)
-        return np.flatnonzero(keep).tolist()
-    edge_ui = snap.edge_ui
-    edge_vi = snap.edge_vi
-    out = []
-    for j in range(snap.m):
-        du = dist[edge_ui[j]]
-        dv = dist[edge_vi[j]]
-        if du < 0 or dv < 0:
-            continue
-        if (du if du <= dv else dv) <= reach:
-            out.append(j)
-    return out
 
 
 # ----------------------------------------------------------------------

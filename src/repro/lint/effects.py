@@ -259,14 +259,38 @@ class EffectAnalysis:
                 and root_name(target) not in ("self", "cls")
             )
 
+        def module_level(name: str) -> bool:
+            return name not in info.local_names and name in syms_assigned
+
+        # a local bound to a module-level name (``table = RUNS``, or the
+        # variable of a ``for`` over a tuple, list or set literal of such
+        # names) mutates what that name holds
+        aliases: Dict[str, str] = {}
+        for top in info.nodes:
+            for node in ast.walk(top):
+                if isinstance(node, ast.For) and isinstance(
+                    node.iter, (ast.Tuple, ast.List, ast.Set)
+                ):
+                    pairs = [(node.target, value) for value in node.iter.elts]
+                elif isinstance(node, ast.Assign):
+                    pairs = [(target, node.value) for target in node.targets]
+                else:
+                    continue
+                for target, value in pairs:
+                    if (
+                        isinstance(target, ast.Name)
+                        and isinstance(value, ast.Name)
+                        and module_level(value.id)
+                    ):
+                        aliases.setdefault(target.id, value.id)
+
         def mutated_global(node: ast.AST) -> Optional[str]:
             """The module-level name a store/mutation target reaches into."""
             root = root_name(node)
-            if root is None or root in info.local_names:
+            root = aliases.get(root, root)
+            if root is None or not module_level(root):
                 return None
-            if root in syms_assigned:
-                return root
-            return None
+            return root
 
         for top in info.nodes:
             for node in ast.walk(top):

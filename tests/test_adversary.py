@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.adversary import checked_run, run_adversary
-from repro.core.witness import AlgorithmFailure
+from repro.core.witness import AlgorithmFailure, reverify_step
 from repro.graphs.families import random_loopy_tree, single_node_with_loops
 from repro.graphs.isomorphism import balls_isomorphic
 from repro.graphs.loopy import loopiness, min_direct_loops
@@ -19,6 +19,8 @@ from repro.graphs.neighborhoods import ball
 from repro.matching.greedy_color import greedy_color_algorithm
 from repro.matching.naive import DegreeSplitFM, SelfishFM, ZeroFM
 from repro.matching.proposal import proposal_algorithm
+from repro.obs.tracer import Tracer
+from tests.reverse_greedy import ReverseEdgeGreedy
 
 
 class TestCheckedRun:
@@ -182,6 +184,61 @@ class TestDeepVerify:
 
         with pytest.raises(AlgorithmFailure):
             run_adversary(SizeCheater(), 5, deep_verify=True)
+
+
+def sides(witness):
+    """The witness's steps as one letter each: ``b`` (base), ``G`` or ``H``."""
+    return "".join(step.side[0] for step in witness.steps)
+
+
+class TestSideG:
+    """Reverse-edge greedy takes side G, which no shipped algorithm does."""
+
+    SIDES = {3: "bG", 4: "bGH", 5: "bGHG", 6: "bGHGG", 7: "bGHGGG", 8: "bGHGGGG"}
+
+    @pytest.mark.parametrize("delta", sorted(SIDES))
+    def test_every_step_is_valid_and_reverifies(self, delta):
+        witness = run_adversary(ReverseEdgeGreedy(), delta)
+        assert sides(witness) == self.SIDES[delta]
+        assert all(step.valid for step in witness.steps)
+        assert [reverify_step(step, delta) for step in witness.steps] == [
+            [] for _ in witness.steps
+        ]
+
+
+def unfold_sides(tracer):
+    """Per inductive step, the sides of its ``adversary.unfold`` spans."""
+    return [
+        [span.attrs["side"] for span in step.children if span.name == "adversary.unfold"]
+        for step in tracer.find("adversary.step")
+        if step.attrs["index"] >= 1
+    ]
+
+
+class TestUnfoldSpans:
+    """An inductive step unfolds only the side the walk keeps; deep
+    verification unfolds both parents."""
+
+    @pytest.mark.parametrize(
+        "algorithm, delta", [(greedy_color_algorithm, 5), (ReverseEdgeGreedy, 6)]
+    )
+    def test_one_unfold_per_step_on_the_kept_side(self, algorithm, delta):
+        tracer = Tracer()
+        witness = run_adversary(algorithm(), delta, tracer=tracer)
+        assert unfold_sides(tracer) == [[step.side] for step in witness.steps[1:]]
+
+    def test_deep_verify_unfolds_both_parents(self):
+        tracer = Tracer()
+        witness = run_adversary(greedy_color_algorithm(), 5, deep_verify=True, tracer=tracer)
+        assert sides(witness) == "bHHH"
+        assert unfold_sides(tracer) == [["G", "H"]] * 3
+
+    def test_deep_verify_stops_at_the_first_lift_that_differs(self):
+        tracer = Tracer()
+        with pytest.raises(AlgorithmFailure, match="not lift-invariant: .* 2-lift of G "):
+            run_adversary(ReverseEdgeGreedy(), 6, deep_verify=True, tracer=tracer)
+        # reverse-edge greedy is central: the first step's G-side lift differs
+        assert unfold_sides(tracer) == [["G"]]
 
 
 class TestDeterminism:

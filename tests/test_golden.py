@@ -18,9 +18,11 @@ re-pin the value here and say why in CHANGES.md.
   ordered cover words the PO <= OI and OI <= ID simulations hand to an
   OI-algorithm.  The row checksum cannot see this order, because both
   shipped OI machines ignore the order they are given;
-* ``adversary.witness`` — the Section 4 construction itself, step by step.
-  A row records only the witness depth and verdict, so a change that
-  picked another disagreeing colour, side or loop would keep every row.
+* ``adversary.witness`` — the Section 4 construction itself, step by step,
+  against both algorithms and against reverse-edge greedy, whose steps
+  take side G.  A row records only the witness depth and verdict, so a
+  change that picked another disagreeing colour, side or loop would keep
+  every row.
 * ``adversary.chain`` — the same through the po, oi and id simulation
   chains at Δ = 2–4: every step, both refutations and the nine rows;
 * ``adversary.refutation`` — what the checks say when an algorithm fails:
@@ -62,6 +64,7 @@ from repro.graphs.neighborhoods import ball
 from repro.graphs.ports import po_double_from_ec
 from repro.local.algorithm import ECWeightAlgorithm
 from repro.matching.naive import DegreeSplitFM, SelfishFM, ZeroFM
+from tests.reverse_greedy import ReverseEdgeGreedy
 
 ALGORITHMS = ("greedy", "proposal")
 
@@ -189,6 +192,24 @@ class TestWitness:
         assert len(steps) == 54
         assert sha256(repr(steps)) == (
             "ac3b3bfd0d52a347a4a3abf7bdb40f740af0c6224baa3678feca20eee9962688"
+        )
+
+    def test_side_g_witness_sha256(self):
+        """The same hash over reverse-edge greedy, whose steps take side G
+        (``tests/reverse_greedy.py``); no shipped algorithm does."""
+        steps = [
+            (
+                delta, step.index, step.side, repr(step.color),
+                str(step.weight_g), str(step.weight_h),
+                step.graph_g.num_nodes(), step.graph_h.num_nodes(),
+                ball(step.graph_g, step.node_g, step.index).canonical_form(),
+            )
+            for delta in range(3, 9)
+            for step in run_adversary(ReverseEdgeGreedy(), delta).steps
+        ]
+        assert len(steps) == 27
+        assert sha256(repr(steps)) == (
+            "ff073043ae87d66462fdcbb05d8707c4c3417a436134e5661b87370edae38156"
         )
 
 

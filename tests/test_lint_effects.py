@@ -305,6 +305,29 @@ class TestEffectInference:
         findings = lint_paths([tmp_path / "repro"])
         assert any(f.rule == "effect-escape" for f in findings)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "    for memo in (RUNS, PLANS):\n        memo.clear()\n",
+            "    table = RUNS\n    table[k] = v\n",
+        ],
+        ids=["loop-variable", "local-alias"],
+    )
+    def test_mutation_through_an_alias_is_global_mutation(self, tmp_path, body):
+        project = project_for(
+            tmp_path / "repro",
+            {
+                "repro/core/memos.py": (
+                    "RUNS = {}\nPLANS = {}\ndef reset(k, v):\n" + body
+                ),
+            },
+        )
+        fx = project.effects.functions["repro.core.memos.reset"]
+        assert "global-mutation" in fx.direct
+        assert "'RUNS'" in fx.sources["global-mutation"][0].detail
+        findings = lint_paths([tmp_path / "repro"])
+        assert any(f.rule == "effect-escape" for f in findings)
+
     def test_local_shadowing_is_not_global_mutation(self, tmp_path):
         project = project_for(
             tmp_path / "repro",

@@ -84,3 +84,27 @@ class TestMetadata:
         for e in b.graph.edges():
             orig = g.edge(e.eid)
             assert orig.color == e.color
+
+
+class TestBuildOrder:
+    def test_nodes_in_discovery_order_edges_in_graph_order(self):
+        """The ball is built edge by edge: nodes as BFS discovers them,
+        then the included edges in ``g``'s order, with ``g``'s ids."""
+        g = ECGraph()
+        g.add_edge(2, 3, 1)  # eid 0
+        g.add_edge(0, 1, 1)  # eid 1
+        g.add_edge(1, 2, 2)  # eid 2
+        g.add_edge(1, 1, 3)  # eid 3, a loop at distance 1
+        g.add_edge(0, 0, 2)  # eid 4, a loop at the root
+        g.add_edge(3, 4, 2)  # eid 5
+        assert g.nodes() == [2, 3, 0, 1, 4]
+        b = ball(g, 0, 2)
+        assert b.graph.nodes() == [0, 1, 2]
+        assert list(b.distances.items()) == [(0, 0), (1, 1), (2, 2)]
+        assert [(e.eid, e.u, e.v, e.color) for e in b.graph.edges()] == [
+            (1, 0, 1, 1),
+            (2, 1, 2, 2),
+            (3, 1, 1, 3),
+            (4, 0, 0, 2),
+        ]
+        assert b.graph.kernel._next_eid == 5

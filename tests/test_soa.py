@@ -1,8 +1,8 @@
 """Tests for the columnar kernel snapshots (repro.graphs.soa).
 
-The SoA layer is the only production path for canonical forms and balls:
-the tests here compare it against the object-walking oracles and pin the
-sharing discipline — snapshots memoize per frozen kernel and the
+The SoA layer is the only production path for canonical forms: the tests
+here compare it against the object-walking oracle and pin the sharing
+discipline — snapshots memoize per frozen kernel and the
 canonicalisation plan cache recognises isomorphic shapes.
 ``tests/test_differential.py`` runs the same comparisons over generated
 inputs.
@@ -22,16 +22,12 @@ from repro.graphs.families import (
 )
 from repro.graphs.isomorphism import canonical_rooted_form
 from repro.graphs.memo import reset_memos
-from repro.graphs.multigraph import ECGraph
 from repro.graphs.soa import (
-    _VECTOR_MIN_EDGES,
     SoASnapshot,
     canonical_form_fast,
     consed_canonical_form,
-    extract_ball,
     snapshot_of,
 )
-from tests.oracles import labelled_structure, reference_ball
 
 
 class TestSnapshot:
@@ -48,8 +44,6 @@ class TestSnapshot:
             snapshot_of(po.kernel)
         with pytest.raises(TypeError, match="undirected"):
             canonical_form_fast(po, "a")
-        with pytest.raises(TypeError, match="undirected"):
-            extract_ball(po, "a", 1)
 
     def test_columns_mirror_the_object_view(self):
         g = random_loopy_tree(5, 2, seed=2)
@@ -127,64 +121,3 @@ class TestCanonicalFormFast:
         assert wrong == []
         serial = [j for j, g in enumerate(trees) if canonical_form_fast(g, 0) != expected[j]]
         assert serial == []
-
-
-def assert_same_extraction(g: ECGraph, v, t: int) -> None:
-    sub_kernel, distances = extract_ball(g, v, t)
-    ref, ref_dist = reference_ball(g, v, t)
-    assert distances == ref_dist
-    view = ECGraph.from_kernel(sub_kernel)
-    assert view.nodes() == ref.nodes()  # discovery order, not just set
-    assert [(e.eid, e.u, e.v, e.color) for e in view.edges()] == [
-        (e.eid, e.u, e.v, e.color) for e in ref.edges()
-    ]
-    assert labelled_structure(sub_kernel) == labelled_structure(ref.kernel)
-    assert sub_kernel._next_eid == ref.kernel._next_eid
-
-
-class TestExtractBall:
-    def test_matches_builder_reference_small(self):
-        g = random_loopy_tree(6, 2, seed=3)
-        for v in g.nodes():
-            for t in range(4):
-                assert_same_extraction(g, v, t)
-
-    def test_matches_builder_reference_vectorised(self):
-        g = random_loopy_tree(40, 1, seed=4)
-        assert g.num_edges() >= _VECTOR_MIN_EDGES  # NumPy mask path engaged
-        for v in (0, 7, 39):
-            for t in range(4):
-                assert_same_extraction(g, v, t)
-
-    def test_radius_zero_excludes_loops(self):
-        sub_kernel, distances = extract_ball(single_node_with_loops(3), 0, 0)
-        view = ECGraph.from_kernel(sub_kernel)
-        assert view.nodes() == [0]
-        assert view.num_edges() == 0
-        assert distances == {0: 0}
-
-    def test_derived_snapshot_is_column_identical_to_fresh_build(self):
-        """extract_ball attaches a snapshot filtered out of the parent's
-        columns; it must match a from-scratch ``_build`` of the sub-kernel
-        column for column, or canonical forms over balls could drift."""
-        from array import array
-
-        from repro.graphs.soa import SoASnapshot, _build
-
-        columns = (
-            "n", "m", "labels", "index_of", "slot_off", "slot_colors",
-            "slot_eids", "slot_other", "slot_repr_order", "edge_eids",
-            "edge_ui", "edge_vi",
-        )
-        g = random_loopy_tree(12, 2, seed=5)
-        for v in (0, 5, 11):
-            for t in range(4):
-                sub_kernel, _ = extract_ball(g, v, t)
-                derived = sub_kernel._soa
-                assert isinstance(derived, SoASnapshot)
-                fresh = _build(sub_kernel)
-                for name in columns:
-                    got, want = getattr(derived, name), getattr(fresh, name)
-                    if isinstance(got, array):
-                        got, want = list(got), list(want)
-                    assert got == want, name
