@@ -7,8 +7,10 @@ Measures the costs and contributions of the construction's moving parts:
   empirically, versus trusting the lift identity and unfolding only the
   side the walk keeps (the default).  Both must give the same witness;
   deep verification pays two extra algorithm runs per inductive step.
-* *ball-isomorphism checking* — the per-step (P1) machine check via
-  canonical forms, measured against construction time.
+* *ball-isomorphism checking* — the per-step (P1) machine check: both
+  witness nodes' radius-``i`` canonical forms, read off the whole graphs
+  as the construction reads them, checked against the oracle
+  ``canonical_rooted_form`` on the extracted balls.
 * *exact arithmetic* — the disagreement-walk lengths, confirming the
   propagation principle resolves within the tree (never scanning cycles).
 """
@@ -18,7 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.adversary import run_adversary
-from repro.graphs.isomorphism import canonical_rooted_form
+from repro.graphs.isomorphism import canonical_form_of, canonical_rooted_form
+from repro.graphs.memo import reset_memos
 from repro.graphs.neighborhoods import ball
 from repro.matching.greedy_color import greedy_color_algorithm
 
@@ -43,23 +46,29 @@ def test_deep_verify_cost(benchmark, record, deep):
 
 @pytest.mark.parametrize("delta", [5, 7])
 def test_ball_isomorphism_cost(benchmark, record, delta):
+    """The top step's (P1) check as the construction makes it, from cold
+    memos; the oracle on the extracted balls must give the same verdict."""
     witness = run_adversary(greedy_color_algorithm(), delta)
     top = witness.steps[-1]
 
     def check():
-        b1 = ball(top.graph_g, top.node_g, top.index)
-        b2 = ball(top.graph_h, top.node_h, top.index)
-        return canonical_rooted_form(b1.graph, b1.root) == canonical_rooted_form(
-            b2.graph, b2.root
+        return canonical_form_of(top.graph_g, top.node_g, top.index) == canonical_form_of(
+            top.graph_h, top.node_h, top.index
         )
 
+    reset_memos()
     equal = benchmark.pedantic(check, rounds=1, iterations=1)
+    b1 = ball(top.graph_g, top.node_g, top.index)
+    b2 = ball(top.graph_h, top.node_h, top.index)
+    assert equal == (
+        canonical_rooted_form(b1.graph, b1.root) == canonical_rooted_form(b2.graph, b2.root)
+    )
     assert equal
     record(
         "E13 ablation: (P1) canonical-form ball check at top depth",
         delta=delta,
         radius=top.index,
-        ball_nodes=ball(top.graph_g, top.node_g, top.index).graph.num_nodes(),
+        ball_nodes=b1.graph.num_nodes(),
         isomorphic=equal,
     )
 

@@ -15,7 +15,7 @@ from repro.core.adversary import run_adversary
 from repro.matching.greedy_color import greedy_color_algorithm
 from repro.matching.proposal import proposal_algorithm
 
-DELTAS = [3, 4, 5, 6, 7, 8, 10]
+DELTAS = [3, 4, 5, 6, 7, 8, 10, 12, 14]
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -60,7 +60,7 @@ def test_engine_sweep_e1_grid(benchmark, record, engine_sweep):
     )
 
 
-@pytest.mark.parametrize("delta", [3, 4, 5, 6])
+@pytest.mark.parametrize("delta", DELTAS)
 def test_adversary_depth_vs_delta_proposal(benchmark, record, delta):
     witness = benchmark.pedantic(
         lambda: run_adversary(proposal_algorithm(), delta), rounds=1, iterations=1

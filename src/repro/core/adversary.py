@@ -26,19 +26,27 @@ ball isomorphism ((P1), via radius-cut canonical forms), loop budgets
 ((P2)), tree shape ((P3)) — all three on the graphs' columns —
 feasibility/maximality/saturation of every output (Lemma 2), and —
 optionally — lift invariance of ``A`` itself on both parents' 2-lifts.
+
+``GH`` differs from ``G`` and ``H`` only across the joining edge, so for a
+simulated algorithm (:class:`~repro.local.algorithm.SimulatedECWeights`)
+each run keeps its record beside its outputs, and the run on ``GH``
+replays its parents' records, simulating only the nodes whose inbox
+changed (:func:`repro.local.runtime.replay`).  Lemma 2 is still checked on
+every output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 from ..graphs.families import single_node_with_loops
 from ..graphs.isomorphism import canonical_form_of
 from ..graphs.lifts import mix, unfold_loop
 from ..graphs.multigraph import ECGraph
 from ..graphs.soa import is_tree_ignoring_loops_fast, min_direct_loops_fast
-from ..local.algorithm import ECWeightAlgorithm
+from ..local.algorithm import ECWeightAlgorithm, SimulatedECWeights
+from ..local.runtime import RunRecord
 from ..matching.fm import InconsistentOutputError, fm_from_node_outputs
 from ..obs.tracer import current_tracer
 from .propagation import disagreement_walk
@@ -59,6 +67,7 @@ def checked_run(
     tracer=None,
     delta: Optional[int] = None,
     level: Optional[int] = None,
+    run: Optional[Callable[[ECGraph], NodeOutputs]] = None,
 ) -> NodeOutputs:
     """Run ``algorithm`` on ``g`` and verify its output is a maximal FM.
 
@@ -70,6 +79,10 @@ def checked_run(
     lift is attached: a node with a loop that is unsaturated already fails
     maximality, so an unsaturated node that gets this far has no loop to
     unfold (:func:`~repro.core.saturation.figure4_certificate`).
+
+    ``run`` (``g -> outputs``), when given, computes the outputs in place
+    of ``algorithm.run_on``: the construction passes one that keeps the
+    run's record or replays it.
 
     Emits one ``adversary.checked_run`` span (graph size, Lemma-2 verdict)
     on the given or ambient tracer.  When the run happens inside a
@@ -92,7 +105,7 @@ def checked_run(
         **attribution,
     ) as span:
         try:
-            outputs = algorithm.run_on(g)
+            outputs = (algorithm.run_on if run is None else run)(g)
         except Exception as exc:  # surface simulator/adapter errors with context
             span.set(verdict="crashed")
             raise AlgorithmFailure(f"{algorithm.name} crashed on {g!r}: {exc}", graph=g) from exc
@@ -122,13 +135,36 @@ def checked_run(
             if bad:
                 span.set(verdict="unsaturated")
                 raise AlgorithmFailure(
-                    f"{algorithm.name} left node {bad[0]!r} unsaturated on a loopy "
-                    "graph (Lemma 2); Figure-4 refutation not constructible here",
+                    f"{algorithm.name} left node {bad[0]!r} unsaturated; Lemma 2 requires "
+                    "a maximal FM on a loopy graph to saturate every node",
                     graph=g,
                 )
         span.set(verdict="ok")
         tracer.metrics.counter("adversary.checked_runs", algorithm=algorithm.name).inc()
     return outputs
+
+
+def _kept_run(
+    algorithm, g: ECGraph, keep: bool, mixed_from=None, **where
+) -> Tuple[NodeOutputs, Optional[RunRecord]]:
+    """``checked_run`` on ``g``, returning its outputs and the run's record.
+
+    With ``keep`` false the run is ``algorithm.run_on`` and the record
+    ``None``.  Otherwise ``algorithm`` is a ``SimulatedECWeights`` and the
+    run keeps its record; a mix (``mixed_from`` is ``(joining edge id,
+    G's (record, outputs), H's (record, outputs))``) is replayed from its
+    parents' records where that is exact.
+    """
+    record = None
+
+    def run(graph):
+        nonlocal record
+        outputs, record = (
+            algorithm.replay_on(graph, *mixed_from) if mixed_from else algorithm.record_on(graph)
+        )
+        return outputs
+
+    return checked_run(algorithm, g, run=run if keep else None, **where), record
 
 
 def _lifted_outputs(base_outputs: NodeOutputs, lifted: ECGraph) -> NodeOutputs:
@@ -169,7 +205,9 @@ def run_adversary(
         At every inductive step, unfold both parents, re-run the algorithm
         on each 2-lift and check its outputs agree with the lift-invariance
         prediction (two extra runs per step; catches non-anonymous
-        algorithms red-handed).
+        algorithms red-handed).  Every run is then a full run: no mix is
+        replayed from its parents' records, so a deep-verified
+        construction cross-checks the replays of the default one.
     tracer:
         A :class:`repro.obs.Tracer`; defaults to the ambient tracer (no-op
         unless installed).  Emits one ``adversary.run`` span containing one
@@ -195,6 +233,8 @@ def run_adversary(
         raise ValueError("the construction needs delta >= 2")
     tracer = tracer if tracer is not None else current_tracer()
     witness = LowerBoundWitness(algorithm=algorithm.name, delta=delta)
+    # each run's record travels beside its outputs; none outlives this call
+    keep = isinstance(algorithm, SimulatedECWeights) and not deep_verify
 
     with tracer.span("adversary.run", algorithm=algorithm.name, delta=delta) as adv_span:
         # --------------------------------------------------------------
@@ -202,7 +242,7 @@ def run_adversary(
         # --------------------------------------------------------------
         with tracer.span("adversary.step", index=0, side="base") as base_span:
             graph_g = single_node_with_loops(delta, node="r")
-            out_g = checked_run(algorithm, graph_g, tracer=tracer, delta=delta, level=0)
+            out_g, rec_g = _kept_run(algorithm, graph_g, keep, tracer=tracer, delta=delta, level=0)
             node_g = "r"
             positive = [
                 e for e in graph_g.loops_at(node_g) if Fraction(out_g[node_g][e.color]) > 0
@@ -215,7 +255,7 @@ def run_adversary(
             removed = positive[0]
             graph_h = graph_g.fork()
             graph_h.remove_edge(removed.eid)
-            out_h = checked_run(algorithm, graph_h, tracer=tracer, delta=delta, level=0)
+            out_h, rec_h = _kept_run(algorithm, graph_h, keep, tracer=tracer, delta=delta, level=0)
             node_h = node_g
             color = _first_disagreeing_color(
                 {c: w for c, w in out_g[node_g].items() if c != removed.color},
@@ -251,8 +291,11 @@ def run_adversary(
                     nodes_g=graph_g.num_nodes(),
                     nodes_h=graph_h.num_nodes(),
                 ):
-                    gh, _ = mix(graph_g, e.eid, graph_h, f.eid)
-                out_gh = checked_run(algorithm, gh, tracer=tracer, delta=delta, level=i + 1)
+                    gh, join = mix(graph_g, e.eid, graph_h, f.eid)
+                out_gh, rec_gh = _kept_run(
+                    algorithm, gh, keep, (join, (rec_g, out_g), (rec_h, out_h)),
+                    tracer=tracer, delta=delta, level=i + 1,
+                )
 
                 w_e = Fraction(out_g[node_g][color])
                 w_f = Fraction(out_h[node_h][color])
@@ -263,12 +306,12 @@ def run_adversary(
                 # walk runs through G; otherwise it lost f's: (HH, GH) through H
                 side = "G" if w_mix != w_e else "H"
                 parents = {
-                    "G": (0, graph_g, e, out_g, node_g),
-                    "H": (1, graph_h, f, out_h, node_h),
+                    "G": (0, graph_g, e, out_g, node_g, rec_g),
+                    "H": (1, graph_h, f, out_h, node_h, rec_h),
                 }
                 lifts = {}
                 for lifted in ("G", "H") if deep_verify else (side,):
-                    _, parent, loop, outputs, _ = parents[lifted]
+                    _, parent, loop, outputs, _, _ = parents[lifted]
                     with tracer.span("adversary.unfold", side=lifted, nodes=parent.num_nodes()):
                         lift, _, _ = unfold_loop(parent, loop.eid)
                     predicted = _lifted_outputs(outputs, lift)
@@ -282,7 +325,7 @@ def run_adversary(
                         )
                     lifts[lifted] = lift, predicted
 
-                tag, walk_graph, _, walk_outputs, start = parents[side]
+                tag, walk_graph, _, walk_outputs, start, walk_record = parents[side]
                 with tracer.span(
                     "adversary.walk", side=side, nodes=walk_graph.num_nodes()
                 ) as walk_span:
@@ -296,7 +339,9 @@ def run_adversary(
                     walk_span.set(trail_length=len(trail))
 
                 graph_g, out_g = lifts[side]
-                graph_h, out_h = gh, out_gh
+                if keep:
+                    rec_g = algorithm.lifted_record(graph_g, walk_record)
+                graph_h, out_h, rec_h = gh, out_gh, rec_gh
                 node_g = (0, g_star)
                 node_h = (tag, g_star)
                 color = loop_color

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..graphs.multigraph import ECGraph
 from ..obs.tracer import current_tracer
 from .context import NodeContext, Port
-from .runtime import ECNetwork, PONetwork, run
+from .runtime import ECNetwork, PONetwork, RunRecord, replay, run
 
 Node = Hashable
 Color = Hashable
@@ -167,11 +167,14 @@ class _SimulatedWeights:
         self.last_message_total: Optional[int] = None
 
     def run_on(self, g) -> Dict[Node, Dict[Any, Fraction]]:
+        return self._run(g, record=False)[0]
+
+    def _run(self, g, record: bool) -> Tuple[Dict[Node, Dict[Any, Fraction]], Optional[RunRecord]]:
         with current_tracer().span(
             "algorithm.run_on", algorithm=self.name, model=self.model, nodes=g.num_nodes()
         ) as span:
             network = self.network(g, globals_=self.globals_factory(g))
-            result = run(network, self.algorithm, max_rounds=self.max_rounds_factory(g))
+            result = run(network, self.algorithm, max_rounds=self.max_rounds_factory(g), record=record)
             if not result.halted:
                 raise RuntimeError(
                     f"{self.name} did not halt within {self.max_rounds_factory(g)} rounds"
@@ -179,18 +182,73 @@ class _SimulatedWeights:
             self._last_rounds = result.rounds
             self.last_message_total = sum(result.message_counts)
             span.set(rounds=result.rounds, messages=self.last_message_total)
-        return {v: dict(out) for v, out in result.outputs.items()}
+        return {v: dict(out) for v, out in result.outputs.items()}, result.record
 
     def rounds_used(self, g) -> Optional[int]:
-        """Rounds consumed by the most recent :meth:`run_on` call."""
+        """Rounds consumed by the most recent run (or replay) of this adapter."""
         return self._last_rounds
 
 
 class SimulatedECWeights(_SimulatedWeights, ECWeightAlgorithm):
-    """Adapter: run an EC-model :class:`DistributedAlgorithm` in the simulator."""
+    """Adapter: run an EC-model :class:`DistributedAlgorithm` in the simulator.
+
+    Beside :meth:`run_on`, the Section 4 construction keeps each run's
+    record and replays a mix from its parents' records
+    (:func:`repro.local.runtime.replay`): :meth:`record_on`,
+    :meth:`replay_on` and :meth:`lifted_record`.  A machine that reads its
+    node label (``"node"`` in its ``sanitizer_allow``, as private coins
+    do) keeps no record, so every run of it is a full run.
+    """
 
     model = "EC"
     network = ECNetwork
+
+    def record_on(self, g: ECGraph) -> Tuple[Dict[Node, Dict[Color, Fraction]], Optional[RunRecord]]:
+        """:meth:`run_on`, also returning the run's record (``None`` if none is kept)."""
+        return self._run(g, record="node" not in getattr(self.algorithm, "sanitizer_allow", ()))
+
+    def replay_on(
+        self, gh: ECGraph, join_eid: int, g_side: Tuple, h_side: Tuple
+    ) -> Tuple[Dict[Node, Dict[Color, Fraction]], Optional[RunRecord]]:
+        """Outputs and record on ``gh``, the mix of ``G`` and ``H``, replayed where exact.
+
+        ``join_eid`` is the joining edge's id (:func:`~repro.graphs.lifts.mix`)
+        and each side is the ``(record, outputs)`` of its graph's run.  Where
+        the replay would not be exact (no record, other globals, see
+        :func:`~repro.local.runtime.replay`), or it raises, ``gh`` runs in
+        full (:meth:`record_on`) and that run's verdict stands.  A node the
+        replay did not simulate shares its counterpart's output dict.
+        """
+        (g_record, g_out), (h_record, h_out) = g_side, h_side
+        record = None
+        if g_record is not None and h_record is not None:
+            network = ECNetwork(gh, globals_=self.globals_factory(gh))
+            try:
+                record = replay(
+                    network, self.algorithm, g_record, h_record, gh.edge(join_eid),
+                    max_rounds=self.max_rounds_factory(gh),
+                )
+            except Exception:  # the local.replay span notes the error; the full run's verdict stands
+                record = None
+        if record is None:
+            return self.record_on(gh)
+        self._last_rounds = record.rounds
+        self.last_message_total = sum(record.counts)
+        sides = (g_out, h_out)
+        outputs = {v: sides[v[0]][v[1]] for v in gh.nodes()}
+        for v, out in record.outputs.items():
+            outputs[v] = dict(out)
+        return outputs, record
+
+    def lifted_record(self, lift: ECGraph, record: Optional[RunRecord]) -> Optional[RunRecord]:
+        """The record of ``lift``, a 2-lift of the graph ``record`` was kept on.
+
+        ``None`` where it would not be exact: without a base record, or if
+        the lift's globals differ from the base's.
+        """
+        if record is None or self.globals_factory(lift) != record.globals_:
+            return None
+        return record.lifted()
 
 
 class SimulatedPOWeights(_SimulatedWeights, POWeightAlgorithm):

@@ -10,6 +10,13 @@ exactly as in the LOCAL model.
 budget, then snapshots; with a ``root``, of that node's light cone only)
 share one round loop.
 
+``run(..., record=True)`` also keeps the run's :class:`RunRecord`: every
+node's inbox in every round.  :func:`replay` runs an EC algorithm on a
+*mix* (two graphs joined by one edge at a loop of each, Section 4.3) from
+its parents' records, simulating only the nodes whose inbox changed.  A
+record of a 2-lift is its base's, read through the covering map
+(:meth:`RunRecord.lifted`).
+
 Three network adapters realise the models:
 
 * :class:`ECNetwork` — ports are edge colours of an :class:`ECGraph`.  A
@@ -27,8 +34,9 @@ Three network adapters realise the models:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -43,7 +51,10 @@ from .context import NodeContext, Port
 
 Node = Hashable
 
-__all__ = ["Network", "ECNetwork", "PONetwork", "IDNetwork", "RunResult", "run", "run_rounds"]
+__all__ = [
+    "Network", "ECNetwork", "PONetwork", "IDNetwork", "RunResult", "RunRecord",
+    "run", "run_rounds", "replay",
+]
 
 
 class Network:
@@ -204,12 +215,14 @@ class RunResult:
     message_counts: List[int] = field(default_factory=list)
     #: access log of a sanitized run (``None`` unless ``sanitize=True``)
     access_log: Optional["AccessLog"] = None
+    #: the run's record (``None`` unless ``run(..., record=True)``)
+    record: Optional["RunRecord"] = None
 
 
 def _simulate(
     network: Network, algorithm: DistributedAlgorithm, limit: int, limit_name: str, *,
     snapshot: bool, sanitize: bool, sanitize_mode: str, tracer, span: str,
-    root: Optional[Node] = None, **span_attrs: Any,
+    root: Optional[Node] = None, record: bool = False, **span_attrs: Any,
 ) -> RunResult:
     """The round loop behind :func:`run` and :func:`run_rounds`.
 
@@ -220,7 +233,9 @@ def _simulate(
     at the end report ``algorithm.snapshot``, which ``halted`` ignores.
 
     With a ``root`` (snapshot runs only), just the root's light cone runs
-    (:func:`_cone_round`) and the root alone is polled and reported.
+    (:func:`_cone_round`) and the root alone is polled and reported.  With
+    ``record`` (full runs only), every inbox and the poll at which each node
+    first announced are kept in a :class:`_FullRecord`.
     """
     if algorithm.model != network.model:
         raise ValueError(
@@ -247,6 +262,8 @@ def _simulate(
             nodes = [root]  # the one node polled and reported
         states = {v: algorithm.initial_state(ctxs[v]) for v in ctxs}
         announced: Dict[Node, Any] = {}
+        log: Optional[List[Dict[Node, Dict[Port, Any]]]] = [] if record else None
+        first: Dict[Node, int] = {}
 
         def running() -> bool:
             nonlocal announced
@@ -256,21 +273,17 @@ def _simulate(
                 announced = {v: algorithm.output(states[v], ctxs[v]) for v in nodes}
                 pending = sum(1 for o in announced.values() if o is None)
                 poll_span.set(pending=pending)
+            if record:
+                for v, o in announced.items():
+                    if o is not None and v not in first:
+                        first[v] = len(message_counts)
             return pending > 0
 
         message_counts: List[int] = []
         while len(message_counts) < limit and running():
             with tracer.span("local.round", round=len(message_counts)) as round_span:
                 if depth is None:
-                    inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
-                    count = 0
-                    for v in nodes:
-                        for port, message in algorithm.send(states[v], ctxs[v]).items():
-                            target, tport = network.route(v, port, message)
-                            inboxes[target][tport] = message
-                            count += 1
-                    for v in nodes:
-                        states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
+                    count = _full_round(network, algorithm, nodes, states, ctxs, log)
                 else:
                     reach = limit - len(message_counts)
                     count = _cone_round(network, algorithm, states, ctxs, depth, reach)
@@ -292,12 +305,42 @@ def _simulate(
         tracer.metrics.counter("local.runs", model=network.model).inc()
         tracer.metrics.counter("local.rounds", model=network.model).inc(rounds)
         tracer.metrics.counter("local.messages", model=network.model).inc(messages)
+    kept = None
+    if log is not None:
+        kept = _FullRecord(network, algorithm, nodes, ctxs, states, log, list(message_counts), first)
     if depth is not None:
         states = {root: states[root]}
     return RunResult(
         outputs=outputs, rounds=rounds, halted=halted, states=states,
-        message_counts=message_counts, access_log=access_log,
+        message_counts=message_counts, access_log=access_log, record=kept,
     )
+
+
+def _full_round(
+    network: Network, algorithm: DistributedAlgorithm, nodes: List[Node],
+    states: Dict[Node, Any], ctxs: Dict[Node, NodeContext],
+    log: Optional[List[Dict[Node, Dict[Port, Any]]]] = None,
+) -> int:
+    """One round of every node; returns the messages delivered.
+
+    With a ``log``, the round's inboxes are appended to it and each node
+    receives a copy of its own, so a machine cannot change what was logged.
+    """
+    inboxes: Dict[Node, Dict[Port, Any]] = {v: {} for v in nodes}
+    count = 0
+    for v in nodes:
+        for port, message in algorithm.send(states[v], ctxs[v]).items():
+            target, tport = network.route(v, port, message)
+            inboxes[target][tport] = message
+            count += 1
+    if log is None:
+        for v in nodes:
+            states[v] = algorithm.receive(states[v], ctxs[v], inboxes[v])
+    else:
+        log.append(inboxes)
+        for v in nodes:
+            states[v] = algorithm.receive(states[v], ctxs[v], dict(inboxes[v]))
+    return count
 
 
 def _light_cone(network: Network, root: Node, radius: int) -> Dict[Node, int]:
@@ -358,6 +401,7 @@ def run(
     sanitize: bool = False,
     sanitize_mode: str = "raise",
     tracer=None,
+    record: bool = False,
 ) -> RunResult:
     """Execute ``algorithm`` on ``network`` until all nodes output or the cap.
 
@@ -378,11 +422,15 @@ def run(
     to the ambient tracer, a no-op unless installed via
     :func:`repro.obs.use_tracer`.
 
+    With ``record=True`` the result also carries the run's
+    :class:`RunRecord`, from which :func:`replay` runs its mixes.
+
     All options are keyword-only.
     """
     return _simulate(
         network, algorithm, max_rounds, "max_rounds", snapshot=False,
         sanitize=sanitize, sanitize_mode=sanitize_mode, tracer=tracer, span="local.run",
+        record=record,
     )
 
 
@@ -432,3 +480,308 @@ def run_rounds(
         sanitize_mode=sanitize_mode, tracer=tracer, span="local.run_rounds", root=root,
         budget=rounds,
     )
+
+
+class RunRecord:
+    """A run as its replays read it: every node's inbox in every round.
+
+    For every round ``r`` recorded, ``inbox(r, v)`` is what node ``v``
+    received (port -> message; a port that got nothing is absent) and
+    ``count(r)`` is the number of messages delivered.  ``halt(v)`` is the
+    poll at which ``v`` first announced, ``halts`` counts the nodes by it,
+    and ``globals_`` and ``ports(v)`` are what each node ran with.
+    ``extend(n)`` records rounds up to ``n`` by continuing the run past its
+    halt, since a mix can run longer than its parents.  A lift or mix
+    reads its parents' records and never writes them.  ``replayed`` is the
+    set of nodes a replay simulated, and ``None`` where every node ran.
+    """
+
+    halts: Counter
+    globals_: Dict[str, Any]
+    replayed: Optional[FrozenSet[Node]] = None
+
+    def inbox(self, r: int, v: Node) -> Dict[Port, Any]:
+        raise NotImplementedError
+
+    def count(self, r: int) -> int:
+        raise NotImplementedError
+
+    def halt(self, v: Node) -> int:
+        raise NotImplementedError
+
+    def ports(self, v: Node) -> Tuple[Port, ...]:
+        raise NotImplementedError
+
+    def extend(self, rounds: int) -> None:
+        raise NotImplementedError
+
+    def lifted(self) -> "RunRecord":
+        """The record of a 2-lift, whose nodes are ``(side, v)`` (``unfold_loop``).
+
+        An algorithm that reads no node label runs on a lift exactly as on
+        its base (see the module docstring), so this reads the base's
+        record through the covering map ``(side, v) -> v``.
+        """
+        return _Lift(self)
+
+
+class _FullRecord(RunRecord):
+    """The record a full run keeps; it extends by running every node on."""
+
+    def __init__(self, network, algorithm, nodes, ctxs, states, log, counts, first):
+        self.network, self.algorithm, self.nodes, self.ctxs = network, algorithm, nodes, ctxs
+        self.states, self.log, self.counts, self.first = states, log, counts, first
+        self.globals_ = network.globals_
+        self.halts = Counter(first.values())
+
+    def inbox(self, r, v):
+        return self.log[r][v]
+
+    def count(self, r):
+        return self.counts[r]
+
+    def halt(self, v):
+        return self.first[v]
+
+    def ports(self, v):
+        return self.ctxs[v].ports
+
+    def extend(self, rounds):
+        while len(self.log) < rounds:
+            self.counts.append(
+                _full_round(self.network, self.algorithm, self.nodes, self.states, self.ctxs, self.log)
+            )
+
+
+class _Lift(RunRecord):
+    """A 2-lift's record: its base's, read through ``(side, v) -> v``."""
+
+    def __init__(self, base: RunRecord):
+        self.base = base
+        self.globals_ = base.globals_
+        self.halts = Counter({r: 2 * n for r, n in base.halts.items()})
+
+    def inbox(self, r, v):
+        return self.base.inbox(r, v[1])
+
+    def count(self, r):
+        return 2 * self.base.count(r)
+
+    def halt(self, v):
+        return self.base.halt(v[1])
+
+    def ports(self, v):
+        return self.base.ports(v[1])
+
+    def extend(self, rounds):
+        self.base.extend(rounds)
+
+
+#: a port that receives nothing this round
+_NOTHING = object()
+
+
+def _same_inbox(a: Dict[Port, Any], b: Dict[Port, Any]) -> bool:
+    """Whether two inboxes hold equal messages, of one type, on the same ports."""
+    return a.keys() == b.keys() and all(
+        m is b[p] or (type(m) is type(b[p]) and m == b[p]) for p, m in a.items()
+    )
+
+
+class _Replay(RunRecord):
+    """A mix's run, replayed from its parents' records (see :func:`replay`).
+
+    Node ``(s, x)`` of the mix has counterpart ``x`` in parent ``s``.  A
+    node is *live* from the first round its inbox differs from its
+    counterpart's.  Until then it is in its counterpart's state, so it
+    sends what its counterpart sent; only live nodes are simulated, and
+    the record of every other node is its counterpart's.
+    """
+
+    def __init__(self, network, algorithm, parents, ends, color):
+        self.network, self.algorithm, self.parents = network, algorithm, parents
+        self.ends, self.color = ends, color
+        self.globals_ = network.globals_
+        #: per round, each live node's inbox
+        self.log: List[Dict[Node, Dict[Port, Any]]] = []
+        self.counts: List[int] = []
+        #: live node -> its state, in the order the nodes went live
+        self.states: Dict[Node, Any] = {}
+        #: live node -> the first round its inbox differed
+        self.start: Dict[Node, int] = {}
+        #: live node -> the poll it first announced at, where that was not its counterpart's
+        self.first: Dict[Node, int] = {}
+        #: live nodes that have not announced yet
+        self.pending: Dict[Node, None] = {}
+        self.halts = parents[0].halts + parents[1].halts
+        #: the live nodes and their outputs, once :func:`replay` halts
+        self.replayed = frozenset()
+        self.outputs: Dict[Node, Any] = {}
+
+    @property
+    def rounds(self) -> int:
+        """Rounds recorded so far: the mix's round count once :func:`replay` returns."""
+        return len(self.log)
+
+    def inbox(self, r, v):
+        box = self.log[r].get(v)
+        return self.parents[v[0]].inbox(r, v[1]) if box is None else box
+
+    def count(self, r):
+        return self.counts[r]
+
+    def halt(self, v):
+        r = self.first.get(v)
+        return self.parents[v[0]].halt(v[1]) if r is None else r
+
+    def ports(self, v):
+        return self.network.context(v).ports
+
+    def extend(self, rounds):
+        while len(self.log) < rounds:
+            self._round()
+
+    def halted(self) -> bool:
+        """Whether every node has announced by the latest poll."""
+        last = max((r for r, n in self.halts.items() if n), default=0)
+        return not self.pending and last <= len(self.log)
+
+    def _round(self) -> None:
+        r = len(self.log)
+        network, algorithm, parents = self.network, self.algorithm, self.parents
+        for parent in parents:
+            parent.extend(r + 1)
+        # the message on every port whose sender no record speaks for: each
+        # port of a live node (a port it leaves silent receives nothing),
+        # and both ends of the joining edge, where a loop's echo was recorded
+        slots: Dict[Tuple[Node, Port], Any] = {}
+        for u, state in self.states.items():
+            ctx = network.context(u)
+            for port in ctx.ports:
+                slots[network.route(u, port, None)] = _NOTHING
+            for port, message in algorithm.send(state, ctx).items():
+                slots[network.route(u, port, message)] = message
+        g_end, h_end = self.ends
+        for end, other in ((g_end, h_end), (h_end, g_end)):
+            if other not in self.states:
+                echo = parents[other[0]].inbox(r, other[1])
+                slots[end, self.color] = echo.get(self.color, _NOTHING)
+        boxes: Dict[Node, Tuple[Dict[Port, Any], Dict[Port, Any]]] = {}
+        for u in self.states:
+            recorded = parents[u[0]].inbox(r, u[1])
+            boxes[u] = (recorded, dict(recorded))
+        for (w, port), message in slots.items():
+            pair = boxes.get(w)
+            if pair is None:
+                recorded = parents[w[0]].inbox(r, w[1])
+                pair = boxes[w] = (recorded, dict(recorded))
+            if message is _NOTHING:
+                pair[1].pop(port, None)
+            else:
+                pair[1][port] = message
+        log: Dict[Node, Dict[Port, Any]] = {}
+        delta = 0
+        for w, (recorded, box) in boxes.items():
+            if w not in self.states:
+                if _same_inbox(box, recorded):
+                    continue
+                self._go_live(w, r)
+            log[w] = box
+            delta += len(box) - len(recorded)
+        for w, box in log.items():
+            self.states[w] = algorithm.receive(self.states[w], network.context(w), dict(box))
+        self.log.append(log)
+        self.counts.append(parents[0].count(r) + parents[1].count(r) + delta)
+        for w in list(self.pending):
+            if algorithm.output(self.states[w], network.context(w)) is not None:
+                del self.pending[w]
+                self.first[w] = r + 1
+                self.halts[r + 1] += 1
+
+    def _go_live(self, w: Node, r: int) -> None:
+        """Simulate ``w`` from round ``r`` on, from its counterpart's state then.
+
+        That state is recomputed from ``initial_state`` and the
+        counterpart's recorded inboxes; no other run's state is shared.
+        """
+        parent, x = self.parents[w[0]], w[1]
+        ctx = self.network.context(w)
+        state = self.algorithm.initial_state(ctx)
+        for k in range(r):
+            state = self.algorithm.receive(state, ctx, dict(parent.inbox(k, x)))
+        self.states[w] = state
+        self.start[w] = r
+        halt = parent.halt(x)
+        if halt > r:  # not announced yet: poll it from now on
+            self.halts[halt] -= 1
+            self.pending[w] = None
+
+
+def replay(
+    network: ECNetwork,
+    algorithm: DistributedAlgorithm,
+    g_record: RunRecord,
+    h_record: RunRecord,
+    join,
+    *,
+    max_rounds: int,
+    tracer=None,
+) -> Optional[RunRecord]:
+    """Run ``algorithm`` on a mix by replaying its parents' records.
+
+    ``network`` is an EC network over the mix ``GH`` of
+    :func:`~repro.graphs.lifts.mix`: node ``(0, x)`` is ``G``'s ``x``,
+    node ``(1, y)`` is ``H``'s ``y``, and ``join`` is the edge that joins
+    them where each had a loop.  ``g_record`` and ``h_record`` are the
+    records of ``G``'s and ``H``'s runs.  A node is simulated only from the
+    first round its inbox differs from its counterpart's (a message that
+    changed, or one that is new or missing), with its state then
+    recomputed from its counterpart's inboxes; every other node keeps its
+    counterpart's run.
+    That is exact for a machine that reads no node label (``ctx.node``),
+    so the caller must not replay one that does.
+
+    Returns ``None``, running nothing, unless ``GH``, ``G`` and ``H`` have
+    equal globals and both ends of ``join`` kept their ports.  Otherwise
+    returns the mix's record once every node has announced, with
+    ``rounds`` (the poll at which the last node announced, as in
+    :func:`run`), ``counts`` (messages per round), ``replayed`` (the nodes
+    simulated) and ``outputs`` (theirs).  Past ``max_rounds`` rounds it
+    raises :class:`RuntimeError`, as may the machine; a caller re-runs such
+    a mix in full.
+
+    Opens one ``local.replay`` span (``nodes``; final ``replayed``,
+    ``node_rounds``, ``rounds`` and ``messages``) and counts
+    ``local.replays``.
+    """
+    g_end, h_end = (join.u, join.v) if join.u[0] == 0 else (join.v, join.u)
+    if not (
+        network.model == "EC"
+        and network.globals_ == g_record.globals_ == h_record.globals_
+        and network.context(g_end).ports == g_record.ports(g_end[1])
+        and network.context(h_end).ports == h_record.ports(h_end[1])
+    ):
+        return None
+    tracer = tracer if tracer is not None else current_tracer()
+    record = _Replay(network, algorithm, (g_record, h_record), (g_end, h_end), join.color)
+    with tracer.span(
+        "local.replay", model=network.model, algorithm=type(algorithm).__name__,
+        nodes=network.graph.num_nodes(),
+    ) as span:
+        while not record.halted():
+            if record.rounds == max_rounds:
+                raise RuntimeError(f"the replay did not halt within {max_rounds} rounds")
+            record._round()
+        rounds = record.rounds
+        record.replayed = frozenset(record.states)
+        record.outputs = {
+            u: algorithm.output(state, network.context(u)) for u, state in record.states.items()
+        }
+        span.set(
+            replayed=len(record.states),
+            node_rounds=sum(rounds - start for start in record.start.values()),
+            rounds=rounds,
+            messages=sum(record.counts),
+        )
+        tracer.metrics.counter("local.replays", model=network.model).inc()
+    return record

@@ -315,5 +315,5 @@ class TestRefutation:
                 checked_run(algorithm, g, require_saturation=require_saturation)
             failures.append(f"{algorithm.name}: {failure.value}")
         assert sha256("\n".join(failures)) == (
-            "721bcb470a031db4a5810bba2e19cadf7f4df16777c0a038e73ca2e651af65a9"
+            "c522cbed29f51bce1d8376dc85538b194fc60d5648dc465597c41c7b7ff98b76"
         )
